@@ -384,28 +384,37 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _read_record(path: Path) -> engine.RunRecord:
+    try:
+        return engine.RunRecord.from_json(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def cmd_stats(args) -> int:
-    runs_dir = Path(args.results) / "runs"
-    if not runs_dir.is_dir():
-        print(f"error: no runs directory under {args.results}", file=sys.stderr)
-        return 2
-    records = [
-        engine.RunRecord.from_json(p.read_text(encoding="utf-8"))
-        for p in sorted(runs_dir.glob("*.json"))
-    ]
+    """Aggregate the records plan.json lists; without plan.json, every runs/*.json."""
+    results = Path(args.results)
+    plan_path = results / "plan.json"
+    if plan_path.exists():
+        plan = json.loads(plan_path.read_text(encoding="utf-8"))
+        paths = [results / cell["file"] for cell in plan["cells"]]
+        prov = plan.get("provenance", {})
+    else:
+        runs_dir = results / "runs"
+        if not runs_dir.is_dir():
+            print(f"error: no runs directory under {args.results}", file=sys.stderr)
+            return 2
+        paths = sorted(runs_dir.glob("*.json"))
+        prov = {}
+    records = [_read_record(p) for p in paths]
     if not records:
-        print(f"error: no run records in {runs_dir}", file=sys.stderr)
+        print(f"error: no run records under {results}", file=sys.stderr)
         return 2
     group_by = tuple(args.group_by.split(","))
     summary = stats.aggregate_experiment(
         records, group_by, include_non_effective=args.include_non_effective
     )
-    out_dir = Path(args.out or args.results)
-    prov_path = Path(args.results) / "plan.json"
-    prov = {}
-    if prov_path.exists():
-        prov = json.loads(prov_path.read_text(encoding="utf-8")).get("provenance", {})
-    _write_summary(out_dir, summary, prov)
+    _write_summary(Path(args.out or args.results), summary, prov)
     print(f"aggregated {len(records)} records into {len(summary.groups)} groups")
     return 0
 

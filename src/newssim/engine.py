@@ -63,7 +63,12 @@ class InterventionSpec:
 
 @dataclass
 class DiffusionState:
-    """Mutable per-run ledger; reached / spreader sets are cumulative."""
+    """Mutable per-run ledger; reached / spreader sets are cumulative.
+
+    reach_day[v] is the day v was first reached (-1 never, 0 the source) and
+    reached_by[v] the neighbour whose delivery reached it first (-1 for the
+    source and for unreached agents).
+    """
 
     n: int
     day: int = 0
@@ -73,6 +78,8 @@ class DiffusionState:
     spreaders_cum: set[int] = field(default_factory=set)
     blocked: set[int] = field(default_factory=set)
     inbox: dict[int, list[tuple[int, int, str | None]]] = field(default_factory=dict)
+    reach_day: list[int] = field(default_factory=list)
+    reached_by: list[int] = field(default_factory=list)
     accuracy_triggered: bool = False
     blocking_applied: bool = False
 
@@ -83,13 +90,24 @@ class DiffusionState:
         return len(self.spreaders_cum) / self.n
 
 
+RECORD_FORMAT = 2
+
+
 @dataclass
 class RunRecord:
-    """Replayable result of one seeded run."""
+    """Replayable result of one seeded run.
+
+    Its size grows with the number of agents, not edges: per-agent columns
+    (see DiffusionState) plus seed, decision and intervention events. Repeat
+    deliveries are not stored; they follow from the network's adjacency, the
+    decisions and the blocking_applied event.
+    """
 
     meta: dict
     reached_prop: list[float]
     forwarded_prop: list[float]
+    reach_day: list[int]
+    reached_by: list[int]
     events: list[dict]
     effective: bool
     taints: list[str]
@@ -100,34 +118,41 @@ class RunRecord:
 
     def first_reached_by_day(self) -> dict[int, set[int]]:
         layers: dict[int, set[int]] = {}
-        for ev in self.events:
-            if ev["type"] == "seed":
-                layers.setdefault(0, set()).add(ev["agent"])
-            elif ev["type"] == "delivery" and ev["first"]:
-                layers.setdefault(ev["day"], set()).add(ev["recipient"])
+        for agent, day in enumerate(self.reach_day):
+            if day >= 0:
+                layers.setdefault(day, set()).add(agent)
         return layers
 
     def to_dict(self) -> dict:
         return {
+            "format": RECORD_FORMAT,
             "meta": self.meta,
             "series": {
                 "reached_prop": self.reached_prop,
                 "forwarded_prop": self.forwarded_prop,
             },
+            "agents": {"reach_day": self.reach_day, "reached_by": self.reached_by},
             "events": self.events,
             "effective": self.effective,
             "taints": self.taints,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
+        found = d.get("format")
+        if found != RECORD_FORMAT:
+            raise ValueError(
+                f"run record format {found!r} is not supported (expected {RECORD_FORMAT})"
+            )
         return cls(
             meta=d["meta"],
             reached_prop=list(d["series"]["reached_prop"]),
             forwarded_prop=list(d["series"]["forwarded_prop"]),
+            reach_day=list(d["agents"]["reach_day"]),
+            reached_by=list(d["agents"]["reached_by"]),
             events=list(d["events"]),
             effective=d["effective"],
             taints=list(d["taints"]),
@@ -155,6 +180,9 @@ def initial_state(net: Network, source: int) -> DiffusionState:
     state.reached.add(source)
     state.pending.add(source)
     state.inbox = {u: [] for u in range(net.n)}
+    state.reach_day = [-1] * net.n
+    state.reach_day[source] = 0
+    state.reached_by = [-1] * net.n
     return state
 
 
@@ -241,25 +269,16 @@ def step_day(
     state.pending.clear()
 
     for agent, comment in new_spreaders:
-        for nbr in sorted(adj[agent]):
+        for nbr in adj[agent]:
             if nbr in state.blocked:
                 continue
-            first = nbr not in state.reached
-            events.append(
-                {
-                    "type": "delivery",
-                    "day": day,
-                    "sender": agent,
-                    "recipient": nbr,
-                    "comment": comment,
-                    "first": first,
-                }
-            )
             state.inbox[nbr].append((day, agent, comment))
-            if first:
+            if nbr not in state.reached:
                 state.reached.add(nbr)
                 state.status[nbr] = Status.PENDING
                 state.pending.add(nbr)
+                state.reach_day[nbr] = day
+                state.reached_by[nbr] = agent
 
     state.day = day
     return state
@@ -377,6 +396,8 @@ def run(
         meta=meta,
         reached_prop=reached_prop,
         forwarded_prop=forwarded_prop,
+        reach_day=state.reach_day,
+        reached_by=state.reached_by,
         events=events,
         effective=source in state.spreaders_cum,
         taints=taints,

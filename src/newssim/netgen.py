@@ -44,18 +44,29 @@ class Network:
     gen_seed: int
     communities: tuple[tuple[int, ...], ...] | None = None
 
-    def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbour ids per node; built on first use, then shared.
+
+        Threads racing on the first call may each build it; they build equal
+        values, and every later call returns the one stored last.
+        """
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            lists: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                lists[u].append(v)
+                lists[v].append(u)
+            adj = tuple(tuple(sorted(a)) for a in lists)
+            object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
+        """Read-only degree array; built on first use, then shared."""
+        deg = self.__dict__.get("_degrees")
+        if deg is None:
+            deg = np.array([len(a) for a in self.adjacency()], dtype=int)
+            deg.flags.writeable = False
+            object.__setattr__(self, "_degrees", deg)
         return deg
 
 
@@ -273,7 +284,7 @@ def avg_path_length(net: Network) -> float:
     n = net.n
     if n < 2:
         raise ValueError("avg_path_length undefined for n < 2")
-    adj = [sorted(a) for a in net.adjacency()]
+    adj = net.adjacency()
     total = 0
     for s in range(n):
         dist = [-1] * n
@@ -298,17 +309,16 @@ def avg_clustering(net: Network) -> float:
     """Mean of per-node coefficients 2*e_i/(k_i*(k_i-1)); degree<2 nodes count 0."""
     if net.n == 0:
         return 0.0
-    adj = net.adjacency()
+    nbr_sets = [frozenset(a) for a in net.adjacency()]
     acc = 0.0
-    for u in range(net.n):
-        k = len(adj[u])
+    for nbrs in net.adjacency():
+        k = len(nbrs)
         if k < 2:
             continue
-        nbrs = sorted(adj[u])
         e = 0
-        for i in range(len(nbrs)):
-            ni = adj[nbrs[i]]
-            for j in range(i + 1, len(nbrs)):
+        for i in range(k):
+            ni = nbr_sets[nbrs[i]]
+            for j in range(i + 1, k):
                 if nbrs[j] in ni:
                     e += 1
         acc += 2.0 * e / (k * (k - 1))

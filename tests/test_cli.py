@@ -231,6 +231,39 @@ def test_stats_command_missing_dir(tmp_path, capsys):
     assert cli.main(["stats", "--results", str(tmp_path / "nope")]) == 2
 
 
+def test_stats_reads_only_plan_cells(tmp_path, small_config):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(small_config(reps=2, news_limit=2)),
+                     "--out", str(out)]) == 0
+    summary = (out / "summary.json").read_bytes()
+    # a stale record left by an earlier plan in the same out dir
+    stale = json.loads(next((out / "runs").glob("*.json")).read_text())
+    stale["series"]["reached_prop"] = [1.0] * len(stale["series"]["reached_prop"])
+    stale["effective"] = True
+    (out / "runs" / "stale_rep999.json").write_text(json.dumps(stale))
+    assert cli.main(["stats", "--results", str(out)]) == 0
+    assert (out / "summary.json").read_bytes() == summary
+
+
+def test_stats_refuses_old_record_format(tmp_path, small_config, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=1)),
+                     "--out", str(out)]) == 0
+    path = next((out / "runs").glob("*.json"))
+    doc = json.loads(path.read_text())
+    del doc["format"]
+    path.write_text(json.dumps(doc, indent=2))
+    capsys.readouterr()
+    assert cli.main(["stats", "--results", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert path.name in err and "format None" in err
+    doc["format"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="format 1 is not supported"):
+        engine.RunRecord.from_json(path.read_text())
+
+
 def test_export_plot_data(tmp_path, small_config):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(small_config(reps=2, news_limit=1)),

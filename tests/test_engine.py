@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newssim import persona as persona_mod
 from newssim.engine import (
@@ -168,6 +170,50 @@ def test_wavefront_equals_bfs_layers():
         assert rec.first_reached_by_day() == oracle
 
 
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True))
+    return net_from_edges(n, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    net=small_graphs(),
+    seed=st.integers(0, 2**32 - 1),
+    intercept=st.floats(-1.0, 3.0),
+    intervention=st.sampled_from(["none", "commenting", "accuracy", "blocking"]),
+)
+def test_reach_columns_match_first_delivery(net, seed, intercept, intervention):
+    personas = persona_mod.sample_personas(net.n, rng_seed=seed % 1000)
+    rec = run(config(days=6, intervention=intervention), net, personas, NEWS,
+              StubPolicy(StubParams(intercept=intercept), rng_seed=seed))
+    adj = net.adjacency()
+    source = rec.meta["source_agent"]
+    shared_on = {e["agent"]: e["day"] for e in rec.events
+                 if e["type"] == "decision" and e["share"]}
+    assert len(rec.reach_day) == len(rec.reached_by) == net.n
+    assert (rec.reach_day[source], rec.reached_by[source]) == (0, -1)
+    for v in range(net.n):
+        day, sender = rec.reach_day[v], rec.reached_by[v]
+        if v == source:
+            continue
+        if day < 0:
+            assert (day, sender) == (-1, -1)
+            continue
+        # the first delivery came from the lowest-id neighbour sharing that day
+        senders = [u for u in adj[v] if shared_on.get(u) == day]
+        assert senders and sender == min(senders)
+    layers = {}
+    for v, day in enumerate(rec.reach_day):
+        if day >= 0:
+            layers.setdefault(day, set()).add(v)
+    assert rec.first_reached_by_day() == layers
+    for day, prop in enumerate(rec.reached_prop):
+        assert sum(1 for d in rec.reach_day if 0 <= d <= day) == round(prop * net.n)
+
+
 def test_series_monotone_and_ordered():
     rng = np.random.default_rng(9)
     for intervention in ("none", "commenting", "accuracy", "blocking"):
@@ -282,10 +328,13 @@ def test_blocking_blocks_exactly_quota():
     blocked = set(blocked_events[0]["blocked"])
     assert len(blocked) == math.ceil(0.20 * 300) == 60
     day_blocked = blocked_events[0]["day"]
+    reached_after = [v for v, d in enumerate(rec.reach_day) if d > day_blocked]
+    assert reached_after  # the checks below are not vacuous
+    # no blocked agent is first reached after the block ...
+    assert all(rec.reach_day[a] <= day_blocked for a in blocked)
+    # ... nor first reaches anyone after it
+    assert not {rec.reached_by[v] for v in reached_after} & blocked
     for e in rec.events:
-        if e["type"] == "delivery" and e["day"] > day_blocked:
-            assert e["recipient"] not in blocked
-            assert e["sender"] not in blocked
         if e["type"] == "decision" and e["day"] > day_blocked:
             assert e["agent"] not in blocked
 
@@ -364,23 +413,22 @@ def test_conservation_each_day():
     state = initial_state(net, select_source(net))
     events, taints = [], []
     policy = StubPolicy(rng_seed=14)
+    days_after_block = 0
     for _ in range(7):
+        reached_before = set(state.reached)
+        days_after_block += bool(state.blocked)
         step_day(state, net, personas, NEWS, policy, spec, events, taints)
+        # no blocked agent entered the reached set after blocking was applied
+        assert not (state.reached - reached_before) & state.blocked
         apply_blocking_intervention(state, net, personas, spec.trigger_threshold,
                                     spec.block_fraction, events)
+        # blocked agents receive nothing, on the block day or after it
+        assert all(state.inbox[a] == [] for a in state.blocked)
         unreached = sum(1 for s in state.status if s == Status.UNREACHED)
         blocked_without_reach = len(state.blocked - state.reached)
         assert unreached + len(state.reached) + blocked_without_reach == 150
         assert state.spreaders_cum <= state.reached
-    # no blocked agent entered the reached set after blocking was applied
-    seen_block = False
-    blocked = set()
-    for e in events:
-        if e["type"] == "blocking_applied":
-            seen_block = True
-            blocked = set(e["blocked"])
-        if seen_block and e["type"] == "delivery" and e["first"]:
-            assert e["recipient"] not in blocked
+    assert state.blocked and days_after_block > 0  # the block checks are not vacuous
 
 
 def test_status_union_matches_reached_without_blocking():

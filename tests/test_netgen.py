@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -79,6 +81,37 @@ def test_gen_random_near_one_is_complete():
     net = gen_random(4, 1 - 1e-12, seed=0)
     assert len(net.edges) == 6
     assert density(net) == 1.0
+
+
+def test_adjacency_and_degrees_built_once_and_read_only():
+    net = gen_random(40, 0.2, seed=3)
+    adj = net.adjacency()
+    assert net.adjacency() is adj and net.degrees() is net.degrees()
+    assert all(isinstance(a, tuple) and list(a) == sorted(a) for a in adj)
+    assert [len(a) for a in adj] == net.degrees().tolist()
+    with pytest.raises(ValueError):
+        net.degrees()[0] = 99
+    # the memo is not a field: equality and hashing still see only the graph
+    twin = Network(net.n, net.edges, net.kind, net.gen_seed)
+    assert twin == net and hash(twin) == hash(net)
+
+
+def test_adjacency_memo_under_concurrent_first_calls():
+    # plan cells on --parallel threads share one cached Network
+    reference = gen_random(120, 0.1, seed=5)
+    expected = (reference.adjacency(), reference.degrees().tolist())
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            net = Network(reference.n, reference.edges, reference.kind, reference.gen_seed)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: (net.adjacency(), net.degrees().tolist()))
+                           for _ in range(16)]
+                results = [f.result(timeout=30) for f in futures]
+            assert all(r == expected for r in results)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_gen_random_rejects_bad_params():

@@ -17,6 +17,8 @@ def record(reached, forwarded, labels, effective=True):
         meta={"labels": labels},
         reached_prop=list(reached),
         forwarded_prop=list(forwarded),
+        reach_day=[],
+        reached_by=[],
         events=[],
         effective=effective,
         taints=[],
