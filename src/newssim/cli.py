@@ -22,7 +22,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -98,40 +98,52 @@ def _build_cell_policy(cfg, decision_seed, cache, transport):
                             body_char_budget=cfg.body_char_budget)
 
 
-def _execute_cell(cfg, news_item, rep, labels, cache=None, transport=None):
+@dataclass(frozen=True)
+class Cell:
+    """One plan cell: a run of `news` on replicate `replicate`, written to runs/`file`."""
+
+    cfg: ingest.ExperimentConfig
+    news: ingest.NewsItem
+    replicate: int
+    labels: dict
+    file: str
+
+
+def _execute_cell(cell: Cell, cache=None, transport=None):
     """Run one plan cell, re-running non-effective stub runs with fresh seeds."""
+    cfg, rep = cell.cfg, cell.replicate
     net_seed = derive_seed(cfg.master_seed, "net", rep)
     net = _cached_network(cfg.network_kind, tuple(sorted(cfg.network_params.items())), net_seed)
     persona_seed = derive_seed(cfg.master_seed, "personas", rep)
     personas = persona.sample_personas(net.n, rng_seed=persona_seed)
-    if labels.get("trait"):
-        personas = persona.pin_trait(personas, labels["trait"], labels["level"],
+    if cell.labels.get("trait"):
+        personas = persona.pin_trait(personas, cell.labels["trait"], cell.labels["level"],
                                      offset=cfg.sweep_offset)
 
     budget = cfg.effective_retry_budget if cfg.policy_kind == "stub" else 0
     attempt = 0
     while True:
-        decision_seed = derive_seed(cfg.master_seed, "decide", rep, news_item.news_id, attempt)
+        decision_seed = derive_seed(cfg.master_seed, "decide", rep, cell.news.news_id, attempt)
         cell_policy = _build_cell_policy(cfg, decision_seed, cache, transport)
-        meta = dict(labels)
+        meta = dict(cell.labels)
         meta.update(
             {
                 "replicate": rep,
-                "news_id": news_item.news_id,
+                "news_id": cell.news.news_id,
                 "attempt": attempt,
                 "net_seed": net_seed,
                 "persona_seed": persona_seed,
                 "decision_seed": decision_seed,
             }
         )
-        record = engine.run(cfg, net, personas, news_item, cell_policy, extra_meta=meta)
+        record = engine.run(cfg, net, personas, cell.news, cell_policy, extra_meta=meta)
         if record.effective or attempt >= budget:
             return record
         attempt += 1
 
 
-def _run_plan(cfg, cells, out_dir: Path, cache=None, transport=None, parallel: int = 1):
-    """cells: list of (cell_cfg, news_item, rep, labels, filename).
+def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, parallel: int = 1):
+    """Execute cells in order, writing each record to out_dir/runs/<cell.file>.
 
     An INCOMPLETE sentinel exists in out_dir while cells are executing; an
     interrupted plan leaves it behind along with the partial runs directory.
@@ -142,10 +154,8 @@ def _run_plan(cfg, cells, out_dir: Path, cache=None, transport=None, parallel: i
     _write_text(sentinel, "plan execution in progress or interrupted\n")
 
     def _one(cell):
-        cell_cfg, news_item, rep, labels, filename = cell
-        record = _execute_cell(cell_cfg, news_item, rep, labels, cache=cache,
-                               transport=transport)
-        _write_text(runs_dir / filename, record.to_json())
+        record = _execute_cell(cell, cache=cache, transport=transport)
+        _write_text(runs_dir / cell.file, record.to_json())
         return record
 
     if parallel > 1:
@@ -263,123 +273,79 @@ def _news_for(cfg) -> list[ingest.NewsItem]:
     return ingest.load_news(cfg.news_path, cfg.news_limit)
 
 
-def cmd_run(args) -> int:
+def _execute_plan(args, groups, group_by: tuple):
+    """Load the config, then write plan.json, the cells' records and the summary.
+
+    groups(cfg) yields (cell_cfg, labels, file_prefix); each group expands to
+    replicates x news items. plan.json and the summary carry one provenance
+    dict, so `newssim stats` over the finished plan rewrites the same summary.
+    """
     cfg = ingest.load_config(args.config)
     _apply_overrides(cfg, args)
     news_items = _news_for(cfg)
     out_dir = Path(args.out)
     cache = _open_cache(cfg)
-
-    cells = []
-    for rep in range(cfg.replications):
-        for item in news_items:
-            labels = {"network": cfg.network_kind, "intervention": cfg.intervention_kind}
-            filename = f"run_rep{rep:03d}_news{_slug(item.news_id)}.json"
-            cells.append((cfg, item, rep, labels, filename))
-
+    cells = [
+        Cell(cell_cfg, item, rep, labels, f"{prefix}_rep{rep:03d}_news{_slug(item.news_id)}.json")
+        for cell_cfg, labels, prefix in groups(cfg)
+        for rep in range(cfg.replications)
+        for item in news_items
+    ]
     prov = _provenance(cfg, cache)
     plan = {
         "provenance": prov,
         "cells": [
-            {"replicate": rep, "news_id": item.news_id, "file": f"runs/{filename}",
-             "labels": labels}
-            for (_, item, rep, labels, filename) in cells
+            {"labels": c.labels, "replicate": c.replicate, "news_id": c.news.news_id,
+             "file": f"runs/{c.file}"}
+            for c in cells
         ],
     }
     _write_text(out_dir / "plan.json", _canonical_json(plan))
-    records = _run_plan(cfg, cells, out_dir, cache=cache, parallel=args.parallel)
-    summary = stats.aggregate_experiment(records, ("network", "intervention"))
-    _write_summary(out_dir, summary, _provenance(cfg, cache))
+    records = _run_plan(cells, out_dir, cache=cache, parallel=args.parallel)
+    summary = stats.aggregate_experiment(records, group_by)
+    _write_summary(out_dir, summary, prov)
+    return records, summary, out_dir
+
+
+def cmd_run(args) -> int:
+    def groups(cfg):
+        yield cfg, {"network": cfg.network_kind, "intervention": cfg.intervention_kind}, "run"
+
+    records, _, out_dir = _execute_plan(args, groups, ("network", "intervention"))
     effective = sum(1 for r in records if r.effective)
     print(f"{len(records)} runs written to {out_dir} ({effective} effective)")
     return 0
 
 
 def cmd_sweep_personality(args) -> int:
-    cfg = ingest.load_config(args.config)
-    _apply_overrides(cfg, args)
-    news_items = _news_for(cfg)
-    out_dir = Path(args.out)
-    cache = _open_cache(cfg)
+    def groups(cfg):
+        sweep_cfg = replace(cfg, intervention_kind="none")
+        for trait in persona.TRAITS:
+            for level in ("high", "low"):
+                labels = {"network": cfg.network_kind, "intervention": "none",
+                          "trait": trait, "level": level}
+                yield sweep_cfg, labels, f"sweep_{trait}_{level}"
 
-    sweep_cfg = replace(cfg, intervention_kind="none")
-    cells = []
-    for trait in persona.TRAITS:
-        for level in ("high", "low"):
-            for rep in range(cfg.replications):
-                for item in news_items:
-                    labels = {
-                        "network": sweep_cfg.network_kind,
-                        "intervention": "none",
-                        "trait": trait,
-                        "level": level,
-                    }
-                    filename = (
-                        f"sweep_{trait}_{level}_rep{rep:03d}_news{_slug(item.news_id)}.json"
-                    )
-                    cells.append((sweep_cfg, item, rep, labels, filename))
-
-    prov = _provenance(cfg, cache)
-    plan = {
-        "provenance": prov,
-        "cells": [
-            {"labels": labels, "replicate": rep, "news_id": item.news_id,
-             "file": f"runs/{filename}"}
-            for (_, item, rep, labels, filename) in cells
-        ],
-    }
-    _write_text(out_dir / "plan.json", _canonical_json(plan))
-    records = _run_plan(sweep_cfg, cells, out_dir, cache=cache, parallel=args.parallel)
-    summary = stats.aggregate_experiment(records, ("trait", "level"))
-    _write_summary(out_dir, summary, prov)
+    records, summary, out_dir = _execute_plan(args, groups, ("trait", "level"))
     print(f"personality sweep: {len(records)} runs, {len(summary.groups)} groups -> {out_dir}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = ingest.load_config(args.config)
-    _apply_overrides(cfg, args)
-    news_items = _news_for(cfg)
-    out_dir = Path(args.out)
-    cache = _open_cache(cfg)
-
-    cells = []
-    for kind in cfg.compare_networks:
-        net_params = (
-            cfg.network_params
-            if kind == cfg.network_kind
-            else ingest.default_network_params(kind, cfg.network_params.get("n", 300))
-        )
-        for intervention in cfg.compare_interventions:
-            cell_cfg = replace(
-                cfg,
-                network_kind=kind,
-                network_params=net_params,
-                intervention_kind=intervention,
-                cohort_size=None,
+    def groups(cfg):
+        for kind in cfg.compare_networks:
+            net_params = (
+                cfg.network_params
+                if kind == cfg.network_kind
+                else ingest.default_network_params(kind, cfg.network_params.get("n", 300))
             )
-            for rep in range(cfg.replications):
-                for item in news_items:
-                    labels = {"network": kind, "intervention": intervention}
-                    filename = (
-                        f"compare_{kind}_{intervention}_rep{rep:03d}"
-                        f"_news{_slug(item.news_id)}.json"
-                    )
-                    cells.append((cell_cfg, item, rep, labels, filename))
+            for intervention in cfg.compare_interventions:
+                cell_cfg = replace(cfg, network_kind=kind, network_params=net_params,
+                                   intervention_kind=intervention, cohort_size=None)
+                labels = {"network": kind, "intervention": intervention}
+                yield cell_cfg, labels, f"compare_{kind}_{intervention}"
 
-    prov = _provenance(cfg, cache)
-    plan = {
-        "provenance": prov,
-        "cells": [
-            {"labels": labels, "replicate": rep, "news_id": item.news_id,
-             "file": f"runs/{filename}"}
-            for (_, item, rep, labels, filename) in cells
-        ],
-    }
-    _write_text(out_dir / "plan.json", _canonical_json(plan))
-    records = _run_plan(cfg, cells, out_dir, cache=cache, parallel=args.parallel)
-    summary = stats.aggregate_experiment(records, ("network", "intervention"))
-    _write_summary(out_dir, summary, prov)
+    records, summary, out_dir = _execute_plan(args, groups, ("network", "intervention"))
     print(f"compare: {len(records)} runs, {len(summary.groups)} groups -> {out_dir}")
     return 0
 
@@ -399,6 +365,10 @@ def cmd_stats(args) -> int:
         plan = json.loads(plan_path.read_text(encoding="utf-8"))
         paths = [results / cell["file"] for cell in plan["cells"]]
         prov = plan.get("provenance", {})
+        if "template_hashes" in prov:  # plan.json sorts keys; plans list templates in order
+            hashes = prov["template_hashes"]
+            prov["template_hashes"] = {t: hashes[t] for t in policy.TEMPLATE_IDS
+                                       if t in hashes} | hashes
     else:
         runs_dir = results / "runs"
         if not runs_dir.is_dir():

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import persona as persona_mod
+from .ingest import INTERVENTION_KINDS  # noqa: F401 - re-exported
 from .ingest import ExperimentConfig, NewsItem, config_snapshot
 from .netgen import Network
 from .policy import DecisionRequest, PolicyError
-
-INTERVENTION_KINDS = ("none", "commenting", "accuracy", "blocking")
 
 
 class Status(str, Enum):
@@ -49,16 +48,6 @@ class InterventionSpec:
     # what block_fraction is a fraction of: every agent (default, capped by
     # the candidate pool) or the candidate pool itself
     block_denominator: str = "all_agents"
-
-    def __post_init__(self):
-        if self.kind not in INTERVENTION_KINDS:
-            raise ValueError(f"unknown intervention kind {self.kind!r}")
-        if not 0.0 < self.trigger_threshold <= 1.0:
-            raise ValueError("trigger_threshold must be in (0, 1]")
-        if not 0.0 < self.block_fraction < 1.0:
-            raise ValueError("block_fraction must be in (0, 1)")
-        if self.block_denominator not in ("all_agents", "candidates"):
-            raise ValueError("block_denominator must be 'all_agents' or 'candidates'")
 
 
 @dataclass

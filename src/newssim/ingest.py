@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import yaml
 
+from .netgen import NETWORK_KINDS
+
 VERACITIES = ("fake", "real")
 INTERVENTION_KINDS = ("none", "commenting", "accuracy", "blocking")
 POLICY_KINDS = ("stub", "llm")
@@ -125,7 +127,7 @@ class ExperimentConfig:
     effective_retry_budget: int = 5
 
     # cross-product axes used by the compare command
-    compare_networks: list = field(default_factory=lambda: ["random", "scale_free", "high_brokerage"])
+    compare_networks: list = field(default_factory=lambda: list(NETWORK_KINDS))
     compare_interventions: list = field(default_factory=lambda: list(INTERVENTION_KINDS))
 
     # personality sweep settings
@@ -133,7 +135,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         problems = []
-        if self.network_kind not in ("random", "scale_free", "high_brokerage"):
+        if self.network_kind not in NETWORK_KINDS:
             problems.append(f"network.kind {self.network_kind!r} unknown")
         n = self.network_params.get("n")
         if not isinstance(n, int) or n < 2:
@@ -165,7 +167,7 @@ class ExperimentConfig:
         if self.body_char_budget < 1:
             problems.append(f"news.body_char_budget must be >= 1, got {self.body_char_budget}")
         for kind in self.compare_networks:
-            if kind not in ("random", "scale_free", "high_brokerage"):
+            if kind not in NETWORK_KINDS:
                 problems.append(f"compare.networks entry {kind!r} unknown")
         for kind in self.compare_interventions:
             if kind not in INTERVENTION_KINDS:

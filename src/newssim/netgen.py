@@ -193,7 +193,6 @@ def gen_high_brokerage(
     *,
     broker_frac: float = BROKER_FRACTION,
     churn_p: float | None = None,
-    max_retries: int = 5,
 ) -> Network:
     """Clique communities bridged by broker nodes.
 
@@ -203,9 +202,8 @@ def gen_high_brokerage(
     re-attaching the other end to a random node outside the community. The
     remaining intra edges get a small uniform churn (default min(CHURN_CAP,
     rewire_p)) so degrees are not lattice-regular. Ground-truth communities are
-    stored on the result.
-
-    Disconnected outputs are retried with a perturbed seed up to max_retries.
+    stored on the result. The result may be disconnected; callers that need
+    a connected graph retry with another seed (see cli.connected_network).
     """
     if community_size < 3:
         raise ValueError("community_size must be >= 3")
@@ -215,21 +213,7 @@ def gen_high_brokerage(
         raise ValueError("rewire_p must be in [0, 1]")
     if churn_p is None:
         churn_p = min(CHURN_CAP, rewire_p)
-    last = None
-    for attempt in range(max_retries):
-        net = _build_high_brokerage(n, community_size, rewire_p, seed + attempt,
-                                    broker_frac, churn_p)
-        if is_connected(net):
-            if attempt:
-                # keep the caller's provenance seed even after retries
-                net = Network(net.n, net.edges, net.kind, seed, net.communities)
-            return net
-        last = net
-    raise NetworkGenerationError(
-        f"high_brokerage(n={n}, community_size={community_size}, rewire_p={rewire_p}, "
-        f"seed={seed}) disconnected after {max_retries} attempts "
-        f"({len(last.edges)} edges)"
-    )
+    return _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac, churn_p)
 
 
 def generate(kind: str, params: dict, seed: int) -> Network:

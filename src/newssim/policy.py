@@ -432,25 +432,3 @@ class LlmPolicy:
             parse_failure=True,
             transcript_key=key_last,
         )
-
-
-def decide_llm(req: DecisionRequest, settings: LlmSettings, **kwargs) -> DecisionOutcome:
-    """One-shot convenience wrapper around LlmPolicy (persona text comes from req)."""
-    policy = LlmPolicy(settings, **kwargs)
-    dummy = persona_mod.AgentPersona(
-        agent_id=-1, gender="female", age=0,
-        big_five_scores=(0.0,) * 5, big_five_labels=("low",) * 5,
-    )
-    return policy.decide(req, dummy)
-
-
-def build_policy(kind: str, stub_params: dict, llm_params: dict, rng_seed: int,
-                 cache: DecisionCache | None = None, transport=None,
-                 body_char_budget: int = 1200):
-    if kind == "stub":
-        return StubPolicy(StubParams.from_dict(stub_params), rng_seed=rng_seed)
-    if kind == "llm":
-        settings = LlmSettings.from_dict(llm_params)
-        return LlmPolicy(settings, cache=cache, transport=transport,
-                         body_char_budget=body_char_budget)
-    raise ValueError(f"unknown policy kind {kind!r}")

@@ -58,7 +58,7 @@ def run_group(kind, intervention, trait=None, level=None, reps=REPS):
         labels = {"network": kind, "intervention": intervention}
         if trait is not None:
             labels.update({"trait": trait, "level": level})
-        records.append(cli._execute_cell(cfg, news, rep, labels))
+        records.append(cli._execute_cell(cli.Cell(cfg, news, rep, labels, "")))
     return [r for r in records if r.effective]
 
 
@@ -397,8 +397,8 @@ def test_criterion_8_determinism_and_replay(tmp_path, news_path):
     cfg.llm_params = {"cache_path": str(tmp_path / "cache.jsonl")}
     news_items = ingest.load_news(cfg.news_path, cfg.news_limit)
     cells = [
-        (cfg, item, rep, {"network": "random", "intervention": "none"},
-         f"run_rep{rep:03d}_news{item.news_id}.json")
+        cli.Cell(cfg, item, rep, {"network": "random", "intervention": "none"},
+                 f"run_rep{rep:03d}_news{item.news_id}.json")
         for rep in range(cfg.replications) for item in news_items
     ]
 
@@ -411,7 +411,7 @@ def test_criterion_8_determinism_and_replay(tmp_path, news_path):
         return {"choices": [{"message": {"content": f"DECISION: {share}\nREASON: scripted"}}]}
 
     cache_live = policy.DecisionCache(tmp_path / "cache.jsonl")
-    live = cli._run_plan(cfg, cells, tmp_path / "llm_live", cache=cache_live,
+    live = cli._run_plan(cells, tmp_path / "llm_live", cache=cache_live,
                          transport=scripted)
     if calls["n"] == 0:
         failures.append("scripted transport never called in live mode")
@@ -420,7 +420,7 @@ def test_criterion_8_determinism_and_replay(tmp_path, news_path):
         raise AssertionError("network touched during replay")
 
     cache_replay = policy.DecisionCache(tmp_path / "cache.jsonl")
-    replay = cli._run_plan(cfg, cells, tmp_path / "llm_replay", cache=cache_replay,
+    replay = cli._run_plan(cells, tmp_path / "llm_replay", cache=cache_replay,
                            transport=boom)
     if [r.to_json() for r in live] != [r.to_json() for r in replay]:
         failures.append("replayed llm records differ from live records")

@@ -320,15 +320,15 @@ def test_llm_plan_replays_from_cache(tmp_path, small_config, news_path):
     cfg = load_config(cfg_path)
     news = cli._news_for(cfg)
     cells = [
-        (cfg, item, rep, {"network": cfg.network_kind, "intervention": "none"},
-         f"run_rep{rep:03d}_news{item.news_id}.json")
+        cli.Cell(cfg, item, rep, {"network": cfg.network_kind, "intervention": "none"},
+                 f"run_rep{rep:03d}_news{item.news_id}.json")
         for rep in range(cfg.replications) for item in news
     ]
 
     live = scripted_transport("DECISION: SHARE\nREASON: interesting")
     cache1 = policy.DecisionCache(tmp_path / "cache.jsonl")
     out1 = tmp_path / "live"
-    records1 = cli._run_plan(cfg, cells, out1, cache=cache1, transport=live)
+    records1 = cli._run_plan(cells, out1, cache=cache1, transport=live)
     assert live.calls > 0
 
     def boom(*a, **k):
@@ -336,6 +336,34 @@ def test_llm_plan_replays_from_cache(tmp_path, small_config, news_path):
 
     cache2 = policy.DecisionCache(tmp_path / "cache.jsonl")
     out2 = tmp_path / "replay"
-    records2 = cli._run_plan(cfg, cells, out2, cache=cache2, transport=boom)
+    records2 = cli._run_plan(cells, out2, cache=cache2, transport=boom)
     assert [r.to_json() for r in records1] == [r.to_json() for r in records2]
     assert tree_bytes(out1 / "runs") == tree_bytes(out2 / "runs")
+
+
+LLM_CFG = "policy:\n  kind: llm\n  llm:\n    cache_path: {cache}\n"
+
+
+@pytest.mark.parametrize(
+    "command, group_by, extra",
+    [
+        ("run", "network,intervention", ""),
+        ("sweep-personality", "trait,level", ""),
+        ("compare", "network,intervention", ""),
+        ("run", "network,intervention", LLM_CFG),
+    ],
+    ids=["run", "sweep-personality", "compare", "llm-run"],
+)
+def test_stats_over_finished_plan_reproduces_its_summary(
+    tmp_path, small_config, monkeypatch, command, group_by, extra
+):
+    monkeypatch.setattr(policy, "_default_transport",
+                        scripted_transport("DECISION: SHARE\nREASON: interesting"))
+    cfg = small_config(reps=2, news_limit=1,
+                       extra=extra.format(cache=tmp_path / "cache.jsonl"))
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["stats", "--results", str(out), "--out", str(again),
+                     "--group-by", group_by]) == 0
+    for name in ("summary.json", "curves.tsv", "comparisons.tsv"):
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name

@@ -483,12 +483,3 @@ def test_run_rejects_mismatched_cohort():
     personas = persona_mod.sample_personas(4, rng_seed=0)
     with pytest.raises(ValueError):
         run(config(), net, personas, NEWS, always_share())
-
-
-def test_intervention_spec_validation():
-    with pytest.raises(ValueError):
-        InterventionSpec("bogus")
-    with pytest.raises(ValueError):
-        InterventionSpec("none", trigger_threshold=0.0)
-    with pytest.raises(ValueError):
-        InterventionSpec("none", block_fraction=1.0)

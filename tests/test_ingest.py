@@ -99,6 +99,24 @@ def test_out_of_range_values_aggregate(tmp_path):
     assert "days" in msg and "trigger_threshold" in msg
 
 
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("intervention_kind", "bogus", "intervention.kind 'bogus' unknown"),
+        ("trigger_threshold", 0.0, "trigger_threshold must be in (0, 1]"),
+        ("block_fraction", 1.0, "block_fraction must be in (0, 1)"),
+        ("block_denominator", "bogus", "block_denominator 'bogus' unknown"),
+        ("compare_networks", ["random", "bogus"], "compare.networks entry 'bogus' unknown"),
+        ("compare_interventions", ["none", "bogus"],
+         "compare.interventions entry 'bogus' unknown"),
+    ],
+)
+def test_validate_rejects_each_bad_value(field, value, problem):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**{field: value}).validate()
+    assert problem in str(err.value)
+
+
 def test_cohort_size_must_match_network(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("network:\n  kind: random\n  n: 50\ncohort_size: 40\n", encoding="utf-8")

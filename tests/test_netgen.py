@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from newssim import cli, netgen
 from newssim.netgen import (
     Network,
     NetworkGenerationError,
@@ -160,10 +161,21 @@ def test_high_brokerage_structure():
     assert b.edges == net.edges
 
 
-def test_high_brokerage_no_bridges_errors():
-    # two cliques, no rewiring: always disconnected, error after retries
-    with pytest.raises(NetworkGenerationError):
-        gen_high_brokerage(8, 4, 0.0, seed=0)
+def test_high_brokerage_no_bridges_errors(monkeypatch):
+    # two cliques, no rewiring: always disconnected; the one retry site in
+    # cli.connected_network gives up after its 5 seeds
+    builds = []
+    real_build = netgen._build_high_brokerage
+
+    def counting_build(*args):
+        builds.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(netgen, "_build_high_brokerage", counting_build)
+    params = {"n": 8, "community_size": 4, "rewire_p": 0.0}
+    with pytest.raises(NetworkGenerationError, match=r"connected high_brokerage .* seed 0"):
+        cli.connected_network("high_brokerage", params, 0)
+    assert len(builds) == 5
 
 
 def test_high_brokerage_rejects_bad_params():
