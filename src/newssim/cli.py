@@ -56,7 +56,7 @@ def _provenance(cfg: ingest.ExperimentConfig, cache: policy.DecisionCache | None
 
 
 def _provenance_comment(prov: dict) -> str:
-    return "".join(f"# {k}: {v}\n" for k, v in sorted(prov.items()))
+    return "".join(f"# {k}: {json.dumps(v, sort_keys=True)}\n" for k, v in sorted(prov.items()))
 
 
 def connected_network(kind: str, params: dict, seed: int, retries: int = 5) -> netgen.Network:
@@ -365,10 +365,6 @@ def cmd_stats(args) -> int:
         plan = json.loads(plan_path.read_text(encoding="utf-8"))
         paths = [results / cell["file"] for cell in plan["cells"]]
         prov = plan.get("provenance", {})
-        if "template_hashes" in prov:  # plan.json sorts keys; plans list templates in order
-            hashes = prov["template_hashes"]
-            prov["template_hashes"] = {t: hashes[t] for t in policy.TEMPLATE_IDS
-                                       if t in hashes} | hashes
     else:
         runs_dir = results / "runs"
         if not runs_dir.is_dir():

@@ -369,10 +369,15 @@ def run(
     _evaluate_triggers(state, net, personas, intervention, events)
 
     for _ in range(config.days):
+        if not state.pending:  # idle days change nothing and cannot newly fire a trigger
+            break
         step_day(state, net, personas, news, policy, intervention, events, taints)
         reached_prop.append(state.reached_prop())
         forwarded_prop.append(state.forwarded_prop())
         _evaluate_triggers(state, net, personas, intervention, events)
+    idle = config.days + 1 - len(reached_prop)
+    reached_prop += reached_prop[-1:] * idle
+    forwarded_prop += forwarded_prop[-1:] * idle
 
     meta = {
         "config": config_snapshot(config),

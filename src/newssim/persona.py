@@ -85,13 +85,18 @@ class AgentPersona:
     pinned_traits: dict[str, str] | None = field(default=None)
 
 
-def categorize_traits(scores, thresholds) -> tuple[str, ...]:
-    """Label each score high/low against its threshold; ties label high."""
+def categorize_traits(scores, thresholds):
+    """Label each score high/low against its threshold; ties label high.
+
+    One agent's scores give a tuple of labels, an agents x traits matrix a list of them.
+    """
     scores = np.asarray(scores, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
     if not np.all(np.isfinite(thresholds)):
         raise ValueError("thresholds must be finite")
-    return tuple("high" if s >= t else "low" for s, t in zip(scores, thresholds))
+    # an object array hands out the two shared label strings, not a copy per score
+    labels = np.array(["low", "high"], dtype=object)[(scores >= thresholds).astype(int)]
+    return tuple(labels.tolist()) if scores.ndim == 1 else list(zip(*labels.T.tolist()))
 
 
 def sample_personas(
@@ -122,19 +127,9 @@ def sample_personas(
     scores = rng.multivariate_normal(means, stats.covariance(), size=n, method="svd")
     scores = np.clip(scores, SCORE_MIN, SCORE_MAX)
 
-    personas = []
-    for i in range(n):
-        row = tuple(float(x) for x in scores[i])
-        personas.append(
-            AgentPersona(
-                agent_id=i,
-                gender=str(genders[i]),
-                age=int(ages[i]),
-                big_five_scores=row,
-                big_five_labels=categorize_traits(row, means),
-            )
-        )
-    return personas
+    # positional AgentPersona(agent_id, gender, age, big_five_scores, big_five_labels)
+    return list(map(AgentPersona, range(n), genders.tolist(), ages.tolist(),
+                    zip(*scores.T.tolist()), categorize_traits(scores, means)))
 
 
 def pin_trait(

@@ -3,9 +3,9 @@
 Two interchangeable policies implement `decide(request, persona)`:
 
 * StubPolicy: an offline logistic model over the agent's standardized
-  extraversion and openness scores. Every (agent, news) pair owns its own
-  seeded random stream, so outcomes are reproducible and independent of the
-  order decisions are requested in.
+  extraversion and openness scores. Every (agent, news) pair draws from its
+  own keyed hash of the decision seed, so outcomes are reproducible and
+  independent of the order decisions are requested in.
 * LlmPolicy: renders a prompt from an editable text template, calls an
   OpenAI-compatible chat-completion endpoint, and parses a line-oriented
   reply (DECISION / COMMENT / REASON). Raw responses are stored in an
@@ -15,6 +15,7 @@ Two interchangeable policies implement `decide(request, persona)`:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ from string import Template
 
 from . import persona as persona_mod
 from .ingest import NewsItem, truncate_body
-from .seeding import derive_rng
+from .seeding import derive_rng, derive_seed  # noqa: F401 - perfbench traces policy.derive_rng
 
 TEMPLATE_IDS = ("none", "commenting", "accuracy")
 
@@ -138,15 +139,15 @@ def decide_stub(
     rng_seed: int,
     stats: persona_mod.BigFiveStats = persona_mod.DEFAULT_TRAIT_STATS,
 ) -> DecisionOutcome:
-    """Bernoulli draw from the per-(agent, news) stream at the closed-form probability."""
+    """Share if the (agent, news) hash's top 53 bits, as a uniform, fall below p."""
     z_e, z_o = _zscores(persona, stats)
     commenting = req.template_id == "commenting"
     prob = share_probability(z_e, z_o, params, req.accuracy_notice, commenting)
-    rng = derive_rng(rng_seed, "stub", persona.agent_id, req.news.news_id)
-    share = bool(rng.random() < prob)
+    draw = derive_seed(rng_seed, "stub", persona.agent_id, req.news.news_id)
+    share = (draw >> 75) * 2.0**-53 < prob
     comment = None
     if share and commenting:
-        comment = _STUB_COMMENTS[int(rng.integers(0, len(_STUB_COMMENTS)))]
+        comment = _STUB_COMMENTS[draw % len(_STUB_COMMENTS)]
     rationale = f"p_share={prob:.4f}"
     return DecisionOutcome(
         share=share,
@@ -179,6 +180,7 @@ class StubPolicy:
 # Prompt rendering
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _load_template(template_id: str) -> str:
     if template_id not in TEMPLATE_IDS:
         raise ValueError(f"unknown template id {template_id!r}")
@@ -324,13 +326,15 @@ class DecisionCache:
         return rec
 
     def content_hash(self) -> str | None:
+        """Hash of the distinct records in the file, whatever order they were appended in."""
         if self.path is None:
             return None
         try:
             with open(self.path, "rb") as fh:
-                return hashlib.sha256(fh.read()).hexdigest()[:16]
+                lines = {line.strip() for line in fh} - {b""}
         except FileNotFoundError:
             return None
+        return hashlib.sha256(b"\n".join(sorted(lines))).hexdigest()[:16]
 
 
 def _default_transport(url, headers, payload, timeout):

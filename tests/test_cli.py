@@ -300,6 +300,20 @@ def test_cache_path_flag_overrides_config(tmp_path, small_config, monkeypatch):
     assert seen["path"] == str(tmp_path / "x.jsonl")
 
 
+def test_provenance_comment_ignores_key_order():
+    inner = {"none": "a1", "commenting": "b2", "accuracy": "c3"}
+    one = {"template_hashes": inner, "master_seed": 7, "cache_sha": None}
+    two = {"cache_sha": None, "master_seed": 7,
+           "template_hashes": dict(reversed(list(inner.items())))}
+    text = cli._provenance_comment(one)
+    assert text == cli._provenance_comment(two)
+    assert text.splitlines() == [
+        "# cache_sha: null",
+        "# master_seed: 7",
+        '# template_hashes: {"accuracy": "c3", "commenting": "b2", "none": "a1"}',
+    ]
+
+
 # ---------------------------------------------------------------------------
 # llm-mode cache replay through the orchestrator
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newssim import engine as engine_mod
 from newssim import persona as persona_mod
 from newssim.engine import (
     DiffusionState,
@@ -130,6 +131,21 @@ def test_source_declines_freezes_run():
     assert rec.reached_prop == [pytest.approx(1 / 5)] * 8
 
 
+def test_idle_days_are_not_stepped(monkeypatch):
+    stepped = []
+    real_step = engine_mod.step_day
+
+    def counting_step(state, *args):
+        stepped.append(state.day)
+        return real_step(state, *args)
+
+    monkeypatch.setattr(engine_mod, "step_day", counting_step)
+    personas = persona_mod.sample_personas(5, rng_seed=0)
+    rec = run(config(days=7), star(5), personas, NEWS, never_share())
+    assert stepped == [0]
+    assert len(rec.reached_prop) == len(rec.forwarded_prop) == 8
+
+
 def test_triangle_hand_trace():
     tri = net_from_edges(3, [(0, 1), (1, 2), (0, 2)])
     personas = persona_mod.sample_personas(3, rng_seed=0)
@@ -212,6 +228,39 @@ def test_reach_columns_match_first_delivery(net, seed, intercept, intervention):
     assert rec.first_reached_by_day() == layers
     for day, prop in enumerate(rec.reached_prop):
         assert sum(1 for d in rec.reach_day if 0 <= d <= day) == round(prop * net.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    net=small_graphs(),
+    seed=st.integers(0, 2**32 - 1),
+    intercept=st.floats(-2.0, 2.0),
+    intervention=st.sampled_from(["none", "commenting", "accuracy", "blocking"]),
+    threshold=st.floats(0.01, 1.0),
+)
+def test_skipping_idle_days_matches_stepping_every_day(net, seed, intercept, intervention,
+                                                       threshold):
+    cfg = config(days=6, intervention=intervention, trigger_threshold=threshold)
+    personas = persona_mod.sample_personas(net.n, rng_seed=seed % 1000)
+    policy = StubPolicy(StubParams(intercept=intercept), rng_seed=seed)
+    rec = run(cfg, net, personas, NEWS, policy)
+
+    # reference: step all cfg.days days, idle ones included
+    spec = InterventionSpec(kind=intervention, trigger_threshold=threshold)
+    state = initial_state(net, select_source(net))
+    events = [{"type": "seed", "day": 0, "agent": rec.meta["source_agent"]}]
+    taints = []
+    reached, forwarded = [state.reached_prop()], [state.forwarded_prop()]
+    engine_mod._evaluate_triggers(state, net, personas, spec, events)
+    for _ in range(cfg.days):
+        step_day(state, net, personas, NEWS, policy, spec, events, taints)
+        reached.append(state.reached_prop())
+        forwarded.append(state.forwarded_prop())
+        engine_mod._evaluate_triggers(state, net, personas, spec, events)
+
+    assert (rec.reached_prop, rec.forwarded_prop) == (reached, forwarded)
+    assert (rec.events, rec.taints) == (events, taints)
+    assert (rec.reach_day, rec.reached_by) == (state.reach_day, state.reached_by)
 
 
 def test_series_monotone_and_ordered():

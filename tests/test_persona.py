@@ -66,6 +66,35 @@ def test_determinism_bit_for_bit():
     assert a != c
 
 
+def reference_cohort(n, rng_seed):
+    """Row-by-row build over the same draws as sample_personas."""
+    stats = DEFAULT_TRAIT_STATS
+    rng = np.random.default_rng(rng_seed)
+    genders = np.where(rng.random(n) < 0.5, "female", "male")
+    ages = np.floor(rng.gamma(AGE_MEAN**2 / AGE_SD**2, AGE_SD**2 / AGE_MEAN, size=n) + 0.5)
+    ages = np.maximum(ages, 13).astype(int)
+    scores = rng.multivariate_normal(np.asarray(stats.means), stats.covariance(), size=n,
+                                     method="svd")
+    scores = np.clip(scores, 1.0, 7.0)
+    cohort = []
+    for i in range(n):
+        row = tuple(float(x) for x in scores[i])
+        cohort.append(AgentPersona(agent_id=i, gender=str(genders[i]), age=int(ages[i]),
+                                   big_five_scores=row,
+                                   big_five_labels=categorize_traits(row, stats.means)))
+    return cohort
+
+
+@pytest.mark.parametrize("n", [1, 37, 300])
+@pytest.mark.parametrize("seed", [1, 5, 99])
+def test_sample_equals_row_by_row_reference(n, seed):
+    cohort = sample_personas(n, rng_seed=seed)
+    assert cohort == reference_cohort(n, seed)
+    p = cohort[-1]
+    assert type(p.gender) is str and type(p.age) is int
+    assert all(type(x) is float for x in p.big_five_scores)
+
+
 def test_scores_clamped_and_labels_consistent():
     personas = sample_personas(5000, rng_seed=3)
     means = DEFAULT_TRAIT_STATS.means

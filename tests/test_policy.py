@@ -97,12 +97,47 @@ def test_stub_monotone_in_traits_and_penalty():
 
 def test_stub_deterministic_and_order_independent():
     params = StubParams()
-    outs1 = [decide_stub(request(), persona_at(agent_id=a), params, 7) for a in range(50)]
-    outs2 = [
-        decide_stub(request(), persona_at(agent_id=a), params, 7)
-        for a in reversed(range(50))
+    news = [NEWS, NewsItem(news_id="n-2", title="t", body="b", veracity="fake")]
+    pairs = [(a, item) for a in range(50) for item in news]
+
+    def decide_all(order):
+        out = {}
+        for a, item in order:
+            req = DecisionRequest(persona_text="p", news=item, day=1,
+                                  template_id="commenting", peer_comments=())
+            out[a, item.news_id] = decide_stub(req, persona_at(agent_id=a), params, 7)
+        return out
+
+    outs = decide_all(pairs)
+    assert decide_all(reversed(pairs)) == outs
+    shuffled = [pairs[i] for i in np.random.default_rng(0).permutation(len(pairs))]
+    assert decide_all(shuffled) == outs
+
+
+@pytest.mark.parametrize("p", [0.1, 0.9])  # 0.5: test_stub_empirical_rate_matches_half
+def test_stub_share_rate_matches_probability(p):
+    params = StubParams(intercept=math.log(p / (1 - p)))
+    n = 10_000
+    shares = sum(
+        decide_stub(request(), persona_at(agent_id=a), params, rng_seed=99).share
+        for a in range(n)
+    )
+    assert abs(shares / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+
+def test_stub_sharers_draw_each_comment_equally_often():
+    params = StubParams(intercept=0.0)  # p = 0.5: the comment must not follow the share bits
+    req = request("commenting", peer_comments=())
+    comments = [
+        out.comment
+        for out in (decide_stub(req, persona_at(agent_id=a), params, 5) for a in range(20_000))
+        if out.share
     ]
-    assert outs1 == list(reversed(outs2))
+    counts = {c: comments.count(c) for c in set(comments)}
+    assert len(counts) == 4
+    n = len(comments)
+    for count in counts.values():
+        assert abs(count / n - 0.25) < 4 * math.sqrt(0.25 * 0.75 / n)
 
 
 def test_stub_comment_only_when_sharing_under_commenting():
@@ -324,6 +359,21 @@ def test_cache_file_is_append_only_jsonl(tmp_path):
     reloaded = DecisionCache(path)
     assert len(reloaded) == 2
     assert reloaded.get("k2")["response"] == "OTHER"
+
+
+def test_cache_hash_ignores_append_order(tmp_path):
+    recs = [("k1", "DECISION: SHARE"), ("k2", "DECISION: IGNORE"), ("k3", "DECISION: SHARE")]
+
+    def fill(path, order):
+        cache = DecisionCache(path)
+        for key, response in order:
+            cache.put(key, "m", "prompt " + key, 0, response)
+        return cache.content_hash()
+
+    forward = fill(tmp_path / "a.jsonl", recs)
+    assert fill(tmp_path / "b.jsonl", recs[::-1]) == forward
+    assert fill(tmp_path / "d.jsonl", recs + recs[:1]) == forward  # a repeated append
+    assert fill(tmp_path / "c.jsonl", recs + [("k4", "DECISION: SHARE")]) != forward
 
 
 def test_llm_settings_validation():

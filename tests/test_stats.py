@@ -121,6 +121,29 @@ def test_exact_matches_oracle_random_samples():
         assert res.p_value == pytest.approx(oracle_exact_p(a, b), abs=1e-12)
 
 
+def test_matches_scipy_mannwhitneyu():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(40):  # small and tie-free: exact enumeration
+        n1 = int(rng.integers(1, 7))
+        n2 = int(rng.integers(1, 13 - n1))
+        vals = rng.permutation(100)[: n1 + n2].tolist()
+        cases.append((vals[:n1], vals[n1:], "exact", "exact"))
+    for _ in range(40):  # with ties: normal approximation with tie correction
+        n1, n2 = int(rng.integers(2, 25)), int(rng.integers(2, 25))
+        a, b = rng.integers(0, 6, size=n1).tolist(), rng.integers(2, 8, size=n2).tolist()
+        if len(set(a + b)) < len(a + b):
+            cases.append((a, b, "normal", "asymptotic"))
+    for a, b, method, scipy_method in cases:
+        res = rank_sum_test(a, b)
+        ref = scipy_stats.mannwhitneyu(a, b, alternative="two-sided", method=scipy_method,
+                                       use_continuity=True)
+        assert res.method == method
+        assert res.u_statistic == ref.statistic
+        assert res.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+
+
 def test_u_symmetry_property():
     rng = np.random.default_rng(23)
     for _ in range(300):
