@@ -175,7 +175,7 @@ def initial_state(net: Network, source: int) -> DiffusionState:
     return state
 
 
-def _build_request(state, agent, personas, news, intervention) -> DecisionRequest:
+def _build_request(state, agent, news, intervention) -> DecisionRequest:
     if intervention.kind == "commenting":
         template_id = "commenting"
         comments = tuple(
@@ -190,7 +190,6 @@ def _build_request(state, agent, personas, news, intervention) -> DecisionReques
     if accuracy_notice:
         template_id = "accuracy"
     return DecisionRequest(
-        persona_text=persona_mod.render_persona_text(personas[agent]),
         news=news,
         day=state.day + 1,
         template_id=template_id,
@@ -212,7 +211,7 @@ def step_day(
     """Advance one day: pending agents decide, spreaders deliver, new agents queue."""
     day = state.day + 1
     deciders = sorted(state.pending)
-    requests = {a: _build_request(state, a, personas, news, intervention) for a in deciders}
+    requests = {a: _build_request(state, a, news, intervention) for a in deciders}
 
     outcomes: dict[int, object] = {}
     workers = getattr(policy, "concurrency", 1)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-import yaml
-
 from .netgen import NETWORK_KINDS
 
 VERACITIES = ("fake", "real")
@@ -236,6 +234,8 @@ def _config_from_mapping(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml  # imported here so commands that read no config skip it
+
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
@@ -274,6 +274,8 @@ def config_to_mapping(cfg: ExperimentConfig) -> dict:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
+    import yaml
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(config_to_mapping(cfg), fh, sort_keys=True)
 

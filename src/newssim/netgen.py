@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 NETWORK_KINDS = ("random", "scale_free", "high_brokerage")
@@ -342,6 +341,8 @@ def detect_communities(net: Network) -> tuple[tuple[int, ...], ...]:
     """
     if net.n < 2 or not net.edges:
         return (tuple(range(net.n)),) if net.n else ()
+    import networkx as nx  # only gen-network needs it, and it is slow to import
+
     g = nx.Graph()
     g.add_nodes_from(range(net.n))
     g.add_edges_from(net.edges)

@@ -53,7 +53,6 @@ class PolicyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecisionRequest:
-    persona_text: str
     news: NewsItem
     day: int
     template_id: str = "none"
@@ -196,13 +195,14 @@ def template_hashes() -> dict[str, str]:
 
 def render_prompt(
     req: DecisionRequest,
+    persona_text: str,
     body_char_budget: int = 1200,
     refutation: str = REFUTATION_SENTENCE,
     max_peer_comments: int = MAX_PEER_COMMENTS,
 ) -> str:
     """Deterministic template instantiation for a decision request."""
     mapping = {
-        "persona": req.persona_text,
+        "persona": persona_text,
         "news_title": req.news.title,
         "news_body": truncate_body(req.news.body, body_char_budget),
     }
@@ -286,23 +286,39 @@ def cache_key(model: str, prompt: str, attempt: int) -> str:
 
 
 class DecisionCache:
-    """Append-only JSONL store of raw LLM transcripts keyed by cache_key."""
+    """Append-only JSONL store of raw LLM transcripts keyed by cache_key.
+
+    A last line that has no newline and does not parse was torn by an
+    interrupted append: loading drops it and truncates the file to the last
+    complete line. A bad line anywhere else raises.
+    """
 
     def __init__(self, path=None):
         self.path = path
         self._records: dict[str, dict] = {}
         self._lock = threading.Lock()
-        if path is not None:
+        if path is None:
+            return
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return
+        complete, _, tail = data.rpartition(b"\n")
+        for line in complete.split(b"\n"):
+            if line.strip():
+                rec = json.loads(line)
+                self._records[rec["key"]] = rec
+        if tail.strip():
             try:
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        rec = json.loads(line)
-                        self._records[rec["key"]] = rec
-            except FileNotFoundError:
-                pass
+                rec = json.loads(tail)
+            except ValueError:
+                with open(path, "r+b") as fh:
+                    fh.truncate(len(data) - len(tail))
+                return
+            self._records[rec["key"]] = rec
+            with open(path, "ab") as fh:  # so the next append starts a line of its own
+                fh.write(b"\n")
 
     def __len__(self):
         return len(self._records)
@@ -338,11 +354,21 @@ class DecisionCache:
 
 
 def _default_transport(url, headers, payload, timeout):
-    import requests
+    """POST `payload` as JSON on a fresh connection and return the parsed reply.
 
-    resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    resp.raise_for_status()
-    return resp.json()
+    A non-2xx reply raises urllib.error.HTTPError, after closing its body.
+    """
+    import urllib.error
+    import urllib.request
+
+    req = urllib.request.Request(url, data=json.dumps(payload).encode("utf-8"),
+                                 headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
+            return json.loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise
 
 
 class LlmPolicy:
@@ -363,6 +389,7 @@ class LlmPolicy:
         self.body_char_budget = body_char_budget
         self.concurrency = max(1, settings.concurrency)
         self.network_calls = 0
+        self._calls_lock = threading.Lock()
 
     def identity(self) -> dict:
         return {
@@ -394,7 +421,8 @@ class LlmPolicy:
         last_exc = None
         for retry in range(self.settings.max_retries + 1):
             try:
-                self.network_calls += 1
+                with self._calls_lock:
+                    self.network_calls += 1
                 body = self.transport(self.settings.endpoint, self._headers(), payload,
                                       self.settings.timeout)
                 text = body["choices"][0]["message"]["content"]
@@ -411,7 +439,8 @@ class LlmPolicy:
         return text, "llm_live", key
 
     def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
-        prompt = render_prompt(req, self.body_char_budget)
+        prompt = render_prompt(req, persona_mod.render_persona_text(persona),
+                               self.body_char_budget)
         want_comment = req.template_id == "commenting"
         raw_last, source_last, key_last = "", "llm_live", None
         for attempt in range(self.settings.reask_limit + 1):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +81,44 @@ def test_gen_network_same_seed_identical_files(tmp_path):
             "--out", str(out),
         ]) == 0
     assert tree_bytes(out1) == tree_bytes(out2)
+
+
+def test_gen_network_random_detects_modularity(tmp_path):
+    out = tmp_path / "net"
+    assert cli.main(["gen-network", "--kind", "random", "--n", "60", "--seed", "1",
+                     "--out", str(out)]) == 0
+    doc = json.loads((out / "random_seed1.stats.json").read_text())
+    assert 0.1 < doc["modularity"] < 1.0
+
+
+def test_cli_import_skips_libraries_only_some_commands_use():
+    code = ("import newssim.cli, sys; "
+            "print(sorted({'networkx', 'requests', 'yaml'} & set(sys.modules)))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# output writes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, fail_at):
+    path = tmp_path / "summary.json"
+    cli._write_text(path, "old\n")
+    new = "new\n" * 10_000
+    if fail_at == "write":
+        new += "\udc80"  # a lone surrogate cannot be encoded
+    else:
+        monkeypatch.setattr(cli.os, "replace", lambda src, dst: 1 / 0)
+    with pytest.raises((UnicodeEncodeError, ZeroDivisionError)):
+        cli._write_text(path, new)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
 # ---------------------------------------------------------------------------

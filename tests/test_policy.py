@@ -1,6 +1,8 @@
 import json
 import math
 import string
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -41,9 +43,11 @@ def persona_at(z_e=0.0, z_o=0.0, agent_id=0):
                         big_five_scores=tuple(scores), big_five_labels=labels)
 
 
+PERSONA_TEXT = "persona text here"
+
+
 def request(template_id="none", peer_comments=None, accuracy_notice=False, day=1):
     return DecisionRequest(
-        persona_text="persona text here",
         news=NEWS,
         day=day,
         template_id=template_id,
@@ -103,8 +107,8 @@ def test_stub_deterministic_and_order_independent():
     def decide_all(order):
         out = {}
         for a, item in order:
-            req = DecisionRequest(persona_text="p", news=item, day=1,
-                                  template_id="commenting", peer_comments=())
+            req = DecisionRequest(news=item, day=1, template_id="commenting",
+                                  peer_comments=())
             out[a, item.news_id] = decide_stub(req, persona_at(agent_id=a), params, 7)
         return out
 
@@ -170,8 +174,8 @@ def test_request_invariants():
 
 
 def test_render_none_template():
-    text = render_prompt(request())
-    assert "persona text here" in text
+    text = render_prompt(request(), PERSONA_TEXT)
+    assert PERSONA_TEXT in text
     assert NEWS.title in text
     assert NEWS.body in text
     assert "SHARE or IGNORE" in text
@@ -179,29 +183,30 @@ def test_render_none_template():
 
 def test_render_commenting_newest_last():
     req = request("commenting", peer_comments=("older comment", "newer comment"))
-    text = render_prompt(req)
+    text = render_prompt(req, PERSONA_TEXT)
     assert "older comment" in text and "newer comment" in text
     assert text.index("older comment") < text.index("newer comment")
-    empty = render_prompt(request("commenting", peer_comments=()))
+    empty = render_prompt(request("commenting", peer_comments=()), PERSONA_TEXT)
     assert "(no comments yet)" in empty
 
 
 def test_render_commenting_caps_to_most_recent():
     comments = tuple(f"comment {i}" for i in range(6))
-    text = render_prompt(request("commenting", peer_comments=comments), max_peer_comments=3)
+    text = render_prompt(request("commenting", peer_comments=comments), PERSONA_TEXT,
+                         max_peer_comments=3)
     assert "comment 5" in text and "comment 3" in text
     assert "comment 2" not in text
 
 
 def test_render_accuracy_refutation_exactly_once():
-    text = render_prompt(request("accuracy", accuracy_notice=True))
+    text = render_prompt(request("accuracy", accuracy_notice=True), PERSONA_TEXT)
     assert text.count(REFUTATION_SENTENCE) == 1
 
 
 def test_render_body_truncated_by_budget():
     long_news = NewsItem(news_id="n", title="t", body="word " * 2000, veracity="fake")
-    req = DecisionRequest(persona_text="p", news=long_news, day=1)
-    text = render_prompt(req, body_char_budget=200)
+    req = DecisionRequest(news=long_news, day=1)
+    text = render_prompt(req, "p", body_char_budget=200)
     assert len(text) < 600
 
 
@@ -339,6 +344,28 @@ def test_llm_retries_transient_then_succeeds():
     assert len(transport.calls) == 2
 
 
+def test_network_calls_counted_across_threads():
+    policy = LlmPolicy(LlmSettings(), transport=make_transport(["DECISION: SHARE"]))
+    threads, per_thread = 8, 500
+
+    def work(t):
+        for i in range(per_thread):
+            policy._complete(f"prompt {t} {i}", 0)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert policy.network_calls == threads * per_thread
+
+
 def test_cache_keys_distinguish_attempts_and_prompts():
     k1 = cache_key("m", "prompt a", 0)
     assert cache_key("m", "prompt a", 1) != k1
@@ -374,6 +401,42 @@ def test_cache_hash_ignores_append_order(tmp_path):
     assert fill(tmp_path / "b.jsonl", recs[::-1]) == forward
     assert fill(tmp_path / "d.jsonl", recs + recs[:1]) == forward  # a repeated append
     assert fill(tmp_path / "c.jsonl", recs + [("k4", "DECISION: SHARE")]) != forward
+
+
+def one_record_cache(path):
+    DecisionCache(path).put("k1", "m", "prompt 1", 0, "DECISION: SHARE")
+    return path.read_bytes()
+
+
+def test_cache_drops_a_torn_tail_and_appends_on_a_fresh_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    whole = one_record_cache(path)
+    path.write_bytes(whole + b'{"attempt": 0, "key": "k2", "resp')  # an append cut short
+    cache = DecisionCache(path)
+    assert len(cache) == 1
+    assert path.read_bytes() == whole
+    cache.put("k2", "m", "prompt 2", 0, "DECISION: IGNORE")
+    reloaded = DecisionCache(path)
+    assert len(reloaded) == 2 and reloaded.get("k2")["response"] == "DECISION: IGNORE"
+
+
+def test_cache_keeps_a_complete_last_line_without_newline(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    whole = one_record_cache(path)
+    path.write_bytes(whole.rstrip(b"\n"))
+    cache = DecisionCache(path)
+    assert len(cache) == 1
+    cache.put("k2", "m", "prompt 2", 0, "DECISION: IGNORE")
+    assert len(DecisionCache(path)) == 2
+
+
+@pytest.mark.parametrize("after", [b"\n", b"\n" + b'{"key": "k3"}\n'], ids=["last", "middle"])
+def test_cache_raises_on_a_bad_complete_line(tmp_path, after):
+    path = tmp_path / "cache.jsonl"
+    whole = one_record_cache(path)
+    path.write_bytes(whole + b'{"key": "k2", "resp' + after)
+    with pytest.raises(ValueError):
+        DecisionCache(path)
 
 
 def test_llm_settings_validation():
