@@ -86,9 +86,28 @@ def connected_network(kind: str, params: dict, seed: int, retries: int = 5) -> n
     )
 
 
+# lru_cache does not hold its lock while it builds a value: without this one,
+# cells on --parallel threads would each build the same network or cohort
+_replicate_lock = threading.Lock()
+
+
 @lru_cache(maxsize=64)
 def _cached_network(kind: str, params_items: tuple, seed: int) -> netgen.Network:
     return connected_network(kind, dict(params_items), seed)
+
+
+@lru_cache(maxsize=64)
+def _cached_cohort(n: int, seed: int, trait: str | None = None, level: str | None = None,
+                   offset: float = 1.0) -> persona.Cohort:
+    """The replicate's cohort, pinned to trait=level when a trait is given.
+
+    A Cohort is read-only, so every cell of the replicate can share it, and
+    the stub's per-cohort columns with it.
+    """
+    if trait:
+        base = _cached_cohort(n, seed)
+        return persona.Cohort(persona.pin_trait(base, trait, level, offset=offset))
+    return persona.Cohort(persona.sample_personas(n, rng_seed=seed))
 
 
 def _slug(text: str) -> str:
@@ -123,12 +142,13 @@ def _execute_cell(cell: Cell, cache=None, transport=None):
     """Run one plan cell, re-running non-effective stub runs with fresh seeds."""
     cfg, rep = cell.cfg, cell.replicate
     net_seed = derive_seed(cfg.master_seed, "net", rep)
-    net = _cached_network(cfg.network_kind, tuple(sorted(cfg.network_params.items())), net_seed)
     persona_seed = derive_seed(cfg.master_seed, "personas", rep)
-    personas = persona.sample_personas(net.n, rng_seed=persona_seed)
-    if cell.labels.get("trait"):
-        personas = persona.pin_trait(personas, cell.labels["trait"], cell.labels["level"],
-                                     offset=cfg.sweep_offset)
+    trait = cell.labels.get("trait")
+    pin = (trait, cell.labels["level"], cfg.sweep_offset) if trait else ()
+    with _replicate_lock:
+        net = _cached_network(cfg.network_kind, tuple(sorted(cfg.network_params.items())),
+                              net_seed)
+        personas = _cached_cohort(net.n, persona_seed, *pin)
 
     budget = cfg.effective_retry_budget if cfg.policy_kind == "stub" else 0
     attempt = 0

@@ -13,31 +13,25 @@ decisions: the accuracy notice latches once the reached fraction crosses the
 trigger threshold, and blocking removes the top slice of high-openness /
 high-extraversion agents by degree at the first crossing.
 
-Same-day decisions depend only on start-of-day state, so they are
-order-independent and may be requested concurrently.
+A run's state is a set of per-agent numpy columns (see DiffusionState), and
+a day's frontier expands over the network's CSR adjacency in array
+operations. Same-day decisions depend only on start-of-day state, so they
+are order-independent and are requested from the policy as one batch.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
+from functools import partial
+
+import numpy as np
 
 from . import persona as persona_mod
-from .ingest import INTERVENTION_KINDS  # noqa: F401 - re-exported
+from . import policy as policy_mod
 from .ingest import ExperimentConfig, NewsItem, config_snapshot
 from .netgen import Network
-from .policy import DecisionRequest, PolicyError
-
-
-class Status(str, Enum):
-    UNREACHED = "unreached"
-    PENDING = "pending_decision"
-    SPREADER = "spreader"
-    DEAD_END = "dead_end"
-    BLOCKED = "blocked"
 
 
 @dataclass(frozen=True)
@@ -50,33 +44,62 @@ class InterventionSpec:
     block_denominator: str = "all_agents"
 
 
-@dataclass
+@dataclass(eq=False)
 class DiffusionState:
-    """Mutable per-run ledger; reached / spreader sets are cumulative.
+    """Mutable per-run ledger: one numpy column per agent attribute.
 
-    reach_day[v] is the day v was first reached (-1 never, 0 the source) and
-    reached_by[v] the neighbour whose delivery reached it first (-1 for the
-    source and for unreached agents).
+    day_reached[v]  day v was first reached: -1 never, 0 the source
+    sender[v]       neighbour whose delivery reached v first: -1 for the
+                    source and for unreached agents
+    decision[v]     -1 undecided, 0 ignored, 1 shared
+    day_shared[v]   day v shared, -1 if it has not
+    blocked[v]      removed by the blocking intervention
+    comments        the comment of each sharer that left one
     """
 
     n: int
     day: int = 0
-    status: list[Status] = field(default_factory=list)
-    reached: set[int] = field(default_factory=set)
-    pending: set[int] = field(default_factory=set)
-    spreaders_cum: set[int] = field(default_factory=set)
-    blocked: set[int] = field(default_factory=set)
-    inbox: dict[int, list[tuple[int, int, str | None]]] = field(default_factory=dict)
-    reach_day: list[int] = field(default_factory=list)
-    reached_by: list[int] = field(default_factory=list)
     accuracy_triggered: bool = False
     blocking_applied: bool = False
+    day_reached: np.ndarray = field(init=False)
+    sender: np.ndarray = field(init=False)
+    decision: np.ndarray = field(init=False)
+    day_shared: np.ndarray = field(init=False)
+    blocked: np.ndarray = field(init=False)
+    comments: dict[int, str] = field(init=False, default_factory=dict)
+
+    def __post_init__(self):
+        self.day_reached = np.full(self.n, -1, dtype=np.int32)
+        self.sender = np.full(self.n, -1, dtype=np.int32)
+        self.decision = np.full(self.n, -1, dtype=np.int8)
+        self.day_shared = np.full(self.n, -1, dtype=np.int32)
+        self.blocked = np.zeros(self.n, dtype=bool)
+
+    @property
+    def reach_day(self) -> list[int]:
+        """day_reached as a list, the form a RunRecord stores."""
+        return self.day_reached.tolist()
+
+    @property
+    def reached_by(self) -> list[int]:
+        """sender as a list, the form a RunRecord stores."""
+        return self.sender.tolist()
+
+    def frontier(self) -> np.ndarray:
+        """Ascending ids of the agents that decide next: reached on the
+        current day and not blocked."""
+        return np.flatnonzero((self.day_reached == self.day) & ~self.blocked)
+
+    @property
+    def pending(self) -> list[int]:
+        """frontier() as a list: empty once the run has gone idle."""
+        return self.frontier().tolist()
 
     def reached_prop(self) -> float:
-        return len(self.reached) / self.n
+        return int(np.count_nonzero(self.day_reached >= 0)) / self.n
 
     def forwarded_prop(self) -> float:
-        return len(self.spreaders_cum) / self.n
+        return int(np.count_nonzero(self.decision == 1)) / self.n
 
 
 RECORD_FORMAT = 2
@@ -154,48 +177,64 @@ class RunRecord:
 
 def select_source(net: Network) -> int:
     """Highest-degree node; ties broken by lowest id."""
-    deg = net.degrees()
-    best = 0
-    for u in range(net.n):
-        if deg[u] > deg[best]:
-            best = u
-    return best
+    return int(np.argmax(net.degrees()))
 
 
 def initial_state(net: Network, source: int) -> DiffusionState:
     state = DiffusionState(n=net.n)
-    state.status = [Status.UNREACHED] * net.n
-    state.status[source] = Status.PENDING
-    state.reached.add(source)
-    state.pending.add(source)
-    state.inbox = {u: [] for u in range(net.n)}
-    state.reach_day = [-1] * net.n
-    state.reach_day[source] = 0
-    state.reached_by = [-1] * net.n
+    state.day_reached[source] = 0
     return state
 
 
-def _build_request(state, agent, news, intervention) -> DecisionRequest:
-    if intervention.kind == "commenting":
-        template_id = "commenting"
-        comments = tuple(
-            c for (_, _, c) in sorted(state.inbox[agent], key=lambda d: (d[0], d[1]))
-            if c is not None
-        )
-        peer_comments: tuple[str, ...] | None = comments
-    else:
-        template_id = "none"
-        peer_comments = None
+def _peer_comments(state: DiffusionState, net: Network, agent: int) -> tuple[str, ...]:
+    """Comments the neighbours who shared so far delivered to `agent`, by (day, sender)."""
+    indptr, indices = net.csr()
+    nbrs = indices[indptr[agent]:indptr[agent + 1]]
+    days = state.day_shared[nbrs]
+    shared = days >= 0
+    senders = nbrs[shared][np.argsort(days[shared], kind="stable")]
+    return tuple(state.comments[u] for u in senders.tolist() if u in state.comments)
+
+
+def _batch(state, net, agents, news, intervention) -> policy_mod.DecisionBatch:
     accuracy_notice = intervention.kind == "accuracy" and state.accuracy_triggered
     if accuracy_notice:
         template_id = "accuracy"
-    return DecisionRequest(
+    elif intervention.kind == "commenting":
+        template_id = "commenting"
+    else:
+        template_id = "none"
+    return policy_mod.DecisionBatch(
         news=news,
         day=state.day + 1,
+        agents=agents,
         template_id=template_id,
-        peer_comments=peer_comments,
         accuracy_notice=accuracy_notice,
+        peer_comments=partial(_peer_comments, state, net),
     )
+
+
+def _deliver(state: DiffusionState, net: Network, sharers: np.ndarray, day: int) -> None:
+    """Reach every unreached, unblocked neighbour of `sharers` on `day`.
+
+    `sharers` is ascending, so the first delivery to a new agent, and its
+    reached_by, comes from the lowest-id neighbour sharing that day.
+    """
+    indptr, indices = net.csr()
+    starts = indptr[sharers]
+    counts = indptr[sharers + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return
+    # positions of every sharer's neighbours in `indices`, sharer by sharer
+    ends = np.cumsum(counts)
+    offsets = np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    targets = indices[offsets]
+    senders = np.repeat(sharers, counts)
+    fresh = (state.day_reached[targets] < 0) & ~state.blocked[targets]
+    reached, first = np.unique(targets[fresh], return_index=True)
+    state.day_reached[reached] = day
+    state.sender[reached] = senders[fresh][first]
 
 
 def step_day(
@@ -210,64 +249,38 @@ def step_day(
 ) -> DiffusionState:
     """Advance one day: pending agents decide, spreaders deliver, new agents queue."""
     day = state.day + 1
-    deciders = sorted(state.pending)
-    requests = {a: _build_request(state, a, news, intervention) for a in deciders}
-
-    outcomes: dict[int, object] = {}
-    workers = getattr(policy, "concurrency", 1)
-
-    def _decide(agent):
-        try:
-            return policy.decide(requests[agent], personas[agent])
-        except PolicyError as exc:
-            raise PolicyError(f"day {day}, agent {agent}: {exc}") from exc
-
-    if workers > 1 and len(deciders) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for agent, outcome in zip(deciders, pool.map(_decide, deciders)):
-                outcomes[agent] = outcome
-    else:
-        for agent in deciders:
-            outcomes[agent] = _decide(agent)
-
-    adj = net.adjacency()
-    new_spreaders: list[tuple[int, str | None]] = []
-    for agent in deciders:
-        out = outcomes[agent]
-        events.append(
-            {
-                "type": "decision",
-                "day": day,
-                "agent": agent,
-                "share": out.share,
-                "policy": out.policy_kind(),
-                "transcript": out.transcript_key,
-                "comment": out.comment,
-                "rationale": out.rationale,
-            }
-        )
-        if out.parse_failure:
-            taints.append(f"parse_failure day={day} agent={agent}")
-        if out.share:
-            state.status[agent] = Status.SPREADER
-            state.spreaders_cum.add(agent)
-            new_spreaders.append((agent, out.comment))
+    agents = state.frontier()
+    if agents.size:
+        batch = _batch(state, net, agents, news, intervention)
+        decide_many = getattr(policy, "decide_many", None)
+        if decide_many is not None:
+            out = decide_many(batch, personas)
         else:
-            state.status[agent] = Status.DEAD_END
-    state.pending.clear()
-
-    for agent, comment in new_spreaders:
-        for nbr in adj[agent]:
-            if nbr in state.blocked:
-                continue
-            state.inbox[nbr].append((day, agent, comment))
-            if nbr not in state.reached:
-                state.reached.add(nbr)
-                state.status[nbr] = Status.PENDING
-                state.pending.add(nbr)
-                state.reach_day[nbr] = day
-                state.reached_by[nbr] = agent
-
+            out = policy_mod.decide_each(policy, batch, personas)
+        for agent, share, kind, transcript, comment, rationale, failed in zip(
+            agents.tolist(), out.share.tolist(), out.policy, out.transcript, out.comment,
+            out.rationale, out.parse_failure,
+        ):
+            events.append(
+                {
+                    "type": "decision",
+                    "day": day,
+                    "agent": agent,
+                    "share": share,
+                    "policy": kind,
+                    "transcript": transcript,
+                    "comment": comment,
+                    "rationale": rationale,
+                }
+            )
+            if failed:
+                taints.append(f"parse_failure day={day} agent={agent}")
+            if share and comment is not None:
+                state.comments[agent] = comment
+        state.decision[agents] = out.share
+        sharers = agents[out.share]
+        state.day_shared[sharers] = day
+        _deliver(state, net, sharers, day)
     state.day = day
     return state
 
@@ -308,8 +321,8 @@ def apply_blocking_intervention(
 ) -> DiffusionState:
     """Block the top ceil(block_fraction*N) candidates at the first threshold crossing.
 
-    Blocked agents never decide and never receive; pending deliveries to them
-    are dropped. Agents who already shared keep their past effect. With
+    Blocked agents never decide and never receive; a blocked agent reached
+    today does not decide tomorrow. Agents who already shared keep their past effect. With
     block_denominator="candidates" the quota is a fraction of the candidate
     pool instead of all agents.
     """
@@ -320,11 +333,7 @@ def apply_blocking_intervention(
     base = state.n if block_denominator == "all_agents" else len(candidates)
     quota = math.ceil(block_fraction * base)
     to_block = candidates[:quota]
-    for agent in to_block:
-        state.blocked.add(agent)
-        state.pending.discard(agent)
-        state.status[agent] = Status.BLOCKED
-        state.inbox[agent] = []
+    state.blocked[to_block] = True
     if events is not None:
         events.append({"type": "blocking_applied", "day": state.day, "blocked": to_block})
     return state
@@ -368,7 +377,7 @@ def run(
     _evaluate_triggers(state, net, personas, intervention, events)
 
     for _ in range(config.days):
-        if not state.pending:  # idle days change nothing and cannot newly fire a trigger
+        if not state.frontier().size:  # idle days change nothing and cannot newly fire a trigger
             break
         step_day(state, net, personas, news, policy, intervention, events, taints)
         reached_prop.append(state.reached_prop())
@@ -392,6 +401,6 @@ def run(
         reach_day=state.reach_day,
         reached_by=state.reached_by,
         events=events,
-        effective=source in state.spreaders_cum,
+        effective=bool(state.decision[source] == 1),
         taints=taints,
     )

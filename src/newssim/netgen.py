@@ -14,6 +14,7 @@ mean per-node clustering 2*e_i/(k_i*(k_i-1)), and Newman modularity
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,31 @@ class Network:
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (indptr, indices): the ascending neighbours of u are
+        indices[indptr[u]:indptr[u + 1]]. Built on first use, then shared,
+        like adjacency().
+        """
+        csr = self.__dict__.get("_csr")
+        if csr is None:
+            flat = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
+                               count=2 * len(self.edges))
+            src = np.concatenate([flat[0::2], flat[1::2]])
+            dst = np.concatenate([flat[1::2], flat[0::2]])
+            order = np.argsort(src * self.n + dst)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+            csr = (indptr, dst[order])
+            for a in csr:
+                a.flags.writeable = False
+            object.__setattr__(self, "_csr", csr)
+        return csr
+
     def degrees(self) -> np.ndarray:
         """Read-only degree array; built on first use, then shared."""
         deg = self.__dict__.get("_degrees")
         if deg is None:
-            deg = np.array([len(a) for a in self.adjacency()], dtype=int)
+            deg = np.diff(self.csr()[0])
             deg.flags.writeable = False
             object.__setattr__(self, "_degrees", deg)
         return deg

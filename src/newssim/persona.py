@@ -85,6 +85,20 @@ class AgentPersona:
     pinned_traits: dict[str, str] | None = field(default=None)
 
 
+class Cohort(tuple):
+    """A cohort that cannot change: its personas, indexed by agent id.
+
+    Columns derived from the personas are built once per cohort by `column`.
+    """
+
+    def column(self, key, build):
+        """Return build(self), built on the first call for `key`, then shared."""
+        columns = self.__dict__.setdefault("_columns", {})
+        if key not in columns:
+            columns[key] = build(self)
+        return columns[key]
+
+
 def categorize_traits(scores, thresholds):
     """Label each score high/low against its threshold; ties label high.
 

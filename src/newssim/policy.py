@@ -1,16 +1,18 @@
 """Decision policies: the share/ignore boundary for every agent.
 
-Two interchangeable policies implement `decide(request, persona)`:
+Two interchangeable policies implement `decide(request, persona)` for one
+agent and `decide_many(batch, personas)` for one day's deciders:
 
 * StubPolicy: an offline logistic model over the agent's standardized
-  extraversion and openness scores. Every (agent, news) pair draws from its
-  own keyed hash of the decision seed, so outcomes are reproducible and
-  independent of the order decisions are requested in.
+  extraversion and openness scores, decided for a whole batch in numpy.
+  Every (agent, news) pair draws from a counter-based stream keyed by the
+  decision seed, so outcomes are reproducible and independent of the order,
+  or the batches, in which decisions are requested.
 * LlmPolicy: renders a prompt from an editable text template, calls an
   OpenAI-compatible chat-completion endpoint, and parses a line-oriented
-  reply (DECISION / COMMENT / REASON). Raw responses are stored in an
-  append-only cache keyed by (model, attempt, prompt); replaying against a
-  complete cache performs no network calls.
+  reply (DECISION / COMMENT / REASON), one agent at a time. Raw responses
+  are stored in an append-only cache keyed by (model, attempt, prompt);
+  replaying against a complete cache performs no network calls.
 """
 
 from __future__ import annotations
@@ -18,13 +20,16 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from importlib import resources
 from string import Template
+
+import numpy as np
 
 from . import persona as persona_mod
 from .ingest import NewsItem, truncate_body
@@ -69,6 +74,29 @@ class DecisionRequest:
 
 
 @dataclass(frozen=True)
+class DecisionBatch:
+    """One day's deciders; they all see the same news, template and notice.
+
+    `agents` is an array of agent ids (ascending, as the engine builds it);
+    a policy's decision for one agent must not depend on the others. Under
+    the commenting template, `peer_comments(agent)` returns the comments
+    delivered to that agent so far, oldest first.
+    """
+
+    news: NewsItem
+    day: int
+    agents: np.ndarray
+    template_id: str = "none"
+    accuracy_notice: bool = False
+    peer_comments: Callable[[int], tuple[str, ...]] | None = None
+
+    def request(self, agent: int) -> DecisionRequest:
+        comments = self.peer_comments(agent) if self.template_id == "commenting" else None
+        return DecisionRequest(news=self.news, day=self.day, template_id=self.template_id,
+                               peer_comments=comments, accuracy_notice=self.accuracy_notice)
+
+
+@dataclass(frozen=True)
 class DecisionOutcome:
     share: bool
     comment: str | None
@@ -82,6 +110,52 @@ class DecisionOutcome:
 
     def policy_kind(self) -> str:
         return "llm" if self.source.startswith("llm") else self.source
+
+
+@dataclass(frozen=True)
+class Decisions:
+    """Outcomes of one DecisionBatch as columns, in the batch's agent order."""
+
+    share: np.ndarray  # bool
+    comment: list[str | None]
+    rationale: list[str | None]
+    policy: list[str]
+    transcript: list[str | None]
+    parse_failure: list[bool]
+
+    @classmethod
+    def from_outcomes(cls, outcomes: list[DecisionOutcome]) -> "Decisions":
+        return cls(
+            share=np.array([bool(o.share) for o in outcomes], dtype=bool),
+            comment=[o.comment for o in outcomes],
+            rationale=[o.rationale for o in outcomes],
+            policy=[o.policy_kind() for o in outcomes],
+            transcript=[o.transcript_key for o in outcomes],
+            parse_failure=[o.parse_failure for o in outcomes],
+        )
+
+
+def decide_each(policy, batch: DecisionBatch, personas) -> Decisions:
+    """Decide a batch one agent at a time through `policy.decide`.
+
+    Runs on up to `policy.concurrency` threads, so it serves any policy that
+    defines only `decide`. A PolicyError is re-raised naming the day and agent.
+    """
+    agents = batch.agents.tolist()
+
+    def one(agent):
+        try:
+            return policy.decide(batch.request(agent), personas[agent])
+        except PolicyError as exc:
+            raise PolicyError(f"day {batch.day}, agent {agent}: {exc}") from exc
+
+    workers = getattr(policy, "concurrency", 1)
+    if workers > 1 and len(agents) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(one, agents))
+    else:
+        outcomes = [one(agent) for agent in agents]
+    return Decisions.from_outcomes(outcomes)
 
 
 @dataclass(frozen=True)
@@ -104,31 +178,74 @@ class StubParams:
 
 
 def share_probability(
-    z_extraversion: float,
-    z_openness: float,
+    z_extraversion,
+    z_openness,
     params: StubParams,
     accuracy_notice: bool = False,
     commenting: bool = False,
-) -> float:
-    """Closed-form logistic share probability for the stub."""
+):
+    """Closed-form logistic share probability for the stub, elementwise over arrays."""
     logit = (
         params.intercept
-        + params.weight_e * z_extraversion
-        + params.weight_o * z_openness
+        + params.weight_e * np.asarray(z_extraversion, dtype=float)
+        + params.weight_o * np.asarray(z_openness, dtype=float)
     )
     if accuracy_notice:
-        logit += params.accuracy_penalty
+        logit = logit + params.accuracy_penalty
     if commenting:
-        logit += params.comment_shift
-    return 1.0 / (1.0 + math.exp(-logit))
+        logit = logit + params.comment_shift
+    return 1.0 / (1.0 + np.exp(-logit))
 
 
-def _zscores(persona: persona_mod.AgentPersona, stats: persona_mod.BigFiveStats):
-    e_idx = persona_mod.TRAITS.index("extraversion")
-    o_idx = persona_mod.TRAITS.index("openness")
-    z_e = (persona.big_five_scores[e_idx] - stats.means[e_idx]) / stats.sds[e_idx]
-    z_o = (persona.big_five_scores[o_idx] - stats.means[o_idx]) / stats.sds[o_idx]
-    return z_e, z_o
+def _zscore_columns(personas, stats: persona_mod.BigFiveStats) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized extraversion and openness of every persona, by agent id."""
+    cols = [persona_mod.TRAITS.index("extraversion"), persona_mod.TRAITS.index("openness")]
+    scores = np.array([p.big_five_scores for p in personas], dtype=float).reshape(-1, 5)[:, cols]
+    z = (scores - np.asarray(stats.means)[cols]) / np.asarray(stats.sds)[cols]
+    return z[:, 0], z[:, 1]
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): state increment and finalizer
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def stub_bits(rng_seed: int, news_id: str, agents) -> np.ndarray:
+    """64 random bits per agent for the stub's decision on `news_id`.
+
+    Counter-based: the bits for agent a are output a + 1 of a SplitMix64
+    stream seeded with derive_seed(rng_seed, "stub", news_id) truncated to
+    64 bits. They depend only on (rng_seed, news_id, a), never on which other
+    agents are drawn with a or in what order. The top 53 bits are the share
+    uniform; the low 11 bits pick the comment.
+    """
+    key = np.uint64(derive_seed(rng_seed, "stub", news_id) & 0xFFFF_FFFF_FFFF_FFFF)
+    z = (np.asarray(agents, dtype=np.uint64) + np.uint64(1)) * _GOLDEN_GAMMA + key
+    z = (z ^ (z >> np.uint64(30))) * _MIX_1
+    z = (z ^ (z >> np.uint64(27))) * _MIX_2
+    return z ^ (z >> np.uint64(31))
+
+
+def _decide_stub_columns(z_e, z_o, agents, news_id, template_id, accuracy_notice,
+                         params: StubParams, rng_seed: int) -> Decisions:
+    commenting = template_id == "commenting"
+    prob = share_probability(z_e, z_o, params, accuracy_notice, commenting)
+    bits = stub_bits(rng_seed, news_id, agents)
+    share = (bits >> np.uint64(11)) * 2.0**-53 < prob
+    comment: list[str | None] = [None] * len(share)
+    if commenting:
+        picks = (bits & np.uint64(0x7FF)) % np.uint64(len(_STUB_COMMENTS))
+        for i in np.flatnonzero(share).tolist():
+            comment[i] = _STUB_COMMENTS[int(picks[i])]
+    return Decisions(
+        share=share,
+        comment=comment,
+        rationale=[f"p_share={p:.4f}" for p in prob.tolist()],
+        policy=["stub"] * len(share),
+        transcript=[None] * len(share),
+        parse_failure=[False] * len(share),
+    )
 
 
 def decide_stub(
@@ -138,20 +255,15 @@ def decide_stub(
     rng_seed: int,
     stats: persona_mod.BigFiveStats = persona_mod.DEFAULT_TRAIT_STATS,
 ) -> DecisionOutcome:
-    """Share if the (agent, news) hash's top 53 bits, as a uniform, fall below p."""
-    z_e, z_o = _zscores(persona, stats)
-    commenting = req.template_id == "commenting"
-    prob = share_probability(z_e, z_o, params, req.accuracy_notice, commenting)
-    draw = derive_seed(rng_seed, "stub", persona.agent_id, req.news.news_id)
-    share = (draw >> 75) * 2.0**-53 < prob
-    comment = None
-    if share and commenting:
-        comment = _STUB_COMMENTS[draw % len(_STUB_COMMENTS)]
-    rationale = f"p_share={prob:.4f}"
+    """One agent's stub decision; equal to its entry in any batch holding it."""
+    z_e, z_o = _zscore_columns([persona], stats)
+    d = _decide_stub_columns(z_e, z_o, [persona.agent_id], req.news.news_id, req.template_id,
+                             req.accuracy_notice, params, rng_seed)
+    share = bool(d.share[0])
     return DecisionOutcome(
         share=share,
-        comment=comment,
-        rationale=rationale,
+        comment=d.comment[0],
+        rationale=d.rationale[0],
         raw_response=f"DECISION: {'SHARE' if share else 'IGNORE'}",
         source="stub",
     )
@@ -170,6 +282,22 @@ class StubPolicy:
 
     def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
         return decide_stub(req, persona, self.params, self.rng_seed, self.stats)
+
+    def decide_many(self, batch: DecisionBatch, personas) -> Decisions:
+        """Decide the whole batch in numpy; each agent as `decide` would.
+
+        A persona_mod.Cohort keeps its z-score columns across runs; a plain
+        list of personas has them rebuilt on every call.
+        """
+        if isinstance(personas, persona_mod.Cohort):
+            z_e, z_o = personas.column(("stub_z", self.stats),
+                                       lambda c: _zscore_columns(c, self.stats))
+        else:
+            z_e, z_o = _zscore_columns(personas, self.stats)
+        agents = batch.agents
+        return _decide_stub_columns(z_e[agents], z_o[agents], agents, batch.news.news_id,
+                                    batch.template_id, batch.accuracy_notice, self.params,
+                                    self.rng_seed)
 
     def identity(self) -> dict:
         return {"kind": "stub", "rng_seed": self.rng_seed, **self.params.__dict__}
@@ -437,6 +565,9 @@ class LlmPolicy:
             )
         self.cache.put(key, self.settings.model, prompt, attempt, text)
         return text, "llm_live", key
+
+    def decide_many(self, batch: DecisionBatch, personas) -> Decisions:
+        return decide_each(self, batch, personas)
 
     def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
         prompt = render_prompt(req, persona_mod.render_persona_text(persona),

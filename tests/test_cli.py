@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from newssim import cli, engine, policy
+from newssim import cli, engine, ingest, persona, policy
 from newssim.ingest import load_config
+from newssim.seeding import derive_seed
 
 SMALL_CFG = """\
 network:
@@ -204,11 +205,28 @@ def test_interrupted_run_leaves_incomplete_marker(tmp_path, small_config, monkey
 
 def test_run_effective_retry_rewrites_attempt(tmp_path, small_config):
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(small_config(reps=4, news_limit=2)),
-                     "--out", str(out)]) == 0
+    cfg_path = small_config(reps=4, news_limit=2)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    news = {item.news_id: item for item in ingest.load_news(cfg.news_path, cfg.news_limit)}
     records = [engine.RunRecord.from_json(p.read_text())
                for p in sorted((out / "runs").glob("*.json"))]
-    assert all(r.effective for r in records)  # budget of 8 retries suffices here
+    assert len(records) == 8
+    for r in records:
+        meta = r.meta["labels"]
+        attempt = meta["attempt"]
+        # a cell stops at its first effective attempt, or when the budget is spent
+        assert r.effective or attempt == cfg.effective_retry_budget
+        seeds = [derive_seed(cfg.master_seed, "decide", meta["replicate"], meta["news_id"], k)
+                 for k in range(attempt + 1)]
+        assert meta["decision_seed"] == seeds[-1]
+        net = cli._cached_network(cfg.network_kind, tuple(sorted(cfg.network_params.items())),
+                                  meta["net_seed"])
+        personas = cli._cached_cohort(net.n, meta["persona_seed"])
+        for seed in seeds[:-1]:  # every earlier attempt was non-effective
+            earlier = engine.run(cfg, net, personas, news[meta["news_id"]],
+                                 cli._build_cell_policy(cfg, seed, None, None))
+            assert not earlier.effective
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +242,40 @@ def test_sweep_personality_groups(tmp_path, small_config):
     groups = doc["summary"]["groups"]
     assert len(groups) == 10  # 5 traits x 2 levels
     assert set(doc["summary"]["group_by"]) == {"trait", "level"}
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep-personality"])
+def test_a_replicate_samples_its_cohort_once(tmp_path, small_config, monkeypatch, command):
+    cli._cached_cohort.cache_clear()
+    sampled = []
+    real = persona.sample_personas
+
+    def counting(n, *args, **kwargs):
+        sampled.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(persona, "sample_personas", counting)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # parallel cells racing for one replicate's cohort
+    try:
+        assert cli.main([command, "--config", str(small_config(reps=2, news_limit=2)),
+                         "--out", str(tmp_path / "out"), "--parallel", "4"]) == 0
+    finally:
+        sys.setswitchinterval(old)
+    assert sampled == [60, 60]
+
+
+def test_cached_cohorts_are_shared_and_pinned_per_trait_level():
+    base = cli._cached_cohort(30, 5)
+    assert cli._cached_cohort(30, 5) is base and isinstance(base, tuple)
+    pinned = {(t, lv): cli._cached_cohort(30, 5, t, lv, 1.0)
+              for t in persona.TRAITS for lv in persona.LEVELS}
+    assert len({c[0].big_five_scores for c in pinned.values()}) == len(pinned)
+    for (trait, level), cohort in pinned.items():
+        assert cohort is cli._cached_cohort(30, 5, trait, level, 1.0)
+        idx = persona.TRAITS.index(trait)
+        assert all(p.big_five_labels[idx] == level for p in cohort)
+        assert [p.age for p in cohort] == [p.age for p in base]
 
 
 def test_compare_cells_and_tables(tmp_path, small_config):

@@ -92,6 +92,12 @@ def test_adjacency_and_degrees_built_once_and_read_only():
     assert [len(a) for a in adj] == net.degrees().tolist()
     with pytest.raises(ValueError):
         net.degrees()[0] = 99
+    indptr, indices = net.csr()
+    assert net.csr()[1] is indices
+    assert [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(net.n)] == [
+        list(a) for a in adj]
+    with pytest.raises(ValueError):
+        indices[0] = 0
     # the memo is not a field: equality and hashing still see only the graph
     twin = Network(net.n, net.edges, net.kind, net.gen_seed)
     assert twin == net and hash(twin) == hash(net)

@@ -7,10 +7,14 @@ import threading
 import numpy as np
 import pytest
 
-from newssim.ingest import NewsItem
-from newssim.persona import DEFAULT_TRAIT_STATS, AgentPersona, TRAITS
+from newssim import engine, persona
+from newssim.ingest import ExperimentConfig, NewsItem
+from newssim.netgen import gen_random
+from newssim.persona import DEFAULT_TRAIT_STATS, TRAITS, AgentPersona
 from newssim.policy import (
+    _STUB_COMMENTS,
     REFUTATION_SENTENCE,
+    DecisionBatch,
     DecisionCache,
     DecisionRequest,
     LlmPolicy,
@@ -23,8 +27,10 @@ from newssim.policy import (
     parse_response,
     render_prompt,
     share_probability,
+    stub_bits,
     template_hashes,
 )
+from newssim.seeding import derive_seed
 
 NEWS = NewsItem(news_id="n-1", title="Test headline", body="Body text of the story.",
                 veracity="fake", topic="political")
@@ -153,6 +159,108 @@ def test_stub_comment_only_when_sharing_under_commenting():
     never = StubParams(intercept=-50.0)
     out = decide_stub(request("commenting", peer_comments=()), persona_at(), never, 3)
     assert not out.share and out.comment is None
+
+
+def _splitmix64_outputs(seed, count):
+    """Reference SplitMix64 over Python ints: the first `count` outputs from `seed`."""
+    mask = 2**64 - 1
+    state, out = seed & mask, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_stub_bits_are_splitmix64_outputs_keyed_by_the_run():
+    key = derive_seed(17, "stub", NEWS.news_id)
+    assert stub_bits(17, NEWS.news_id, np.arange(50)).tolist() == _splitmix64_outputs(key, 50)
+    assert stub_bits(17, NEWS.news_id, [49, 3]).tolist() == [_splitmix64_outputs(key, 50)[i]
+                                                            for i in (49, 3)]
+
+
+def _cohort(n, seed=0):
+    return persona.Cohort(persona.sample_personas(n, rng_seed=seed))
+
+
+def _outcomes(decisions, agents):
+    return {
+        a: (s, c, r) for a, s, c, r in zip(agents, decisions.share.tolist(), decisions.comment,
+                                          decisions.rationale)
+    }
+
+
+@pytest.mark.parametrize("template_id", ["none", "commenting", "accuracy"])
+def test_decide_many_is_independent_of_batch_order_and_split(template_id):
+    cohort = _cohort(400)
+    policy = StubPolicy(StubParams(intercept=0.0), rng_seed=21)
+    notice = template_id == "accuracy"
+
+    def decide(agents):
+        batch = DecisionBatch(news=NEWS, day=2, agents=np.asarray(agents),
+                              template_id=template_id, accuracy_notice=notice,
+                              peer_comments=lambda a: ())
+        return _outcomes(policy.decide_many(batch, cohort), list(agents))
+
+    whole = decide(range(400))
+    assert 0 < sum(s for s, _, _ in whole.values()) < 400
+    permuted = np.random.default_rng(1).permutation(400)
+    assert decide(permuted) == whole
+    assert {**decide(permuted[:137]), **decide(permuted[137:])} == whole
+    # a plain list decides as the Cohort does, and decide() as the batch does
+    batch = DecisionBatch(news=NEWS, day=2, agents=np.arange(400), template_id=template_id,
+                          accuracy_notice=notice, peer_comments=lambda a: ())
+    assert _outcomes(policy.decide_many(batch, list(cohort)), range(400)) == whole
+    for a in (0, 7, 399):
+        out = policy.decide(batch.request(a), cohort[a])
+        assert (out.share, out.comment, out.rationale) == whole[a]
+
+
+def test_none_and_blocking_runs_share_their_decisions():
+    net = gen_random(200, 0.05, seed=8)
+    cohort = _cohort(200, seed=8)
+    decided = {}
+    for kind in ("none", "blocking"):
+        cfg = ExperimentConfig(intervention_kind=kind)
+        rec = engine.run(cfg, net, cohort, NEWS, StubPolicy(StubParams(intercept=1.5),
+                                                             rng_seed=5))
+        decided[kind] = {e["agent"]: (e["day"], e["share"], e["rationale"])
+                         for e in rec.events if e["type"] == "decision"}
+    assert any(e["type"] == "blocking_applied" for e in rec.events)
+    day1 = [{a: v for a, v in d.items() if v[0] == 1} for d in decided.values()]
+    assert day1[0] == day1[1] and day1[0]
+    common = decided["none"].keys() & decided["blocking"].keys()
+    assert len(common) > 20
+    assert all(decided["none"][a][1:] == decided["blocking"][a][1:] for a in common)
+
+
+def test_share_uniforms_are_uniform_over_agents_and_attempt_seeds():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    over_agents = (stub_bits(3, NEWS.news_id, np.arange(100_000)) >> np.uint64(11)) * 2.0**-53
+    assert scipy_stats.kstest(over_agents, "uniform").pvalue > 0.001
+    seeds = [derive_seed(7, "decide", 0, NEWS.news_id, attempt) for attempt in range(20_000)]
+    over_seeds = [int(stub_bits(s, NEWS.news_id, [0])[0] >> np.uint64(11)) * 2.0**-53
+                  for s in seeds]
+    assert scipy_stats.kstest(over_seeds, "uniform").pvalue > 0.001
+
+
+def test_comment_index_uses_bits_disjoint_from_the_share_uniform():
+    agents = np.arange(20_000)
+    policy = StubPolicy(StubParams(intercept=0.0), rng_seed=5)  # p = 0.5 at mean traits
+    cohort = [persona_at(agent_id=a) for a in agents]
+    batch = DecisionBatch(news=NEWS, day=1, agents=agents, template_id="commenting",
+                          peer_comments=lambda a: ())
+    out = policy.decide_many(batch, cohort)
+    bits = stub_bits(5, NEWS.news_id, agents)
+    assert np.array_equal(out.share, (bits >> np.uint64(11)) * 2.0**-53 < 0.5)
+    picks = ((bits & np.uint64(0x7FF)) % np.uint64(len(_STUB_COMMENTS))).tolist()
+    expected = [_STUB_COMMENTS[k] if s else None for k, s in zip(picks, out.share.tolist())]
+    assert out.comment == expected
+    # the low 11 bits carry no share information: flipping them keeps every share
+    flipped = ((bits ^ np.uint64(0x7FF)) >> np.uint64(11)) * 2.0**-53 < 0.5
+    assert np.array_equal(flipped, out.share)
 
 
 def test_stub_params_reject_unknown_keys():
