@@ -34,16 +34,6 @@ from .ingest import ExperimentConfig, NewsItem, config_snapshot
 from .netgen import Network
 
 
-@dataclass(frozen=True)
-class InterventionSpec:
-    kind: str = "none"
-    trigger_threshold: float = 0.10
-    block_fraction: float = 0.20
-    # what block_fraction is a fraction of: every agent (default, capped by
-    # the candidate pool) or the candidate pool itself
-    block_denominator: str = "all_agents"
-
-
 @dataclass(eq=False)
 class DiffusionState:
     """Mutable per-run ledger: one numpy column per agent attribute.
@@ -55,6 +45,7 @@ class DiffusionState:
     day_shared[v]   day v shared, -1 if it has not
     blocked[v]      removed by the blocking intervention
     comments        the comment of each sharer that left one
+    transcripts     the LLM transcript cache key of each decider that has one
     """
 
     n: int
@@ -67,6 +58,7 @@ class DiffusionState:
     day_shared: np.ndarray = field(init=False)
     blocked: np.ndarray = field(init=False)
     comments: dict[int, str] = field(init=False, default_factory=dict)
+    transcripts: dict[int, str] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.day_reached = np.full(self.n, -1, dtype=np.int32)
@@ -102,17 +94,29 @@ class DiffusionState:
         return int(np.count_nonzero(self.decision == 1)) / self.n
 
 
-RECORD_FORMAT = 2
+RECORD_FORMAT = 3
+AGENT_COLUMNS = ("reach_day", "reached_by", "decision")
+
+
+def _field(d, *path):
+    """d[path[0]][path[1]]...; a ValueError names the path a record lacks."""
+    for key in path:
+        if not isinstance(d, dict) or key not in d:
+            raise ValueError(f"run record has no {'.'.join(path)!r}")
+        d = d[key]
+    return d
 
 
 @dataclass
 class RunRecord:
     """Replayable result of one seeded run.
 
-    Its size grows with the number of agents, not edges: per-agent columns
-    (see DiffusionState) plus seed, decision and intervention events. Repeat
-    deliveries are not stored; they follow from the network's adjacency, the
-    decisions and the blocking_applied event.
+    Its size grows with the number of agents, not edges: the per-agent
+    columns reach_day, reached_by and decision (see DiffusionState), the
+    comments and LLM transcript keys by agent id, and the seed and
+    intervention events. A decider decided on the day after its reach_day.
+    Repeat deliveries are not stored; they follow from the network's
+    adjacency, the decisions and the blocking_applied event.
     """
 
     meta: dict
@@ -120,13 +124,12 @@ class RunRecord:
     forwarded_prop: list[float]
     reach_day: list[int]
     reached_by: list[int]
+    decision: list[int]
+    comments: dict[int, str]
+    transcripts: dict[int, str]
     events: list[dict]
     effective: bool
     taints: list[str]
-
-    @property
-    def tainted(self) -> bool:
-        return bool(self.taints)
 
     def first_reached_by_day(self) -> dict[int, set[int]]:
         layers: dict[int, set[int]] = {}
@@ -143,7 +146,9 @@ class RunRecord:
                 "reached_prop": self.reached_prop,
                 "forwarded_prop": self.forwarded_prop,
             },
-            "agents": {"reach_day": self.reach_day, "reached_by": self.reached_by},
+            "agents": {name: getattr(self, name) for name in AGENT_COLUMNS},
+            "comments": self.comments,
+            "transcripts": self.transcripts,
             "events": self.events,
             "effective": self.effective,
             "taints": self.taints,
@@ -154,20 +159,28 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        found = d.get("format")
+        """Read a format-3 record; a ValueError names what is missing or malformed."""
+        found = d.get("format") if isinstance(d, dict) else None
         if found != RECORD_FORMAT:
             raise ValueError(
                 f"run record format {found!r} is not supported (expected {RECORD_FORMAT})"
             )
+        columns = {name: list(_field(d, "agents", name)) for name in AGENT_COLUMNS}
+        n = len(columns["reach_day"])
+        for name, column in columns.items():
+            if len(column) != n:
+                raise ValueError(f"run record column agents.{name} has {len(column)} "
+                                 f"entries, agents.reach_day has {n}")
         return cls(
-            meta=d["meta"],
-            reached_prop=list(d["series"]["reached_prop"]),
-            forwarded_prop=list(d["series"]["forwarded_prop"]),
-            reach_day=list(d["agents"]["reach_day"]),
-            reached_by=list(d["agents"]["reached_by"]),
-            events=list(d["events"]),
-            effective=d["effective"],
-            taints=list(d["taints"]),
+            meta=_field(d, "meta"),
+            reached_prop=list(_field(d, "series", "reached_prop")),
+            forwarded_prop=list(_field(d, "series", "forwarded_prop")),
+            **columns,
+            comments={int(a): c for a, c in _field(d, "comments").items()},
+            transcripts={int(a): k for a, k in _field(d, "transcripts").items()},
+            events=list(_field(d, "events")),
+            effective=_field(d, "effective"),
+            taints=list(_field(d, "taints")),
         )
 
     @classmethod
@@ -196,11 +209,11 @@ def _peer_comments(state: DiffusionState, net: Network, agent: int) -> tuple[str
     return tuple(state.comments[u] for u in senders.tolist() if u in state.comments)
 
 
-def _batch(state, net, agents, news, intervention) -> policy_mod.DecisionBatch:
-    accuracy_notice = intervention.kind == "accuracy" and state.accuracy_triggered
+def _batch(state, net, agents, news, config) -> policy_mod.DecisionBatch:
+    accuracy_notice = config.intervention_kind == "accuracy" and state.accuracy_triggered
     if accuracy_notice:
         template_id = "accuracy"
-    elif intervention.kind == "commenting":
+    elif config.intervention_kind == "commenting":
         template_id = "commenting"
     else:
         template_id = "none"
@@ -220,17 +233,7 @@ def _deliver(state: DiffusionState, net: Network, sharers: np.ndarray, day: int)
     `sharers` is ascending, so the first delivery to a new agent, and its
     reached_by, comes from the lowest-id neighbour sharing that day.
     """
-    indptr, indices = net.csr()
-    starts = indptr[sharers]
-    counts = indptr[sharers + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return
-    # positions of every sharer's neighbours in `indices`, sharer by sharer
-    ends = np.cumsum(counts)
-    offsets = np.arange(total) + np.repeat(starts - (ends - counts), counts)
-    targets = indices[offsets]
-    senders = np.repeat(sharers, counts)
+    senders, targets = net.neighbours(sharers)
     fresh = (state.day_reached[targets] < 0) & ~state.blocked[targets]
     reached, first = np.unique(targets[fresh], return_index=True)
     state.day_reached[reached] = day
@@ -243,40 +246,26 @@ def step_day(
     personas: list[persona_mod.AgentPersona],
     news: NewsItem,
     policy,
-    intervention: InterventionSpec,
-    events: list[dict],
+    config: ExperimentConfig,
     taints: list[str],
 ) -> DiffusionState:
-    """Advance one day: pending agents decide, spreaders deliver, new agents queue."""
+    """Advance one day: pending agents decide, spreaders deliver, new agents queue.
+
+    The day's deciders go to `policy.decide_many` as one batch; their
+    decisions, sharers' comments and transcript keys land in `state`, and a
+    decision whose reply could not be parsed adds a taint.
+    """
     day = state.day + 1
     agents = state.frontier()
     if agents.size:
-        batch = _batch(state, net, agents, news, intervention)
-        decide_many = getattr(policy, "decide_many", None)
-        if decide_many is not None:
-            out = decide_many(batch, personas)
-        else:
-            out = policy_mod.decide_each(policy, batch, personas)
-        for agent, share, kind, transcript, comment, rationale, failed in zip(
-            agents.tolist(), out.share.tolist(), out.policy, out.transcript, out.comment,
-            out.rationale, out.parse_failure,
-        ):
-            events.append(
-                {
-                    "type": "decision",
-                    "day": day,
-                    "agent": agent,
-                    "share": share,
-                    "policy": kind,
-                    "transcript": transcript,
-                    "comment": comment,
-                    "rationale": rationale,
-                }
-            )
-            if failed:
-                taints.append(f"parse_failure day={day} agent={agent}")
-            if share and comment is not None:
-                state.comments[agent] = comment
+        out = policy.decide_many(_batch(state, net, agents, news, config), personas)
+        ids = agents.tolist()
+        for i in np.flatnonzero(out.share).tolist():
+            if out.comment[i] is not None:
+                state.comments[ids[i]] = out.comment[i]
+        state.transcripts.update((a, k) for a, k in zip(ids, out.transcript) if k is not None)
+        taints.extend(f"parse_failure day={day} agent={ids[i]}"
+                      for i in np.flatnonzero(out.parse_failure).tolist())
         state.decision[agents] = out.share
         sharers = agents[out.share]
         state.day_shared[sharers] = day
@@ -339,14 +328,13 @@ def apply_blocking_intervention(
     return state
 
 
-def _evaluate_triggers(state, net, personas, intervention, events):
-    if intervention.kind == "accuracy":
-        apply_accuracy_intervention(state, intervention.trigger_threshold, events)
-    elif intervention.kind == "blocking":
+def _evaluate_triggers(state, net, personas, config: ExperimentConfig, events):
+    if config.intervention_kind == "accuracy":
+        apply_accuracy_intervention(state, config.trigger_threshold, events)
+    elif config.intervention_kind == "blocking":
         apply_blocking_intervention(
-            state, net, personas, intervention.trigger_threshold,
-            intervention.block_fraction, events,
-            block_denominator=intervention.block_denominator,
+            state, net, personas, config.trigger_threshold, config.block_fraction, events,
+            block_denominator=config.block_denominator,
         )
 
 
@@ -361,12 +349,6 @@ def run(
     """Execute one seeded run of `config.days` days and return its full record."""
     if len(personas) != net.n:
         raise ValueError(f"cohort size {len(personas)} != network size {net.n}")
-    intervention = InterventionSpec(
-        kind=config.intervention_kind,
-        trigger_threshold=config.trigger_threshold,
-        block_fraction=config.block_fraction,
-        block_denominator=config.block_denominator,
-    )
     source = select_source(net)
     state = initial_state(net, source)
     events: list[dict] = [{"type": "seed", "day": 0, "agent": source}]
@@ -374,15 +356,15 @@ def run(
 
     reached_prop = [state.reached_prop()]
     forwarded_prop = [state.forwarded_prop()]
-    _evaluate_triggers(state, net, personas, intervention, events)
+    _evaluate_triggers(state, net, personas, config, events)
 
     for _ in range(config.days):
         if not state.frontier().size:  # idle days change nothing and cannot newly fire a trigger
             break
-        step_day(state, net, personas, news, policy, intervention, events, taints)
+        step_day(state, net, personas, news, policy, config, taints)
         reached_prop.append(state.reached_prop())
         forwarded_prop.append(state.forwarded_prop())
-        _evaluate_triggers(state, net, personas, intervention, events)
+        _evaluate_triggers(state, net, personas, config, events)
     idle = config.days + 1 - len(reached_prop)
     reached_prop += reached_prop[-1:] * idle
     forwarded_prop += forwarded_prop[-1:] * idle
@@ -400,6 +382,9 @@ def run(
         forwarded_prop=forwarded_prop,
         reach_day=state.reach_day,
         reached_by=state.reached_by,
+        decision=state.decision.tolist(),
+        comments=state.comments,
+        transcripts=state.transcripts,
         events=events,
         effective=bool(state.decision[source] == 1),
         taints=taints,

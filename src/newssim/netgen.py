@@ -80,6 +80,18 @@ class Network:
             object.__setattr__(self, "_csr", csr)
         return csr
 
+    def neighbours(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(owners, nbrs): every neighbour of each of `nodes`, node by node in
+        the given order and ascending within a node; owners[i] is the node
+        whose neighbour nbrs[i] is."""
+        indptr, indices = self.csr()
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        # a gathered neighbour's position in `indices` is its node's start
+        # plus its rank among that node's neighbours
+        ranks = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        return np.repeat(nodes, counts), indices[np.repeat(starts, counts) + ranks]
+
     def degrees(self) -> np.ndarray:
         """Read-only degree array; built on first use, then shared."""
         deg = self.__dict__.get("_degrees")
@@ -252,21 +264,17 @@ def generate(kind: str, params: dict, seed: int) -> Network:
 
 
 def is_connected(net: Network) -> bool:
+    """Breadth-first search from node 0, one frontier at a time."""
     if net.n == 0:
         return True
-    adj = net.adjacency()
-    seen = [False] * net.n
-    stack = [0]
+    seen = np.zeros(net.n, dtype=bool)
     seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == net.n
+    frontier = np.array([0])
+    while frontier.size:
+        _, nbrs = net.neighbours(frontier)
+        frontier = np.unique(nbrs[~seen[nbrs]])
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def density(net: Network) -> float:

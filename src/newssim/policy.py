@@ -108,18 +108,18 @@ class DecisionOutcome:
     # live and cache-replayed executions (None for the stub)
     transcript_key: str | None = None
 
-    def policy_kind(self) -> str:
-        return "llm" if self.source.startswith("llm") else self.source
-
 
 @dataclass(frozen=True)
 class Decisions:
-    """Outcomes of one DecisionBatch as columns, in the batch's agent order."""
+    """Outcomes of one DecisionBatch as columns, in the batch's agent order.
+
+    `transcript` holds the cache key of each LLM decision's transcript
+    (None for the stub); a rationale, when the reply gave one, is parsed
+    back out of that transcript rather than carried here.
+    """
 
     share: np.ndarray  # bool
     comment: list[str | None]
-    rationale: list[str | None]
-    policy: list[str]
     transcript: list[str | None]
     parse_failure: list[bool]
 
@@ -128,8 +128,6 @@ class Decisions:
         return cls(
             share=np.array([bool(o.share) for o in outcomes], dtype=bool),
             comment=[o.comment for o in outcomes],
-            rationale=[o.rationale for o in outcomes],
-            policy=[o.policy_kind() for o in outcomes],
             transcript=[o.transcript_key for o in outcomes],
             parse_failure=[o.parse_failure for o in outcomes],
         )
@@ -138,8 +136,9 @@ class Decisions:
 def decide_each(policy, batch: DecisionBatch, personas) -> Decisions:
     """Decide a batch one agent at a time through `policy.decide`.
 
-    Runs on up to `policy.concurrency` threads, so it serves any policy that
-    defines only `decide`. A PolicyError is re-raised naming the day and agent.
+    Runs on up to `policy.concurrency` threads. A policy that decides one
+    agent at a time sets `decide_many = decide_each`. A PolicyError is
+    re-raised naming the day and agent.
     """
     agents = batch.agents.tolist()
 
@@ -238,14 +237,8 @@ def _decide_stub_columns(z_e, z_o, agents, news_id, template_id, accuracy_notice
         picks = (bits & np.uint64(0x7FF)) % np.uint64(len(_STUB_COMMENTS))
         for i in np.flatnonzero(share).tolist():
             comment[i] = _STUB_COMMENTS[int(picks[i])]
-    return Decisions(
-        share=share,
-        comment=comment,
-        rationale=[f"p_share={p:.4f}" for p in prob.tolist()],
-        policy=["stub"] * len(share),
-        transcript=[None] * len(share),
-        parse_failure=[False] * len(share),
-    )
+    return Decisions(share=share, comment=comment, transcript=[None] * len(share),
+                     parse_failure=[False] * len(share))
 
 
 def decide_stub(
@@ -263,7 +256,7 @@ def decide_stub(
     return DecisionOutcome(
         share=share,
         comment=d.comment[0],
-        rationale=d.rationale[0],
+        rationale=None,
         raw_response=f"DECISION: {'SHARE' if share else 'IGNORE'}",
         source="stub",
     )
@@ -566,8 +559,7 @@ class LlmPolicy:
         self.cache.put(key, self.settings.model, prompt, attempt, text)
         return text, "llm_live", key
 
-    def decide_many(self, batch: DecisionBatch, personas) -> Decisions:
-        return decide_each(self, batch, personas)
+    decide_many = decide_each
 
     def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
         prompt = render_prompt(req, persona_mod.render_persona_text(persona),

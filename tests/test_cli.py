@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,25 @@ def test_cli_import_skips_libraries_only_some_commands_use():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_perfbench_tracer_wraps_a_stub_run(tmp_path, news_path):
+    """The benchmark's tracer finds every function it wraps by name."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(SMALL_CFG.format(reps=1, news=news_path, news_limit=1)
+                   .replace("n: 60", "n: 40"), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    trace = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, str(tracer), "--trace-out", str(trace), "--",
+         "run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    assert {"engine.run", "netgen.generate", "engine.to_json"} <= spans.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +358,50 @@ def test_stats_reads_only_plan_cells(tmp_path, small_config):
     assert (out / "summary.json").read_bytes() == summary
 
 
-def test_stats_refuses_old_record_format(tmp_path, small_config, capsys):
+def _drop(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+def _set_format(version):
+    return lambda doc: doc.update(format=version)
+
+
+def _shorten(column):
+    return lambda doc: doc["agents"][column].pop()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("format"), "format None is not supported"),
+    (_set_format(1), "format 1 is not supported"),
+    (_set_format(2), "format 2 is not supported"),
+    (_drop("agents"), "no 'agents.reach_day'"),
+    (_drop("agents", "decision"), "no 'agents.decision'"),
+    (_drop("series", "forwarded_prop"), "no 'series.forwarded_prop'"),
+    (_drop("comments"), "no 'comments'"),
+    (_drop("transcripts"), "no 'transcripts'"),
+    (_drop("taints"), "no 'taints'"),
+    (_shorten("reached_by"), "agents.reached_by has 59 entries, agents.reach_day has 60"),
+    (_shorten("decision"), "agents.decision has 59 entries, agents.reach_day has 60"),
+], ids=["no-format", "format-1", "format-2", "no-agents", "no-decision", "no-series-column",
+        "no-comments", "no-transcripts", "no-taints", "short-reached_by", "short-decision"])
+def test_stats_refuses_old_record_format(tmp_path, small_config, capsys, edit, message):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=1)),
                      "--out", str(out)]) == 0
     path = next((out / "runs").glob("*.json"))
     doc = json.loads(path.read_text())
-    del doc["format"]
+    edit(doc)
     path.write_text(json.dumps(doc, indent=2))
     capsys.readouterr()
     assert cli.main(["stats", "--results", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert path.name in err and "format None" in err
-    doc["format"] = 1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="format 1 is not supported"):
+    assert err.startswith(f"error: {path}: ") and message in err
+    with pytest.raises(ValueError, match=re.escape(message)):
         engine.RunRecord.from_json(path.read_text())
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from newssim import engine as engine_mod
 from newssim import persona as persona_mod
 from newssim.engine import (
     DiffusionState,
-    InterventionSpec,
     RunRecord,
     apply_accuracy_intervention,
     apply_blocking_intervention,
@@ -21,7 +21,7 @@ from newssim.engine import (
 )
 from newssim.ingest import ExperimentConfig, NewsItem
 from newssim.netgen import Network, gen_random
-from newssim.policy import DecisionOutcome, StubParams, StubPolicy
+from newssim.policy import DecisionOutcome, StubParams, StubPolicy, decide_each
 
 NEWS = NewsItem(news_id="n-1", title="headline", body="body", veracity="fake")
 
@@ -49,6 +49,7 @@ class ScriptedPolicy:
     """share per agent id; defaults to False."""
 
     concurrency = 1
+    decide_many = decide_each
 
     def __init__(self, shares):
         self.shares = shares
@@ -152,8 +153,9 @@ def test_triangle_hand_trace():
     rec = run(config(days=3), tri, personas, NEWS, policy)
     assert rec.reached_prop == [pytest.approx(1 / 3), 1.0, 1.0, 1.0]
     assert rec.forwarded_prop == [0.0] + [pytest.approx(1 / 3)] * 3
-    decisions = [e for e in rec.events if e["type"] == "decision"]
-    assert [(e["agent"], e["share"]) for e in decisions] == [(0, True), (1, False), (2, False)]
+    assert rec.decision == [1, 0, 0]
+    assert rec.reach_day == [0, 1, 1]  # so 0 decided on day 1, and 1 and 2 on day 2
+    assert rec.comments == {} and rec.transcripts == {}
 
 
 def test_two_clique_bridge_reaches_at_eccentricity():
@@ -206,9 +208,18 @@ def test_reach_columns_match_first_delivery(net, seed, intercept, intervention):
               StubPolicy(StubParams(intercept=intercept), rng_seed=seed))
     adj = net.adjacency()
     source = rec.meta["source_agent"]
-    shared_on = {e["agent"]: e["day"] for e in rec.events
-                 if e["type"] == "decision" and e["share"]}
-    assert len(rec.reach_day) == len(rec.reached_by) == net.n
+    # an agent decides on the day after it was reached
+    shared_on = {v: rec.reach_day[v] + 1 for v in range(net.n) if rec.decision[v] == 1}
+    assert len(rec.reach_day) == len(rec.reached_by) == len(rec.decision) == net.n
+    assert all(rec.reach_day[v] >= 0 for v in range(net.n) if rec.decision[v] >= 0)
+    assert len(shared_on) / net.n == rec.forwarded_prop[-1]
+    assert all(rec.decision[v] == 1 for v in rec.comments)
+    assert rec.effective == (rec.decision[source] == 1)
+    assert rec.transcripts == {}
+    assert rec.events[0]["type"] == "seed"
+    assert [e["type"] for e in rec.events[1:]] in ([], ["accuracy_triggered"],
+                                                    ["blocking_applied"])
+    assert RunRecord.from_json(rec.to_json()) == rec
     assert (rec.reach_day[source], rec.reached_by[source]) == (0, -1)
     for v in range(net.n):
         day, sender = rec.reach_day[v], rec.reached_by[v]
@@ -245,21 +256,21 @@ def test_skipping_idle_days_matches_stepping_every_day(net, seed, intercept, int
     rec = run(cfg, net, personas, NEWS, policy)
 
     # reference: step all cfg.days days, idle ones included
-    spec = InterventionSpec(kind=intervention, trigger_threshold=threshold)
     state = initial_state(net, select_source(net))
     events = [{"type": "seed", "day": 0, "agent": rec.meta["source_agent"]}]
     taints = []
     reached, forwarded = [state.reached_prop()], [state.forwarded_prop()]
-    engine_mod._evaluate_triggers(state, net, personas, spec, events)
+    engine_mod._evaluate_triggers(state, net, personas, cfg, events)
     for _ in range(cfg.days):
-        step_day(state, net, personas, NEWS, policy, spec, events, taints)
+        step_day(state, net, personas, NEWS, policy, cfg, taints)
         reached.append(state.reached_prop())
         forwarded.append(state.forwarded_prop())
-        engine_mod._evaluate_triggers(state, net, personas, spec, events)
+        engine_mod._evaluate_triggers(state, net, personas, cfg, events)
 
     assert (rec.reached_prop, rec.forwarded_prop) == (reached, forwarded)
     assert (rec.events, rec.taints) == (events, taints)
     assert (rec.reach_day, rec.reached_by) == (state.reach_day, state.reached_by)
+    assert (rec.decision, rec.comments) == (state.decision.tolist(), state.comments)
 
 
 def test_series_monotone_and_ordered():
@@ -279,11 +290,41 @@ def test_series_monotone_and_ordered():
 
 
 def test_single_decision_per_agent():
+    asked = []
+
+    class Spy(StubPolicy):
+        def decide_many(self, batch, personas):
+            asked.extend(batch.agents.tolist())
+            return super().decide_many(batch, personas)
+
     net = gen_random(60, 0.1, seed=4)
     personas = persona_mod.sample_personas(60, rng_seed=4)
-    rec = run(config(days=7), net, personas, NEWS, StubPolicy(rng_seed=8))
-    deciders = [e["agent"] for e in rec.events if e["type"] == "decision"]
-    assert len(deciders) == len(set(deciders))
+    rec = run(config(days=7), net, personas, NEWS, Spy(rng_seed=8))
+    deciders = [v for v, d in enumerate(rec.decision) if d >= 0]
+    assert len(deciders) > 1  # not vacuous
+    assert sorted(asked) == deciders  # each decider was asked exactly once
+
+
+def test_comments_transcripts_and_taints_come_from_the_decision_columns():
+    class Scripted(ScriptedPolicy):
+        def decide(self, req, persona):
+            a = persona.agent_id
+            return DecisionOutcome(
+                share=a in (0, 2), comment=f"c{a}" if a in (0, 1) else None, rationale=None,
+                raw_response="", source="llm_live", parse_failure=a == 3,
+                transcript_key=None if a == 4 else f"k{a}",
+            )
+
+    personas = persona_mod.sample_personas(6, rng_seed=0)
+    rec = run(config(days=3, intervention="commenting"), star(6), personas, NEWS, Scripted({}))
+    assert rec.decision == [1, 0, 1, 0, 0, 0]
+    assert rec.comments == {0: "c0"}  # agent 1 ignored, so its comment is dropped
+    assert rec.transcripts == {0: "k0", 1: "k1", 2: "k2", 3: "k3", 5: "k5"}
+    assert rec.taints == ["parse_failure day=2 agent=3"]
+    doc = json.loads(rec.to_json())
+    assert (doc["format"], doc["comments"], doc["agents"]["decision"]) == (
+        3, {"0": "c0"}, [1, 0, 1, 0, 0, 0])
+    assert RunRecord.from_json(rec.to_json()) == rec
 
 
 def test_replay_byte_identical():
@@ -381,9 +422,11 @@ def test_blocking_blocks_exactly_quota():
     assert all(rec.reach_day[a] <= day_blocked for a in blocked)
     # ... nor first reaches anyone after it
     assert not {rec.reached_by[v] for v in reached_after} & blocked
-    for e in rec.events:
-        if e["type"] == "decision" and e["day"] > day_blocked:
-            assert e["agent"] not in blocked
+    # an agent decides the day after it was reached
+    deciding_after = [v for v, d in enumerate(rec.decision)
+                      if d >= 0 and rec.reach_day[v] + 1 > day_blocked]
+    assert deciding_after
+    assert not set(deciding_after) & blocked
 
 
 def test_blocking_candidates_ranked_by_degree_then_id():
@@ -459,7 +502,7 @@ def test_blocking_drops_pending_and_inbox():
             asked.append(persona.agent_id)
             return super().decide(req, persona)
 
-    step_day(state, net, personas, NEWS, Spy({}), InterventionSpec("commenting"), [], [])
+    step_day(state, net, personas, NEWS, Spy({}), config(intervention="commenting"), [])
     assert asked == []
     assert state.blocking_applied
 
@@ -468,7 +511,6 @@ def test_conservation_each_day():
     net = gen_random(150, 0.07, seed=11)
     personas = persona_mod.sample_personas(150, rng_seed=11)
     cfg = config(days=7, intervention="blocking")
-    spec = InterventionSpec("blocking", cfg.trigger_threshold, cfg.block_fraction)
     state = initial_state(net, select_source(net))
     events, taints = [], []
     # the first decision seed from 14 on whose run applies the block (any
@@ -482,12 +524,12 @@ def test_conservation_each_day():
     for _ in range(7):
         reached_before = state.day_reached >= 0
         days_after_block += bool(state.blocked.any())
-        step_day(state, net, personas, NEWS, policy, spec, events, taints)
+        step_day(state, net, personas, NEWS, policy, cfg, taints)
         reached = state.day_reached >= 0
         # no blocked agent entered the reached set after blocking was applied
         assert not (reached & ~reached_before & state.blocked).any()
-        apply_blocking_intervention(state, net, personas, spec.trigger_threshold,
-                                    spec.block_fraction, events)
+        apply_blocking_intervention(state, net, personas, cfg.trigger_threshold,
+                                    cfg.block_fraction, events)
         # blocked agents decide nothing, from the block day on
         assert not state.blocked[state.frontier()].any()
         assert np.count_nonzero(reached) == round(state.reached_prop() * 150)
@@ -500,12 +542,11 @@ def test_conservation_each_day():
 def test_status_union_matches_reached_without_blocking():
     net = gen_random(100, 0.08, seed=12)
     personas = persona_mod.sample_personas(100, rng_seed=12)
-    spec = InterventionSpec("none")
+    cfg = config(intervention="none")
     state = initial_state(net, select_source(net))
-    events, taints = [], []
     policy = StubPolicy(rng_seed=20)
     for _ in range(7):
-        step_day(state, net, personas, NEWS, policy, spec, events, taints)
+        step_day(state, net, personas, NEWS, policy, cfg, [])
         union = set(state.pending) | set(np.flatnonzero(state.decision >= 0).tolist())
         assert union == set(np.flatnonzero(state.day_reached >= 0).tolist())
 

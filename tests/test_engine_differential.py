@@ -4,7 +4,9 @@
 and sharing agents, and one inbox per agent. `OldDrawStub` is the 0.2.0 stub
 draw, one SHA-256 per (agent, news), which the engine reaches through the
 per-agent `decide_each` path. Under the same decisions both engines must
-write byte-identical records and ask the policy the same requests.
+write byte-identical records and ask the policy the same requests. The
+oracle logs one event per decision, as the 0.2.0 records did, and its
+record assembly turns them into the format-3 columns.
 """
 
 import math
@@ -13,9 +15,15 @@ import pytest
 
 from newssim import engine, ingest, persona
 from newssim.cli import connected_network
-from newssim.engine import InterventionSpec, RunRecord, blocking_candidates
+from newssim.engine import RunRecord, blocking_candidates
 from newssim.ingest import NewsItem, config_snapshot
-from newssim.policy import _STUB_COMMENTS, DecisionOutcome, DecisionRequest, StubParams
+from newssim.policy import (
+    _STUB_COMMENTS,
+    DecisionOutcome,
+    DecisionRequest,
+    StubParams,
+    decide_each,
+)
 from newssim.seeding import derive_seed
 
 NEWS = NewsItem(news_id="n-1", title="headline", body="body", veracity="fake")
@@ -25,6 +33,7 @@ class OldDrawStub:
     """The 0.2.0 stub: share when the (agent, news) hash's top 53 bits fall below p."""
 
     concurrency = 1
+    decide_many = decide_each
 
     def __init__(self, params, rng_seed):
         self.params, self.rng_seed = params, rng_seed
@@ -68,31 +77,30 @@ class _State:
         self.accuracy_triggered = self.blocking_applied = False
 
 
-def _oracle_request(state, agent, intervention):
+def _oracle_request(state, agent, cfg):
     peer_comments, template_id = None, "none"
-    if intervention.kind == "commenting":
+    if cfg.intervention_kind == "commenting":
         template_id = "commenting"
         peer_comments = tuple(c for (_, _, c) in sorted(state.inbox[agent], key=lambda d: d[:2])
                               if c is not None)
-    notice = intervention.kind == "accuracy" and state.accuracy_triggered
+    notice = cfg.intervention_kind == "accuracy" and state.accuracy_triggered
     if notice:
         template_id = "accuracy"
     return DecisionRequest(news=NEWS, day=state.day + 1, template_id=template_id,
                            peer_comments=peer_comments, accuracy_notice=notice)
 
 
-def _oracle_step(state, net, personas, policy, intervention, events):
+def _oracle_step(state, net, personas, policy, cfg, events):
     day = state.day + 1
     deciders = sorted(state.pending)
-    requests = {a: _oracle_request(state, a, intervention) for a in deciders}
+    requests = {a: _oracle_request(state, a, cfg) for a in deciders}
     outcomes = {a: policy.decide(requests[a], personas[a]) for a in deciders}
     adj = net.adjacency()
     spreading = []
     for agent in deciders:
         out = outcomes[agent]
         events.append({"type": "decision", "day": day, "agent": agent, "share": out.share,
-                       "policy": out.policy_kind(), "transcript": out.transcript_key,
-                       "comment": out.comment, "rationale": out.rationale})
+                       "transcript": out.transcript_key, "comment": out.comment})
         if out.share:
             state.spreaders.add(agent)
             spreading.append((agent, out.comment))
@@ -109,14 +117,15 @@ def _oracle_step(state, net, personas, policy, intervention, events):
     state.day = day
 
 
-def _oracle_triggers(state, net, personas, spec, events):
+def _oracle_triggers(state, net, personas, cfg, events):
     prop = len(state.reached) / state.n
-    if spec.kind == "accuracy" and not state.accuracy_triggered and prop >= spec.trigger_threshold:
+    kind, threshold = cfg.intervention_kind, cfg.trigger_threshold
+    if kind == "accuracy" and not state.accuracy_triggered and prop >= threshold:
         state.accuracy_triggered = True
         events.append({"type": "accuracy_triggered", "day": state.day})
-    if spec.kind == "blocking" and not state.blocking_applied and prop >= spec.trigger_threshold:
+    if kind == "blocking" and not state.blocking_applied and prop >= threshold:
         state.blocking_applied = True
-        to_block = blocking_candidates(net, personas)[:math.ceil(spec.block_fraction * state.n)]
+        to_block = blocking_candidates(net, personas)[:math.ceil(cfg.block_fraction * state.n)]
         for agent in to_block:
             state.blocked.add(agent)
             state.pending.discard(agent)
@@ -125,24 +134,33 @@ def _oracle_triggers(state, net, personas, spec, events):
 
 
 def oracle_run(cfg, net, personas, policy) -> RunRecord:
-    spec = InterventionSpec(kind=cfg.intervention_kind, trigger_threshold=cfg.trigger_threshold,
-                            block_fraction=cfg.block_fraction)
     deg = [len(a) for a in net.adjacency()]
     source = max(range(net.n), key=lambda u: (deg[u], -u))
     state = _State(net.n, source)
     events = [{"type": "seed", "day": 0, "agent": source}]
     reached, forwarded = [1 / net.n], [0.0]
-    _oracle_triggers(state, net, personas, spec, events)
+    _oracle_triggers(state, net, personas, cfg, events)
     for _ in range(cfg.days):
-        _oracle_step(state, net, personas, policy, spec, events)
+        _oracle_step(state, net, personas, policy, cfg, events)
         reached.append(len(state.reached) / net.n)
         forwarded.append(len(state.spreaders) / net.n)
-        _oracle_triggers(state, net, personas, spec, events)
+        _oracle_triggers(state, net, personas, cfg, events)
     meta = {"config": config_snapshot(cfg), "news_id": NEWS.news_id, "source_agent": source,
             "policy": policy.identity(), "labels": {}}
-    return RunRecord(meta=meta, reached_prop=reached, forwarded_prop=forwarded,
-                     reach_day=state.reach_day, reached_by=state.reached_by, events=events,
-                     effective=source in state.spreaders, taints=[])
+    decisions = [e for e in events if e["type"] == "decision"]
+    decision = [-1] * net.n
+    for e in decisions:
+        decision[e["agent"]] = int(e["share"])
+    return RunRecord(
+        meta=meta, reached_prop=reached, forwarded_prop=forwarded,
+        reach_day=state.reach_day, reached_by=state.reached_by, decision=decision,
+        comments={e["agent"]: e["comment"] for e in decisions
+                  if e["share"] and e["comment"] is not None},
+        transcripts={e["agent"]: e["transcript"] for e in decisions
+                     if e["transcript"] is not None},
+        events=[e for e in events if e["type"] != "decision"],
+        effective=source in state.spreaders, taints=[],
+    )
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newssim import cli, netgen
 from newssim.netgen import (
@@ -101,6 +103,34 @@ def test_adjacency_and_degrees_built_once_and_read_only():
     # the memo is not a field: equality and hashing still see only the graph
     twin = Network(net.n, net.edges, net.kind, net.gen_seed)
     assert twin == net and hash(twin) == hash(net)
+
+
+@st.composite
+def graphs_and_nodes(draw):
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    net = net_from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    nodes = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return net, np.array(nodes, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_nodes())
+def test_neighbours_and_is_connected_match_adjacency_loops(graph):
+    net, nodes = graph
+    adj = net.adjacency()
+    owners, nbrs = net.neighbours(nodes)
+    assert list(zip(owners.tolist(), nbrs.tolist())) == [
+        (u, v) for u in nodes.tolist() for v in adj[u]]
+    # reference: depth-first search over the adjacency tuples
+    seen, stack = {0}, [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    assert is_connected(net) == (len(seen) == net.n)
 
 
 def test_adjacency_memo_under_concurrent_first_calls():

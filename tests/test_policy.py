@@ -186,10 +186,7 @@ def _cohort(n, seed=0):
 
 
 def _outcomes(decisions, agents):
-    return {
-        a: (s, c, r) for a, s, c, r in zip(agents, decisions.share.tolist(), decisions.comment,
-                                          decisions.rationale)
-    }
+    return {a: (s, c) for a, s, c in zip(agents, decisions.share.tolist(), decisions.comment)}
 
 
 @pytest.mark.parametrize("template_id", ["none", "commenting", "accuracy"])
@@ -205,7 +202,7 @@ def test_decide_many_is_independent_of_batch_order_and_split(template_id):
         return _outcomes(policy.decide_many(batch, cohort), list(agents))
 
     whole = decide(range(400))
-    assert 0 < sum(s for s, _, _ in whole.values()) < 400
+    assert 0 < sum(s for s, _ in whole.values()) < 400
     permuted = np.random.default_rng(1).permutation(400)
     assert decide(permuted) == whole
     assert {**decide(permuted[:137]), **decide(permuted[137:])} == whole
@@ -215,7 +212,7 @@ def test_decide_many_is_independent_of_batch_order_and_split(template_id):
     assert _outcomes(policy.decide_many(batch, list(cohort)), range(400)) == whole
     for a in (0, 7, 399):
         out = policy.decide(batch.request(a), cohort[a])
-        assert (out.share, out.comment, out.rationale) == whole[a]
+        assert (out.share, out.comment) == whole[a]
 
 
 def test_none_and_blocking_runs_share_their_decisions():
@@ -226,8 +223,9 @@ def test_none_and_blocking_runs_share_their_decisions():
         cfg = ExperimentConfig(intervention_kind=kind)
         rec = engine.run(cfg, net, cohort, NEWS, StubPolicy(StubParams(intercept=1.5),
                                                              rng_seed=5))
-        decided[kind] = {e["agent"]: (e["day"], e["share"], e["rationale"])
-                         for e in rec.events if e["type"] == "decision"}
+        # an agent decides on the day after it was reached
+        decided[kind] = {a: (rec.reach_day[a] + 1, share)
+                         for a, share in enumerate(rec.decision) if share >= 0}
     assert any(e["type"] == "blocking_applied" for e in rec.events)
     day1 = [{a: v for a, v in d.items() if v[0] == 1} for d in decided.values()]
     assert day1[0] == day1[1] and day1[0]

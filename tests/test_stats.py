@@ -19,6 +19,9 @@ def record(reached, forwarded, labels, effective=True):
         forwarded_prop=list(forwarded),
         reach_day=[],
         reached_by=[],
+        decision=[],
+        comments={},
+        transcripts={},
         events=[],
         effective=effective,
         taints=[],
