@@ -251,17 +251,10 @@ def _apply_overrides(cfg, args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_network(args) -> int:
-    params: dict = {"n": args.n}
-    if args.kind == "random":
-        if args.edge_prob is None:
-            params["edge_prob"] = 12.07 / (args.n - 1)
-        else:
-            params["edge_prob"] = args.edge_prob
-    elif args.kind == "scale_free":
-        params["attach_m"] = args.attach_m
-    else:
-        params["community_size"] = args.community_size
-        params["rewire_p"] = args.rewire_p
+    params = {**ingest.default_network_params(args.kind, args.n), "n": args.n}
+    flags = {"edge_prob": args.edge_prob, "attach_m": args.attach_m,
+             "community_size": args.community_size, "rewire_p": args.rewire_p}
+    params.update((k, v) for k, v in flags.items() if k in params and v is not None)
     net = connected_network(args.kind, params, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -313,14 +306,20 @@ def _execute_plan(args, groups, group_by: tuple):
     cfg = ingest.load_config(args.config)
     _apply_overrides(cfg, args)
     news_items = _news_for(cfg)
-    out_dir = Path(args.out)
-    cache = _open_cache(cfg)
     cells = [
         Cell(cell_cfg, item, rep, labels, f"{prefix}_rep{rep:03d}_news{_slug(item.news_id)}.json")
         for cell_cfg, labels, prefix in groups(cfg)
         for rep in range(cfg.replications)
         for item in news_items
     ]
+    by_file = {}
+    for cell in cells:
+        other = by_file.setdefault(cell.file, cell)
+        if other is not cell:
+            raise ValueError(f"news ids {other.news.news_id!r} and {cell.news.news_id!r} "
+                             f"would both write runs/{cell.file}")
+    out_dir = Path(args.out)
+    cache = _open_cache(cfg)
     prov = _provenance(cfg, cache)
     plan = {
         "provenance": prov,
@@ -367,11 +366,11 @@ def cmd_compare(args) -> int:
             net_params = (
                 cfg.network_params
                 if kind == cfg.network_kind
-                else ingest.default_network_params(kind, cfg.network_params.get("n", 300))
+                else ingest.default_network_params(kind, cfg.network_params["n"])
             )
             for intervention in cfg.compare_interventions:
                 cell_cfg = replace(cfg, network_kind=kind, network_params=net_params,
-                                   intervention_kind=intervention, cohort_size=None)
+                                   intervention_kind=intervention)
                 labels = {"network": kind, "intervention": intervention}
                 yield cell_cfg, labels, f"compare_{kind}_{intervention}"
 
@@ -454,9 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--edge-prob", type=float, default=None)
-    p.add_argument("--attach-m", type=int, default=6)
-    p.add_argument("--community-size", type=int, default=13)
-    p.add_argument("--rewire-p", type=float, default=0.7)
+    # unset network flags take the defaults `network.*` has in a config
+    p.add_argument("--attach-m", type=int, default=None)
+    p.add_argument("--community-size", type=int, default=None)
+    p.add_argument("--rewire-p", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_network)
 

@@ -107,6 +107,17 @@ def _field(d, *path):
     return d
 
 
+_ENTRY_TYPES = {"integers": (int,), "numbers": (int, float)}  # bools are neither
+
+
+def _list_of(d, kind: str, *path) -> list:
+    """The list at d's path; a ValueError names the column unless it holds only `kind`."""
+    column = _field(d, *path)
+    if not isinstance(column, list) or not all(type(v) in _ENTRY_TYPES[kind] for v in column):
+        raise ValueError(f"run record column {'.'.join(path)} is not a list of {kind}")
+    return column
+
+
 @dataclass
 class RunRecord:
     """Replayable result of one seeded run.
@@ -165,16 +176,18 @@ class RunRecord:
             raise ValueError(
                 f"run record format {found!r} is not supported (expected {RECORD_FORMAT})"
             )
-        columns = {name: list(_field(d, "agents", name)) for name in AGENT_COLUMNS}
+        columns = {name: _list_of(d, "integers", "agents", name) for name in AGENT_COLUMNS}
         n = len(columns["reach_day"])
         for name, column in columns.items():
             if len(column) != n:
                 raise ValueError(f"run record column agents.{name} has {len(column)} "
                                  f"entries, agents.reach_day has {n}")
+        if not set(columns["decision"]) <= {-1, 0, 1}:
+            raise ValueError("run record column agents.decision holds a value outside -1/0/1")
         return cls(
             meta=_field(d, "meta"),
-            reached_prop=list(_field(d, "series", "reached_prop")),
-            forwarded_prop=list(_field(d, "series", "forwarded_prop")),
+            reached_prop=_list_of(d, "numbers", "series", "reached_prop"),
+            forwarded_prop=_list_of(d, "numbers", "series", "forwarded_prop"),
             **columns,
             comments={int(a): c for a, c in _field(d, "comments").items()},
             transcripts={int(a): k for a, k in _field(d, "transcripts").items()},

@@ -6,26 +6,22 @@ Veracity is always explicit in the file, never inferred from content.
 
 Experiment configs are YAML. Every unset field takes a documented default that
 mirrors the standard protocol (7 simulated days, 10% intervention trigger,
-20% block fraction, stub policy). See config.example.yaml at the repo root
-for a fully annotated example.
+20% block fraction, stub policy), and a key outside the schema (CONFIG_KEYS)
+is refused. See config.example.yaml at the repo root for a fully annotated
+example.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from .netgen import NETWORK_KINDS
 
 VERACITIES = ("fake", "real")
 INTERVENTION_KINDS = ("none", "commenting", "accuracy", "blocking")
 POLICY_KINDS = ("stub", "llm")
-
-DEFAULT_DAYS = 7
-DEFAULT_TRIGGER_THRESHOLD = 0.10
-DEFAULT_BLOCK_FRACTION = 0.20
-DEFAULT_REPLICATIONS = 20
-DEFAULT_BODY_CHAR_BUDGET = 1200
 
 
 class NewsFormatError(ValueError):
@@ -97,20 +93,30 @@ def truncate_body(body: str, char_budget: int) -> str:
     return cut + " [...]"
 
 
+def default_network_params(kind: str, n: int = 300) -> dict:
+    """The network keys `kind` accepts, with their defaults for `n` agents."""
+    if kind == "random":
+        return {"n": n, "edge_prob": 12.07 / (n - 1)}
+    if kind == "scale_free":
+        return {"n": 288 if n == 300 else n, "attach_m": 6}
+    if kind == "high_brokerage":
+        return {"n": n, "community_size": 13, "rewire_p": 0.7}
+    raise ValueError(f"unknown network kind {kind!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one experiment plan."""
 
     network_kind: str = "random"
-    network_params: dict = field(default_factory=lambda: {"n": 300, "edge_prob": 12.07 / 299})
-    cohort_size: int | None = None  # defaults to network n
-    days: int = DEFAULT_DAYS
+    network_params: dict = field(default_factory=partial(default_network_params, "random"))
+    days: int = 7  # simulated days T
     master_seed: int = 42
-    replications: int = DEFAULT_REPLICATIONS
+    replications: int = 20
 
     intervention_kind: str = "none"
-    trigger_threshold: float = DEFAULT_TRIGGER_THRESHOLD
-    block_fraction: float = DEFAULT_BLOCK_FRACTION
+    trigger_threshold: float = 0.10  # reached fraction that arms accuracy/blocking
+    block_fraction: float = 0.20
     block_denominator: str = "all_agents"  # or "candidates"
 
     policy_kind: str = "stub"
@@ -119,7 +125,7 @@ class ExperimentConfig:
 
     news_path: str = "data/sample_news.jsonl"
     news_limit: int | None = 5
-    body_char_budget: int = DEFAULT_BODY_CHAR_BUDGET
+    body_char_budget: int = 1200
 
     # re-run budget for runs whose source declined to share
     effective_retry_budget: int = 5
@@ -131,15 +137,16 @@ class ExperimentConfig:
     # personality sweep settings
     sweep_offset: float = 1.0
 
-    def validate(self) -> None:
-        problems = []
+    def validate(self, problems=()) -> None:
+        """Raise one ConfigError listing `problems` and every bad value."""
+        from . import policy  # policy imports this module
+
+        problems = list(problems)
         if self.network_kind not in NETWORK_KINDS:
             problems.append(f"network.kind {self.network_kind!r} unknown")
         n = self.network_params.get("n")
         if not isinstance(n, int) or n < 2:
             problems.append(f"network.n must be an integer >= 2, got {n!r}")
-        if self.cohort_size is not None and self.cohort_size != n:
-            problems.append(f"cohort_size {self.cohort_size} != network n {n}")
         if self.days < 1:
             problems.append(f"days must be >= 1, got {self.days}")
         if not 0.0 < self.trigger_threshold <= 1.0:
@@ -158,6 +165,12 @@ class ExperimentConfig:
             problems.append(f"intervention.kind {self.intervention_kind!r} unknown")
         if self.policy_kind not in POLICY_KINDS:
             problems.append(f"policy.kind {self.policy_kind!r} unknown")
+        for params, cls in ((self.stub_params, policy.StubParams),
+                            (self.llm_params, policy.LlmSettings)):
+            try:
+                cls.from_dict(params)
+            except (TypeError, ValueError) as exc:
+                problems.append(str(exc))
         if self.replications < 1:
             problems.append(f"replications must be >= 1, got {self.replications}")
         if self.news_limit is not None and self.news_limit < 1:
@@ -173,111 +186,77 @@ class ExperimentConfig:
         if problems:
             raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
 
-    def resolved_cohort_size(self) -> int:
-        return self.cohort_size if self.cohort_size is not None else self.network_params["n"]
+
+#: Every config key, dotted, and the ExperimentConfig field it sets. The other
+#: `network.` keys fill network_params: a kind takes exactly the keys
+#: default_network_params returns for it.
+CONFIG_KEYS = {
+    "network.kind": "network_kind",
+    "days": "days",
+    "master_seed": "master_seed",
+    "replications": "replications",
+    "intervention.kind": "intervention_kind",
+    "intervention.trigger_threshold": "trigger_threshold",
+    "intervention.block_fraction": "block_fraction",
+    "intervention.block_denominator": "block_denominator",
+    "policy.kind": "policy_kind",
+    "policy.stub": "stub_params",
+    "policy.llm": "llm_params",
+    "news.path": "news_path",
+    "news.limit": "news_limit",
+    "news.body_char_budget": "body_char_budget",
+    "effective_retry_budget": "effective_retry_budget",
+    "compare.networks": "compare_networks",
+    "compare.interventions": "compare_interventions",
+    "sweep.offset": "sweep_offset",
+}
+_SECTIONS = {key.partition(".")[0] for key in CONFIG_KEYS if "." in key}
 
 
-def default_network_params(kind: str, n: int = 300) -> dict:
-    if kind == "random":
-        return {"n": n, "edge_prob": 12.07 / (n - 1)}
-    if kind == "scale_free":
-        return {"n": 288 if n == 300 else n, "attach_m": 6}
-    if kind == "high_brokerage":
-        return {"n": n, "community_size": 13, "rewire_p": 0.7}
-    raise ValueError(f"unknown network kind {kind!r}")
-
-
-def _config_from_mapping(raw: dict) -> ExperimentConfig:
+def _config_from_mapping(raw: dict) -> tuple[ExperimentConfig, list[str]]:
+    """The config `raw` describes, and a problem for each key it has outside the schema."""
     cfg = ExperimentConfig()
-    network = raw.get("network", {})
-    if "kind" in network:
-        cfg.network_kind = network["kind"]
-    params = {k: v for k, v in network.items() if k != "kind"}
-    defaults = {}
-    try:
-        defaults = default_network_params(cfg.network_kind, params.get("n", 300))
-    except ValueError:
-        pass
-    defaults.update(params)
-    cfg.network_params = defaults
-
-    cfg.cohort_size = raw.get("cohort_size", cfg.cohort_size)
-    cfg.days = raw.get("days", cfg.days)
-    cfg.master_seed = raw.get("master_seed", cfg.master_seed)
-    cfg.replications = raw.get("replications", cfg.replications)
-
-    intervention = raw.get("intervention", {})
-    cfg.intervention_kind = intervention.get("kind", cfg.intervention_kind)
-    cfg.trigger_threshold = intervention.get("trigger_threshold", cfg.trigger_threshold)
-    cfg.block_fraction = intervention.get("block_fraction", cfg.block_fraction)
-    cfg.block_denominator = intervention.get("block_denominator", cfg.block_denominator)
-
-    policy = raw.get("policy", {})
-    cfg.policy_kind = policy.get("kind", cfg.policy_kind)
-    cfg.stub_params = dict(policy.get("stub", {}))
-    cfg.llm_params = dict(policy.get("llm", {}))
-
-    news = raw.get("news", {})
-    cfg.news_path = news.get("path", cfg.news_path)
-    cfg.news_limit = news.get("limit", cfg.news_limit)
-    cfg.body_char_budget = news.get("body_char_budget", cfg.body_char_budget)
-
-    cfg.effective_retry_budget = raw.get("effective_retry_budget", cfg.effective_retry_budget)
-
-    compare = raw.get("compare", {})
-    cfg.compare_networks = list(compare.get("networks", cfg.compare_networks))
-    cfg.compare_interventions = list(compare.get("interventions", cfg.compare_interventions))
-
-    sweep = raw.get("sweep", {})
-    cfg.sweep_offset = sweep.get("offset", cfg.sweep_offset)
-    return cfg
+    problems: list[str] = []
+    leaves = []
+    for key, value in raw.items():
+        if key in _SECTIONS and isinstance(value, dict):
+            leaves.extend((f"{key}.{sub}", v) for sub, v in value.items())
+        else:
+            leaves.append((str(key), value))
+    network = {}
+    for path, value in leaves:
+        if path in CONFIG_KEYS:
+            setattr(cfg, CONFIG_KEYS[path], value)
+        elif path in _SECTIONS:
+            problems.append(f"{path} must be a mapping, got {value!r}")
+        elif path.startswith("network."):
+            network[path.removeprefix("network.")] = value
+        else:
+            problems.append(f"unknown key {path}")
+    kind = cfg.network_kind
+    if kind in NETWORK_KINDS:
+        n = network.get("n", 300)
+        defaults = default_network_params(kind, n if isinstance(n, int) and n >= 2 else 300)
+        problems.extend(
+            f"unknown key network.{key} (kind {kind} takes {', '.join(defaults)})"
+            for key in network if key not in defaults
+        )
+        network = {**defaults, **network}
+    cfg.network_params = network
+    return cfg, problems
 
 
 def load_config(path) -> ExperimentConfig:
+    """Load a YAML config; one ConfigError names every unknown key and bad value."""
     import yaml  # imported here so commands that read no config skip it
 
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    cfg = _config_from_mapping(raw)
-    cfg.validate()
+    cfg, problems = _config_from_mapping(raw)
+    cfg.validate(problems)
     return cfg
-
-
-def config_to_mapping(cfg: ExperimentConfig) -> dict:
-    return {
-        "network": {"kind": cfg.network_kind, **cfg.network_params},
-        "cohort_size": cfg.cohort_size,
-        "days": cfg.days,
-        "master_seed": cfg.master_seed,
-        "replications": cfg.replications,
-        "intervention": {
-            "kind": cfg.intervention_kind,
-            "trigger_threshold": cfg.trigger_threshold,
-            "block_fraction": cfg.block_fraction,
-            "block_denominator": cfg.block_denominator,
-        },
-        "policy": {"kind": cfg.policy_kind, "stub": cfg.stub_params, "llm": cfg.llm_params},
-        "news": {
-            "path": cfg.news_path,
-            "limit": cfg.news_limit,
-            "body_char_budget": cfg.body_char_budget,
-        },
-        "effective_retry_budget": cfg.effective_retry_budget,
-        "compare": {
-            "networks": cfg.compare_networks,
-            "interventions": cfg.compare_interventions,
-        },
-        "sweep": {"offset": cfg.sweep_offset},
-    }
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    import yaml
-
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config_to_mapping(cfg), fh, sort_keys=True)
 
 
 def config_snapshot(cfg: ExperimentConfig) -> dict:

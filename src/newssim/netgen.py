@@ -255,11 +255,7 @@ def generate(kind: str, params: dict, seed: int) -> Network:
     if kind == "scale_free":
         return gen_scale_free(params["n"], params["attach_m"], seed)
     if kind == "high_brokerage":
-        return gen_high_brokerage(
-            params["n"], params["community_size"], params["rewire_p"], seed,
-            broker_frac=params.get("broker_frac", BROKER_FRACTION),
-            churn_p=params.get("churn_p"),
-        )
+        return gen_high_brokerage(params["n"], params["community_size"], params["rewire_p"], seed)
     raise ValueError(f"unknown network kind {kind!r}")
 
 
@@ -407,38 +403,3 @@ def save_network(net: Network, path) -> None:
             fh.write("communities\n")
             for nodes in net.communities:
                 fh.write(" ".join(str(u) for u in nodes) + "\n")
-
-
-def load_network(path) -> Network:
-    header: dict[str, str] = {}
-    edges: list[tuple[int, int]] = []
-    communities: list[tuple[int, ...]] = []
-    section = "header"
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "edges":
-                section = "edges"
-                continue
-            if line == "communities":
-                section = "communities"
-                continue
-            if section == "header":
-                key, _, value = line.partition("=")
-                header[key] = value
-            elif section == "edges":
-                u, v = line.split()
-                edges.append((int(u), int(v)))
-            else:
-                communities.append(tuple(int(x) for x in line.split()))
-    if not {"n", "kind", "seed"} <= set(header):
-        raise ValueError(f"{path}: missing network header fields")
-    return Network(
-        n=int(header["n"]),
-        edges=_canonical_edges(edges),
-        kind=header["kind"],
-        gen_seed=int(header["seed"]),
-        communities=tuple(communities) if communities else None,
-    )

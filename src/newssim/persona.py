@@ -201,32 +201,3 @@ def save_personas(personas: list[AgentPersona], path) -> None:
             scores = "\t".join(repr(s) for s in p.big_five_scores)
             labels = "\t".join(p.big_five_labels)
             fh.write(f"{p.agent_id}\t{p.gender}\t{p.age}\t{scores}\t{labels}\n")
-
-
-def load_personas(path) -> list[AgentPersona]:
-    personas = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("agent_id\t"):
-            raise ValueError(f"{path}: not a persona table (bad header)")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 13:
-                raise ValueError(f"{path}:{lineno}: expected 13 fields, got {len(parts)}")
-            scores = tuple(float(x) for x in parts[3:8])
-            labels = tuple(parts[8:13])
-            if any(lab not in LEVELS for lab in labels):
-                raise ValueError(f"{path}:{lineno}: bad trait label")
-            personas.append(
-                AgentPersona(
-                    agent_id=int(parts[0]),
-                    gender=parts[1],
-                    age=int(parts[2]),
-                    big_five_scores=scores,
-                    big_five_labels=labels,
-                )
-            )
-    return personas

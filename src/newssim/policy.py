@@ -157,6 +157,16 @@ def decide_each(policy, batch: DecisionBatch, personas) -> Decisions:
     return Decisions.from_outcomes(outcomes)
 
 
+def _from_section(cls, section: str, d: dict):
+    """cls(**d); a ValueError names each key of d that cls lacks by its config path."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} must be a mapping, got {d!r}")
+    bad = [str(key) for key in d if key not in cls.__dataclass_fields__]
+    if bad:
+        raise ValueError(", ".join(f"unknown key {section}.{key}" for key in sorted(bad)))
+    return cls(**d)
+
+
 @dataclass(frozen=True)
 class StubParams:
     """Coefficients of the offline logistic decision model."""
@@ -169,11 +179,7 @@ class StubParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StubParams":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
-        if bad:
-            raise ValueError(f"unknown stub params: {sorted(bad)}")
-        return cls(**d)
+        return _from_section(cls, "policy.stub", d)
 
 
 def share_probability(
@@ -383,17 +389,13 @@ class LlmSettings:
 
     def __post_init__(self):
         if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+            raise ValueError("policy.llm.temperature must be >= 0")
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ValueError("policy.llm.max_retries must be >= 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "LlmSettings":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
-        if bad:
-            raise ValueError(f"unknown llm params: {sorted(bad)}")
-        return cls(**d)
+        return _from_section(cls, "policy.llm", d)
 
 
 def cache_key(model: str, prompt: str, attempt: int) -> str:

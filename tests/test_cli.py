@@ -3,11 +3,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from newssim import cli, engine, ingest, persona, policy
+from newssim import cli, engine, ingest, netgen, persona, policy
 from newssim.ingest import load_config
 from newssim.seeding import derive_seed
 
@@ -249,6 +250,67 @@ def test_run_effective_retry_rewrites_attempt(tmp_path, small_config):
             assert not earlier.effective
 
 
+def test_run_refuses_news_ids_that_share_a_run_file(tmp_path, capsys):
+    news = tmp_path / "news.jsonl"
+    news.write_text("".join(json.dumps({"news_id": i, "title": "t", "veracity": "fake"}) + "\n"
+                            for i in ("x/1", "y", "x-1")), encoding="utf-8")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps({"replications": 1, "news": {"path": str(news)}}),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == ("error: news ids 'x/1' and 'x-1' would both write "
+                                       "runs/run_rep000_newsx-1.json\n")
+
+
+# ---------------------------------------------------------------------------
+# config schema
+# ---------------------------------------------------------------------------
+
+def _refused(tmp_path, capsys, doc) -> str:
+    """stderr of `newssim run` over the config `doc`, which must exit 2 and write nothing."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config:") and err.count("error:") == 1
+    return err
+
+
+@pytest.mark.parametrize("kind, key", [
+    *((None, key) for key in ingest.CONFIG_KEYS),
+    *((kind, f"network.{key}") for kind in netgen.NETWORK_KINDS
+      for key in ingest.default_network_params(kind)),
+    *((None, f"policy.stub.{f.name}") for f in fields(policy.StubParams)),
+    *((None, f"policy.llm.{f.name}") for f in fields(policy.LlmSettings)),
+])
+def test_misspelled_config_key_is_refused_before_any_write(tmp_path, capsys, kind, key):
+    *sections, leaf = key.split(".")
+    doc = {leaf + leaf[-1]: 1}  # the last letter doubled
+    if kind:
+        doc["kind"] = kind
+    for section in reversed(sections):
+        doc = {section: doc}
+    assert f"unknown key {key}{leaf[-1]}" in _refused(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("doc, typos", [
+    ({"network": {"kind": "scale_free", "edge_prob": 0.1}}, ["network.edge_prob"]),
+    ({"network": {"kind": "high_brokerage", "broker_frac": 0.5}}, ["network.broker_frac"]),
+    ({"policy": {"stub": {"intercpt": 1.0}}}, ["policy.stub.intercpt"]),
+    ({"policy": {"kind": "llm", "llm": {"modle": "m"}}}, ["policy.llm.modle"]),
+    ({"replicatons": 3, "intervention": {"kind": "blocking", "block_fracton": 0.5}},
+     ["replicatons", "intervention.block_fracton"]),
+], ids=["edge_prob-scale_free", "broker_frac", "stub-intercpt", "llm-modle", "two-typos"])
+def test_config_key_outside_the_schema_is_refused(tmp_path, capsys, doc, typos):
+    err = _refused(tmp_path, capsys, doc)
+    for typo in typos:
+        assert f"unknown key {typo}" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep / compare / stats / export
 # ---------------------------------------------------------------------------
@@ -374,6 +436,14 @@ def _shorten(column):
     return lambda doc: doc["agents"][column].pop()
 
 
+def _put(value, *path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop("format"), "format None is not supported"),
     (_set_format(1), "format 1 is not supported"),
@@ -386,8 +456,16 @@ def _shorten(column):
     (_drop("taints"), "no 'taints'"),
     (_shorten("reached_by"), "agents.reached_by has 59 entries, agents.reach_day has 60"),
     (_shorten("decision"), "agents.decision has 59 entries, agents.reach_day has 60"),
+    (_put(5, "agents", "decision"), "agents.decision is not a list of integers"),
+    (_put(0.5, "agents", "reach_day", 0), "agents.reach_day is not a list of integers"),
+    (_put(True, "agents", "reached_by", 0), "agents.reached_by is not a list of integers"),
+    (_put(2, "agents", "decision", 0), "agents.decision holds a value outside -1/0/1"),
+    (_put(["0.5"] * 8, "series", "reached_prop"), "series.reached_prop is not a list of numbers"),
+    (_put(None, "series", "forwarded_prop"), "series.forwarded_prop is not a list of numbers"),
 ], ids=["no-format", "format-1", "format-2", "no-agents", "no-decision", "no-series-column",
-        "no-comments", "no-transcripts", "no-taints", "short-reached_by", "short-decision"])
+        "no-comments", "no-transcripts", "no-taints", "short-reached_by", "short-decision",
+        "int-decision", "float-reach_day", "bool-reached_by", "decision-2", "string-series",
+        "null-series"])
 def test_stats_refuses_old_record_format(tmp_path, small_config, capsys, edit, message):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=1)),

@@ -1,15 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
 from newssim.ingest import (
     ConfigError,
     ExperimentConfig,
     NewsFormatError,
-    config_to_mapping,
     load_config,
     load_news,
-    save_config,
     truncate_body,
 )
+from newssim.policy import LlmSettings, StubParams
 
 
 def test_load_sample_news(news_path):
@@ -124,15 +125,15 @@ def test_cohort_size_must_match_network(tmp_path):
         load_config(path)
 
 
-def test_config_round_trip(tmp_path, example_config_path):
+def test_example_config_loads_and_shows_the_defaults(example_config_path):
     cfg = load_config(example_config_path)
-    out = tmp_path / "resaved.yaml"
-    save_config(cfg, out)
-    again = load_config(out)
-    assert config_to_mapping(again) == config_to_mapping(cfg)
+    default = ExperimentConfig()
+    assert cfg.network_params == pytest.approx(default.network_params)
+    assert StubParams.from_dict(cfg.stub_params) == StubParams()
+    assert LlmSettings.from_dict(cfg.llm_params) == LlmSettings(cache_path="llm_cache.jsonl")
+    assert replace(cfg, network_params=default.network_params, stub_params={},
+                   llm_params={}) == default
 
 
 def test_default_config_is_valid():
-    cfg = ExperimentConfig()
-    cfg.validate()
-    assert cfg.resolved_cohort_size() == cfg.network_params["n"]
+    ExperimentConfig().validate()

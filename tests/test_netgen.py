@@ -20,7 +20,6 @@ from newssim.netgen import (
     gen_random,
     gen_scale_free,
     is_connected,
-    load_network,
     modularity,
     save_network,
     stats,
@@ -374,12 +373,14 @@ def test_stats_uses_detected_partition_without_ground_truth():
     )
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_network_writes_header_edges_and_communities(tmp_path):
     net = gen_high_brokerage(60, 6, 0.5, seed=9)
-    path = tmp_path / "net.edges"
-    save_network(net, path)
-    assert load_network(path) == net
-
     plain = gen_random(30, 0.2, seed=1)
-    save_network(plain, tmp_path / "plain.edges")
-    assert load_network(tmp_path / "plain.edges") == plain
+    for name, g, tail in (("net", net, ["communities"]), ("plain", plain, [])):
+        save_network(g, tmp_path / f"{name}.edges")
+        lines = (tmp_path / f"{name}.edges").read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            "# newssim network v1", f"n={g.n}", f"kind={g.kind}", f"seed={g.gen_seed}", "edges",
+            *(f"{u} {v}" for u, v in g.edges),
+            *tail, *(" ".join(map(str, c)) for c in g.communities or ()),
+        ]

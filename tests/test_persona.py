@@ -12,7 +12,6 @@ from newssim.persona import (
     BigFiveStats,
     PersonaConfigError,
     categorize_traits,
-    load_personas,
     pin_trait,
     render_persona_text,
     sample_personas,
@@ -223,11 +222,15 @@ def test_render_deterministic_and_invertible():
         assert parsed == p.big_five_labels
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_personas_writes_header_and_one_row_per_agent(tmp_path):
     personas = sample_personas(40, rng_seed=13)
     path = tmp_path / "cohort.tsv"
     save_personas(personas, path)
-    assert load_personas(path) == personas
+    header, *rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+    assert header == ["agent_id", "gender", "age", *TRAITS, *(f"{t}_label" for t in TRAITS)]
+    written = [(int(r[0]), r[1], int(r[2]), tuple(map(float, r[3:8])), tuple(r[8:])) for r in rows]
+    assert written == [(p.agent_id, p.gender, p.age, p.big_five_scores, p.big_five_labels)
+                       for p in personas]
 
 
 def test_sample_rejects_bad_n():
