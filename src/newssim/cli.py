@@ -177,6 +177,7 @@ def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, para
 
     An INCOMPLETE sentinel exists in out_dir while cells are executing; an
     interrupted plan leaves it behind along with the partial runs directory.
+    The cache's append handle is closed once the cells are done.
     """
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
@@ -188,11 +189,15 @@ def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, para
         _write_text(runs_dir / cell.file, record.to_json())
         return record
 
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            records = list(pool.map(_one, cells))
-    else:
-        records = [_one(c) for c in cells]
+    try:
+        if parallel > 1:
+            with ThreadPoolExecutor(max_workers=parallel) as pool:
+                records = list(pool.map(_one, cells))
+        else:
+            records = [_one(c) for c in cells]
+    finally:
+        if cache is not None:
+            cache.close()  # the plan's appends are done
     sentinel.unlink()
     return records
 

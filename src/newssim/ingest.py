@@ -14,6 +14,7 @@ example.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -29,7 +30,11 @@ class NewsFormatError(ValueError):
 
 
 class ConfigError(ValueError):
-    """One or more invalid experiment configuration values."""
+    """One or more invalid experiment configuration values, one problem line each."""
+
+    def __init__(self, problems: list[str]):
+        self.problems = problems
+        super().__init__("invalid config:\n  - " + "\n  - ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,35 @@ def truncate_body(body: str, char_budget: int) -> str:
     return cut + " [...]"
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "a mapping",
+               list: "a list", type(None): "null"}
+
+
+def type_problem(key: str, value, kind) -> str | None:
+    """A problem line naming `key` if `value` is not a `kind`, else None.
+
+    `kind` is a type or a union such as `int | None`. An int passes as a
+    float; a bool passes as neither.
+    """
+    types = typing.get_args(kind) or (kind,)
+    if isinstance(value, bool) or not isinstance(value, types + ((int,) if float in types else ())):
+        return f"{key} must be {' or '.join(_TYPE_NAMES[t] for t in types)}, got {value!r}"
+    return None
+
+
+def _network_n_problem(n) -> str | None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        return f"network.n must be an integer >= 2, got {n!r}"
+    return None
+
+
 def default_network_params(kind: str, n: int = 300) -> dict:
-    """The network keys `kind` accepts, with their defaults for `n` agents."""
+    """The network keys `kind` accepts, with their defaults for `n` agents.
+
+    The type of each default is the type a config value for it must have.
+    """
+    if problem := _network_n_problem(n):
+        raise ValueError(problem)
     if kind == "random":
         return {"n": n, "edge_prob": 12.07 / (n - 1)}
     if kind == "scale_free":
@@ -144,9 +176,8 @@ class ExperimentConfig:
         problems = list(problems)
         if self.network_kind not in NETWORK_KINDS:
             problems.append(f"network.kind {self.network_kind!r} unknown")
-        n = self.network_params.get("n")
-        if not isinstance(n, int) or n < 2:
-            problems.append(f"network.n must be an integer >= 2, got {n!r}")
+        elif problem := _network_n_problem(self.network_params.get("n")):
+            problems.append(problem)
         if self.days < 1:
             problems.append(f"days must be >= 1, got {self.days}")
         if not 0.0 < self.trigger_threshold <= 1.0:
@@ -169,6 +200,8 @@ class ExperimentConfig:
                             (self.llm_params, policy.LlmSettings)):
             try:
                 cls.from_dict(params)
+            except ConfigError as exc:
+                problems.extend(exc.problems)
             except (TypeError, ValueError) as exc:
                 problems.append(str(exc))
         if self.replications < 1:
@@ -184,37 +217,40 @@ class ExperimentConfig:
             if kind not in INTERVENTION_KINDS:
                 problems.append(f"compare.interventions entry {kind!r} unknown")
         if problems:
-            raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
+            raise ConfigError(problems)
 
 
-#: Every config key, dotted, and the ExperimentConfig field it sets. The other
-#: `network.` keys fill network_params: a kind takes exactly the keys
-#: default_network_params returns for it.
+#: Every config key, dotted: the ExperimentConfig field it sets, and the type
+#: its value must have. The other `network.` keys fill network_params: a kind
+#: takes exactly the keys default_network_params returns for it, typed like
+#: their defaults. `policy.stub.*` and `policy.llm.*` are typed by the fields
+#: of policy.StubParams and policy.LlmSettings.
 CONFIG_KEYS = {
-    "network.kind": "network_kind",
-    "days": "days",
-    "master_seed": "master_seed",
-    "replications": "replications",
-    "intervention.kind": "intervention_kind",
-    "intervention.trigger_threshold": "trigger_threshold",
-    "intervention.block_fraction": "block_fraction",
-    "intervention.block_denominator": "block_denominator",
-    "policy.kind": "policy_kind",
-    "policy.stub": "stub_params",
-    "policy.llm": "llm_params",
-    "news.path": "news_path",
-    "news.limit": "news_limit",
-    "news.body_char_budget": "body_char_budget",
-    "effective_retry_budget": "effective_retry_budget",
-    "compare.networks": "compare_networks",
-    "compare.interventions": "compare_interventions",
-    "sweep.offset": "sweep_offset",
+    "network.kind": ("network_kind", str),
+    "days": ("days", int),
+    "master_seed": ("master_seed", int),
+    "replications": ("replications", int),
+    "intervention.kind": ("intervention_kind", str),
+    "intervention.trigger_threshold": ("trigger_threshold", float),
+    "intervention.block_fraction": ("block_fraction", float),
+    "intervention.block_denominator": ("block_denominator", str),
+    "policy.kind": ("policy_kind", str),
+    "policy.stub": ("stub_params", dict),
+    "policy.llm": ("llm_params", dict),
+    "news.path": ("news_path", str),
+    "news.limit": ("news_limit", int | None),
+    "news.body_char_budget": ("body_char_budget", int),
+    "effective_retry_budget": ("effective_retry_budget", int),
+    "compare.networks": ("compare_networks", list),
+    "compare.interventions": ("compare_interventions", list),
+    "sweep.offset": ("sweep_offset", float),
 }
 _SECTIONS = {key.partition(".")[0] for key in CONFIG_KEYS if "." in key}
 
 
 def _config_from_mapping(raw: dict) -> tuple[ExperimentConfig, list[str]]:
-    """The config `raw` describes, and a problem for each key it has outside the schema."""
+    """The config `raw` describes, and a problem for each key outside the schema
+    and each value of the wrong type; such a value is left at its default."""
     cfg = ExperimentConfig()
     problems: list[str] = []
     leaves = []
@@ -226,23 +262,29 @@ def _config_from_mapping(raw: dict) -> tuple[ExperimentConfig, list[str]]:
     network = {}
     for path, value in leaves:
         if path in CONFIG_KEYS:
-            setattr(cfg, CONFIG_KEYS[path], value)
+            field_name, kind = CONFIG_KEYS[path]
+            if problem := type_problem(path, value, kind):
+                problems.append(problem)
+            else:
+                setattr(cfg, field_name, value)
         elif path in _SECTIONS:
             problems.append(f"{path} must be a mapping, got {value!r}")
         elif path.startswith("network."):
             network[path.removeprefix("network.")] = value
         else:
             problems.append(f"unknown key {path}")
-    kind = cfg.network_kind
+    kind = dict(leaves).get("network.kind", cfg.network_kind)
     if kind in NETWORK_KINDS:
         n = network.get("n", 300)
-        defaults = default_network_params(kind, n if isinstance(n, int) and n >= 2 else 300)
-        problems.extend(
-            f"unknown key network.{key} (kind {kind} takes {', '.join(defaults)})"
-            for key in network if key not in defaults
-        )
-        network = {**defaults, **network}
-    cfg.network_params = network
+        defaults = default_network_params(kind, 300 if _network_n_problem(n) else n)
+        for key, value in list(network.items()):
+            if key not in defaults:
+                problems.append(
+                    f"unknown key network.{key} (kind {kind} takes {', '.join(defaults)})")
+            elif problem := type_problem(f"network.{key}", value, type(defaults[key])):
+                problems.append(problem)
+                del network[key]
+        cfg.network_params = {**defaults, **network}
     return cfg, problems
 
 
@@ -253,7 +295,7 @@ def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
+        raise ConfigError([f"{path}: config must be a mapping"])
     cfg, problems = _config_from_mapping(raw)
     cfg.validate(problems)
     return cfg

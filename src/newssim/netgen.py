@@ -21,6 +21,12 @@ import numpy as np
 
 NETWORK_KINDS = ("random", "scale_free", "high_brokerage")
 
+#: Random draws per block: the uniforms of one preferential-attachment refill,
+#: and the slack over the expected count in each block of random-graph gaps.
+#: No graph depends on it: draws left in the last block are dropped only once
+#: the graph is complete.
+_DRAW_BLOCK = 1024
+
 # High-brokerage construction constants (see gen_high_brokerage).
 BROKER_FRACTION = 0.15
 CHURN_CAP = 0.05
@@ -112,21 +118,74 @@ class NetworkStats:
     modularity: float
 
 
-def _canonical_edges(edges) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+def _edge_tuples(n: int, u: np.ndarray, v: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The pairs (u[k], v[k]) in order.
+
+    Each node id is one int object shared by all its edges. At N=10^5 and
+    mean degree 12 the edges then take 41 MB, against 77 MB with an int per
+    endpoint.
+    """
+    ids = np.arange(n).astype(object)
+    return tuple(zip(ids[u].tolist(), ids[v].tolist()))
 
 
 def gen_random(n: int, edge_prob: float, seed: int) -> Network:
-    """Include each unordered pair independently with probability edge_prob."""
+    """Include each unordered pair independently with probability edge_prob.
+
+    Geometric edge skipping (Batagelj & Brandes, Phys. Rev. E 71, 036113,
+    2005): the gaps between successive included pairs, in row-major order of
+    the upper triangle, are geometric(edge_prob). Time and memory are
+    O(n + edges).
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0.0 < edge_prob < 1.0:
         raise ValueError("edge_prob must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.shape[0]) < edge_prob
-    edges = tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
-    return Network(n=n, edges=_canonical_edges(edges), kind="random", gen_seed=seed)
+    pairs = n * (n - 1) // 2
+    chunks, last = [], -1  # last: linear index of the last included pair
+    while True:
+        size = int(edge_prob * (pairs - 1 - last)) + _DRAW_BLOCK
+        # a gap of pairs + 1 ends the graph from any position, so the cap changes
+        # no edge; it keeps the cumulative sum from overflowing
+        ks = last + np.cumsum(np.minimum(rng.geometric(edge_prob, size), pairs + 1))
+        past = np.flatnonzero(ks >= pairs)
+        if past.size:
+            chunks.append(ks[:past[0]])
+            break
+        chunks.append(ks)
+        last = int(ks[-1])
+    ks = np.concatenate(chunks)
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # linear index of pair (i, i + 1)
+    i = np.searchsorted(starts, ks, side="right") - 1
+    j = ks - starts[i] + i + 1
+    return Network(n=n, edges=_edge_tuples(n, i, j), kind="random", gen_seed=seed)
+
+
+def _attachment_targets(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """targets[e]: the older end of edge e, whose newer end is node m + e // m.
+
+    Node m attaches to the m seed nodes. Every later node draws endpoints
+    uniformly from the edges made so far, which is degree-proportional, and
+    redraws repeats until it has m distinct targets.
+    """
+    # endpoint slots 2e and 2e + 1 of edge e hold targets[e] and m + e // m,
+    # so the endpoint list itself is never built
+    targets = list(range(m))
+    uniforms: list[float] = []
+    drawn = 0
+    for _ in range(n - m - 1):  # nodes m + 1 .. n - 1
+        count = 2 * len(targets)
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            if drawn == len(uniforms):
+                uniforms, drawn = rng.random(_DRAW_BLOCK).tolist(), 0
+            r = int(uniforms[drawn] * count)
+            drawn += 1
+            chosen.add(m + (r >> 1) // m if r & 1 else targets[r >> 1])
+        targets.extend(sorted(chosen))
+    return np.array(targets, dtype=np.int32)
 
 
 def gen_scale_free(n: int, attach_m: int, seed: int) -> Network:
@@ -137,21 +196,11 @@ def gen_scale_free(n: int, attach_m: int, seed: int) -> Network:
     """
     if not 1 <= attach_m <= n - 2:
         raise ValueError("attach_m must satisfy 1 <= attach_m <= n - 2")
-    rng = np.random.default_rng(seed)
-    edges = []
-    # endpoint multiset: sampling uniformly from it is degree-proportional
-    endpoints: list[int] = []
-    targets = list(range(attach_m))
-    for new in range(attach_m, n):
-        for t in targets:
-            edges.append((t, new))
-            endpoints.append(t)
-            endpoints.append(new)
-        chosen: set[int] = set()
-        while len(chosen) < attach_m:
-            chosen.add(endpoints[int(rng.integers(0, len(endpoints)))])
-        targets = sorted(chosen)
-    return Network(n=n, edges=_canonical_edges(edges), kind="scale_free", gen_seed=seed)
+    u = _attachment_targets(n, attach_m, np.random.default_rng(seed))
+    v = np.repeat(np.arange(attach_m, n, dtype=np.int32), attach_m)
+    order = np.argsort(u, kind="stable")  # v ascends already, so ties stay sorted
+    return Network(n=n, edges=_edge_tuples(n, u[order], v[order]), kind="scale_free",
+                   gen_seed=seed)
 
 
 def _split_communities(n: int, community_size: int) -> list[list[int]]:
@@ -210,7 +259,7 @@ def _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac, churn_
 
     return Network(
         n=n,
-        edges=_canonical_edges(edges),
+        edges=tuple(sorted(edges)),  # every pair in the set is already (min, max)
         kind="high_brokerage",
         gen_seed=seed,
         communities=tuple(tuple(c) for c in comms),

@@ -23,6 +23,7 @@ import json
 import re
 import threading
 import time
+import typing
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from string import Template
 import numpy as np
 
 from . import persona as persona_mod
-from .ingest import NewsItem, truncate_body
+from .ingest import ConfigError, NewsItem, truncate_body, type_problem
 from .seeding import derive_rng, derive_seed  # noqa: F401 - perfbench traces policy.derive_rng
 
 TEMPLATE_IDS = ("none", "commenting", "accuracy")
@@ -157,13 +158,27 @@ def decide_each(policy, batch: DecisionBatch, personas) -> Decisions:
     return Decisions.from_outcomes(outcomes)
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field of dataclass `cls` and its type; the string annotations are
+    evaluated once per class, not on every cell's from_dict."""
+    return typing.get_type_hints(cls)
+
+
 def _from_section(cls, section: str, d: dict):
-    """cls(**d); a ValueError names each key of d that cls lacks by its config path."""
+    """cls(**d); a ConfigError names each key of d that cls lacks, and each
+    value of the wrong type, by its config path."""
     if not isinstance(d, dict):
         raise ValueError(f"{section} must be a mapping, got {d!r}")
-    bad = [str(key) for key in d if key not in cls.__dataclass_fields__]
-    if bad:
-        raise ValueError(", ".join(f"unknown key {section}.{key}" for key in sorted(bad)))
+    types = _field_types(cls)
+    problems = []
+    for key, value in sorted(d.items(), key=lambda kv: str(kv[0])):
+        if key not in types:
+            problems.append(f"unknown key {section}.{key}")
+        elif problem := type_problem(f"{section}.{key}", value, types[key]):
+            problems.append(problem)
+    if problems:
+        raise ConfigError(problems)
     return cls(**d)
 
 
@@ -414,12 +429,17 @@ class DecisionCache:
     A last line that has no newline and does not parse was torn by an
     interrupted append: loading drops it and truncates the file to the last
     complete line. A bad line anywhere else raises.
+
+    The first put opens one append handle, and each put flushes its line;
+    close() (or leaving a `with` block) closes the handle, and a later put
+    opens it again.
     """
 
     def __init__(self, path=None):
         self.path = path
         self._records: dict[str, dict] = {}
         self._lock = threading.Lock()
+        self._fh = None
         if path is None:
             return
         try:
@@ -457,12 +477,27 @@ class DecisionCache:
             "prompt_sha": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
             "response": response,
         }
+        line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             self._records[key] = rec
             if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                if self._fh is None:
+                    self._fh = open(self.path, "ab")
+                self._fh.write(line)
+                self._fh.flush()
         return rec
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     def content_hash(self) -> str | None:
         """Hash of the distinct records in the file, whatever order they were appended in."""

@@ -75,6 +75,15 @@ def test_gen_network_invalid_params_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", netgen.NETWORK_KINDS)
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_gen_network_refuses_fewer_than_two_nodes(tmp_path, capsys, kind, n):
+    out = tmp_path / "x"
+    assert cli.main(["gen-network", "--kind", kind, "--n", str(n), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: network.n must be an integer >= 2, got {n}\n"
+    assert not out.exists()
+
+
 def test_gen_network_same_seed_identical_files(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -280,21 +289,68 @@ def _refused(tmp_path, capsys, doc) -> str:
     return err
 
 
-@pytest.mark.parametrize("kind, key", [
+SCHEMA_KEYS = [
     *((None, key) for key in ingest.CONFIG_KEYS),
     *((kind, f"network.{key}") for kind in netgen.NETWORK_KINDS
       for key in ingest.default_network_params(kind)),
     *((None, f"policy.stub.{f.name}") for f in fields(policy.StubParams)),
     *((None, f"policy.llm.{f.name}") for f in fields(policy.LlmSettings)),
-])
-def test_misspelled_config_key_is_refused_before_any_write(tmp_path, capsys, kind, key):
+]
+
+
+def _config_doc(kind, key, value) -> dict:
+    """A config holding only `key` (dotted) set to `value`, under network kind `kind`."""
     *sections, leaf = key.split(".")
-    doc = {leaf + leaf[-1]: 1}  # the last letter doubled
+    doc = {leaf: value}
     if kind:
         doc["kind"] = kind
     for section in reversed(sections):
         doc = {section: doc}
+    return doc
+
+
+@pytest.mark.parametrize("kind, key", SCHEMA_KEYS)
+def test_misspelled_config_key_is_refused_before_any_write(tmp_path, capsys, kind, key):
+    leaf = key.rpartition(".")[2]
+    doc = _config_doc(kind, key + leaf[-1], 1)  # the last letter doubled
     assert f"unknown key {key}{leaf[-1]}" in _refused(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("kind, key", SCHEMA_KEYS)
+def test_a_bool_is_refused_for_every_config_key(tmp_path, capsys, kind, key):
+    # no key takes a bool, and YAML reads `yes`/`true` as one
+    err = _refused(tmp_path, capsys, _config_doc(kind, key, True))
+    assert err.count("\n  - ") == 1 and f"\n  - {key} must be " in err
+    assert err.endswith(", got True\n")
+
+
+@pytest.mark.parametrize("doc, problems", [
+    ({"days": "abc"}, ["days must be an integer, got 'abc'"]),
+    ({"network": {"kind": "scale_free", "attach_m": "abc"}},
+     ["network.attach_m must be an integer, got 'abc'"]),
+    ({"network": {"n": 50.0}, "replications": 2.5, "news": {"limit": "x"}},
+     ["replications must be an integer, got 2.5",
+      "news.limit must be an integer or null, got 'x'", "network.n must be an integer, got 50.0"]),
+    ({"intervention": {"trigger_threshold": "0.1"}, "compare": {"networks": "random"}},
+     ["intervention.trigger_threshold must be a number, got '0.1'",
+      "compare.networks must be a list, got 'random'"]),
+    ({"policy": {"kind": "llm", "llm": {"temperature": "hot", "cache_path": 3}}},
+     ["policy.llm.cache_path must be a string or null, got 3",
+      "policy.llm.temperature must be a number, got 'hot'"]),
+], ids=["days", "attach_m", "n-replications-limit", "threshold-networks", "llm"])
+def test_a_value_of_the_wrong_type_is_one_problem_line(tmp_path, capsys, doc, problems):
+    err = _refused(tmp_path, capsys, doc)
+    assert err == "error: invalid config:\n" + "".join(f"  - {p}\n" for p in problems)
+
+
+def test_ints_pass_as_numbers_and_null_as_an_unset_news_limit(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps({"intervention": {"trigger_threshold": 1}, "sweep": {"offset": 2},
+                               "news": {"limit": None}, "network": {"edge_prob": 1}}),
+                   encoding="utf-8")
+    loaded = load_config(cfg)
+    assert (loaded.trigger_threshold, loaded.sweep_offset, loaded.news_limit) == (1, 2, None)
+    assert loaded.network_params["edge_prob"] == 1
 
 
 @pytest.mark.parametrize("doc, typos", [

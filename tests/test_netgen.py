@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -181,6 +182,96 @@ def test_scale_free_rejects_degenerate_m():
         gen_scale_free(10, 9, seed=0)  # attach_m = n - 1
     with pytest.raises(ValueError):
         gen_scale_free(10, 0, seed=0)
+
+
+def assert_simple_sorted(net):
+    """Edges ascend, are unique, and each is (u, v) with 0 <= u < v < n."""
+    edges = list(net.edges)
+    assert edges == sorted(set(edges))
+    assert all(0 <= u < v < net.n and type(u) is int and type(v) is int for u, v in edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 60), st.floats(1e-4, 0.999), st.integers(0, 2**32))
+def test_gen_random_edges_are_sorted_unique_and_seeded(n, p, seed):
+    net = gen_random(n, p, seed)
+    assert_simple_sorted(net)
+    assert gen_random(n, p, seed).edges == net.edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(3, 60), st.integers(0, 2**32))
+def test_gen_scale_free_every_node_attaches_m_older_distinct_targets(data, n, seed):
+    m = data.draw(st.integers(1, n - 2), label="attach_m")
+    net = gen_scale_free(n, m, seed)
+    assert_simple_sorted(net)
+    assert len(net.edges) == m * (n - m)
+    # an edge's newer end is the node that chose its older end as a target;
+    # the edges are unique, so each node's targets are distinct
+    newer = np.bincount([v for _, v in net.edges], minlength=n)
+    assert newer.tolist() == [0] * m + [m] * (n - m)
+    assert gen_scale_free(n, m, seed).edges == net.edges
+
+
+@pytest.mark.parametrize("block", [1, 3, 50])
+def test_streams_do_not_depend_on_the_draw_block(monkeypatch, block):
+    cases = [(gen_random, 80, 0.1), (gen_random, 60, 0.9), (gen_random, 200, 0.001),
+             (gen_scale_free, 120, 3), (gen_scale_free, 40, 1)]
+    expected = [gen(n, x, seed).edges for gen, n, x in cases for seed in range(3)]
+    monkeypatch.setattr(netgen, "_DRAW_BLOCK", block)
+    assert [gen(n, x, seed).edges for gen, n, x in cases for seed in range(3)] == expected
+
+
+def nx_degrees(graphs):
+    return np.concatenate([[d for _, d in g.degree()] for g in graphs])
+
+
+def test_gen_random_matches_the_networkx_gnp_oracle():
+    # networkx is a statistical reference here, not a stream to match
+    import networkx as nx
+    from scipy import stats as sps
+
+    n, p, seeds = 2000, 0.005, range(5)
+    pairs = n * (n - 1) // 2
+    ours = [gen_random(n, p, seed) for seed in seeds]
+    sd = math.sqrt(pairs * p * (1 - p))
+    assert all(abs(len(g.edges) - p * pairs) < 4 * sd for g in ours)
+    reference = nx_degrees(nx.fast_gnp_random_graph(n, p, seed=seed) for seed in seeds)
+    degrees = np.concatenate([g.degrees() for g in ours])
+    assert sps.ks_2samp(degrees, reference).pvalue > 0.01
+    assert degrees.mean() == pytest.approx(reference.mean(), rel=0.03)
+    assert degrees.var() == pytest.approx(reference.var(), rel=0.1)
+
+
+def test_gen_scale_free_degree_tail_matches_networkx_barabasi_albert():
+    import networkx as nx
+    from scipy import stats as sps
+
+    n, m, seeds = 3000, 3, range(5)
+    degrees = np.concatenate([gen_scale_free(n, m, seed).degrees() for seed in seeds])
+    reference = nx_degrees(nx.barabasi_albert_graph(n, m, seed=seed) for seed in seeds)
+    assert sps.ks_2samp(degrees, reference).pvalue > 0.01
+    # the heavy tail: the share of nodes of degree >= k, out to 16 m
+    for k in (2 * m, 4 * m, 8 * m, 16 * m):
+        assert (degrees >= k).mean() == pytest.approx((reference >= k).mean(), rel=0.3)
+    assert degrees.max() > 0.5 * reference.max()
+
+
+def traced_peak_mb(fn, *args):
+    fn(*args)  # first calls warm numpy's caches, which are not the generator's memory
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_generators_allocate_linear_memory():
+    # a draw over upper-triangle index arrays, O(n^2), peaked at 299 MB
+    assert traced_peak_mb(gen_random, 5000, 12 / 4999, 1) < 10.0
+    # one tuple per edge with shared node-id ints; an endpoint-list draw peaked at 9.3 MB
+    assert traced_peak_mb(gen_scale_free, 20000, 3, 1) < 9.3
 
 
 def test_high_brokerage_structure():

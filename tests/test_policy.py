@@ -386,7 +386,8 @@ def test_llm_outcome_and_wire_format(tmp_path):
     transport = make_transport(["DECISION: SHARE\nREASON: looks important"])
     settings = LlmSettings(cache_path=str(tmp_path / "cache.jsonl"), max_retries=0)
     policy = LlmPolicy(settings, transport=transport, api_key="sk-test")
-    out = policy.decide(request(), persona_at())
+    with policy.cache:
+        out = policy.decide(request(), persona_at())
     assert out.share is True and out.source == "llm_live"
     assert out.rationale == "looks important"
     call = transport.calls[0]
@@ -401,7 +402,8 @@ def test_llm_cache_hit_is_byte_identical_without_network(tmp_path):
     transport = make_transport(["DECISION: IGNORE\nREASON: why not"])
     settings = LlmSettings(cache_path=cache_path)
     policy = LlmPolicy(settings, transport=transport)
-    first = policy.decide(request(), persona_at())
+    with policy.cache:
+        first = policy.decide(request(), persona_at())
     assert policy.network_calls == 1
 
     # a fresh policy over the same cache file must not touch the wire
@@ -481,9 +483,9 @@ def test_cache_keys_distinguish_attempts_and_prompts():
 
 def test_cache_file_is_append_only_jsonl(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = DecisionCache(path)
-    cache.put("k1", "model", "prompt", 0, "RESPONSE TEXT")
-    cache.put("k2", "model", "prompt2", 0, "OTHER")
+    with DecisionCache(path) as cache:
+        cache.put("k1", "model", "prompt", 0, "RESPONSE TEXT")
+        cache.put("k2", "model", "prompt2", 0, "OTHER")
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     assert len(lines) == 2
     rec = json.loads(lines[0])
@@ -494,14 +496,65 @@ def test_cache_file_is_append_only_jsonl(tmp_path):
     assert reloaded.get("k2")["response"] == "OTHER"
 
 
+def test_cache_appends_through_one_flushed_handle(tmp_path, monkeypatch):
+    from newssim import policy as policy_module
+
+    opened = []
+
+    def counting_open(file, mode="r", **kwargs):
+        opened.append(mode)
+        return open(file, mode, **kwargs)
+
+    monkeypatch.setattr(policy_module, "open", counting_open, raising=False)
+    path = tmp_path / "cache.jsonl"
+    with DecisionCache(path) as cache:
+        for i in range(4):
+            cache.put(f"k{i}", "m", f"prompt {i}", 0, f"DECISION: SHARE {i}")
+            assert path.read_bytes().count(b"\n") == i + 1  # each line flushed at once
+    assert opened.count("ab") == 1
+    # one sorted-key JSON object per line, as a reload and the content hash read them
+    assert path.read_bytes() == b"".join(
+        json.dumps(cache.get(f"k{i}"), sort_keys=True).encode() + b"\n" for i in range(4))
+    cache.put("k4", "m", "prompt 4", 0, "DECISION: IGNORE")  # reopens after close
+    cache.close()
+    cache.close()
+    assert opened.count("ab") == 2 and len(DecisionCache(path)) == 5
+
+
+def test_cache_appends_from_many_threads_stay_whole_lines(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    threads, per_thread = 8, 200
+
+    def work(cache, t):
+        for i in range(per_thread):
+            cache.put(f"k{t}.{i}", "m", f"prompt {t} {i}", 0, "DECISION: SHARE " * (i % 7))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with DecisionCache(path) as cache:
+            workers = [threading.Thread(target=work, args=(cache, t)) for t in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    lines = path.read_bytes().split(b"\n")
+    assert lines.pop() == b"" and len(lines) == threads * per_thread
+    assert sorted(json.loads(line)["key"] for line in lines) == sorted(
+        f"k{t}.{i}" for t in range(threads) for i in range(per_thread))
+
+
 def test_cache_hash_ignores_append_order(tmp_path):
     recs = [("k1", "DECISION: SHARE"), ("k2", "DECISION: IGNORE"), ("k3", "DECISION: SHARE")]
 
     def fill(path, order):
-        cache = DecisionCache(path)
-        for key, response in order:
-            cache.put(key, "m", "prompt " + key, 0, response)
-        return cache.content_hash()
+        with DecisionCache(path) as cache:
+            for key, response in order:
+                cache.put(key, "m", "prompt " + key, 0, response)
+            return cache.content_hash()
 
     forward = fill(tmp_path / "a.jsonl", recs)
     assert fill(tmp_path / "b.jsonl", recs[::-1]) == forward
@@ -510,7 +563,8 @@ def test_cache_hash_ignores_append_order(tmp_path):
 
 
 def one_record_cache(path):
-    DecisionCache(path).put("k1", "m", "prompt 1", 0, "DECISION: SHARE")
+    with DecisionCache(path) as cache:
+        cache.put("k1", "m", "prompt 1", 0, "DECISION: SHARE")
     return path.read_bytes()
 
 
@@ -518,10 +572,10 @@ def test_cache_drops_a_torn_tail_and_appends_on_a_fresh_line(tmp_path):
     path = tmp_path / "cache.jsonl"
     whole = one_record_cache(path)
     path.write_bytes(whole + b'{"attempt": 0, "key": "k2", "resp')  # an append cut short
-    cache = DecisionCache(path)
-    assert len(cache) == 1
-    assert path.read_bytes() == whole
-    cache.put("k2", "m", "prompt 2", 0, "DECISION: IGNORE")
+    with DecisionCache(path) as cache:
+        assert len(cache) == 1
+        assert path.read_bytes() == whole
+        cache.put("k2", "m", "prompt 2", 0, "DECISION: IGNORE")
     reloaded = DecisionCache(path)
     assert len(reloaded) == 2 and reloaded.get("k2")["response"] == "DECISION: IGNORE"
 
@@ -530,9 +584,9 @@ def test_cache_keeps_a_complete_last_line_without_newline(tmp_path):
     path = tmp_path / "cache.jsonl"
     whole = one_record_cache(path)
     path.write_bytes(whole.rstrip(b"\n"))
-    cache = DecisionCache(path)
-    assert len(cache) == 1
-    cache.put("k2", "m", "prompt 2", 0, "DECISION: IGNORE")
+    with DecisionCache(path) as cache:
+        assert len(cache) == 1
+        cache.put("k2", "m", "prompt 2", 0, "DECISION: IGNORE")
     assert len(DecisionCache(path)) == 2
 
 
