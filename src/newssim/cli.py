@@ -9,6 +9,10 @@ Subcommands:
     stats             aggregate a directory of run records
     export-plot-data  flatten summaries into per-figure data tables
 
+The first five are plan commands. Their handlers live in `plan`, which is
+imported only for them, so `stats` and `export-plot-data` load neither
+numpy nor the simulation modules.
+
 Every output embeds provenance (config hash, master seed, policy identity,
 template hashes, cache hash) sufficient to replay the experiment exactly.
 Outputs contain no timestamps or absolute paths, so rerunning an unchanged
@@ -18,18 +22,14 @@ plan rewrites byte-identical files.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 
-from . import __version__, engine, ingest, netgen, persona, policy, stats
-from .seeding import derive_seed
+from . import ingest, stats
+from .record import RunRecord
 
 
 def _canonical_json(obj) -> str:
@@ -49,157 +49,8 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _config_hash(cfg: ingest.ExperimentConfig) -> str:
-    blob = json.dumps(ingest.config_snapshot(cfg), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _provenance(cfg: ingest.ExperimentConfig, cache: policy.DecisionCache | None = None) -> dict:
-    return {
-        "package_version": __version__,
-        "config_sha": _config_hash(cfg),
-        "master_seed": cfg.master_seed,
-        "policy_kind": cfg.policy_kind,
-        "template_hashes": policy.template_hashes(),
-        "cache_sha": cache.content_hash() if cache is not None else None,
-    }
-
-
 def _provenance_comment(prov: dict) -> str:
     return "".join(f"# {k}: {json.dumps(v, sort_keys=True)}\n" for k, v in sorted(prov.items()))
-
-
-def connected_network(kind: str, params: dict, seed: int, retries: int = 5) -> netgen.Network:
-    """Generate a network, regenerating with seed+offset if disconnected."""
-    last_err = None
-    for attempt in range(retries):
-        try:
-            net = netgen.generate(kind, params, seed + attempt)
-        except netgen.NetworkGenerationError as exc:
-            last_err = exc
-            continue
-        if netgen.is_connected(net):
-            return net
-        last_err = netgen.NetworkGenerationError(f"{kind} disconnected at seed {seed + attempt}")
-    raise netgen.NetworkGenerationError(
-        f"could not generate a connected {kind} network from seed {seed}: {last_err}"
-    )
-
-
-# lru_cache does not hold its lock while it builds a value: without this one,
-# cells on --parallel threads would each build the same network or cohort
-_replicate_lock = threading.Lock()
-
-
-@lru_cache(maxsize=64)
-def _cached_network(kind: str, params_items: tuple, seed: int) -> netgen.Network:
-    return connected_network(kind, dict(params_items), seed)
-
-
-@lru_cache(maxsize=64)
-def _cached_cohort(n: int, seed: int, trait: str | None = None, level: str | None = None,
-                   offset: float = 1.0) -> persona.Cohort:
-    """The replicate's cohort, pinned to trait=level when a trait is given.
-
-    A Cohort is read-only, so every cell of the replicate can share it, and
-    the stub's per-cohort columns with it.
-    """
-    if trait:
-        base = _cached_cohort(n, seed)
-        return persona.Cohort(persona.pin_trait(base, trait, level, offset=offset))
-    return persona.Cohort(persona.sample_personas(n, rng_seed=seed))
-
-
-def _slug(text: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_" else "-" for c in str(text))
-
-
-# ---------------------------------------------------------------------------
-# run execution
-# ---------------------------------------------------------------------------
-
-def _build_cell_policy(cfg, decision_seed, cache, transport):
-    if cfg.policy_kind == "stub":
-        return policy.StubPolicy(policy.StubParams.from_dict(cfg.stub_params),
-                                 rng_seed=decision_seed)
-    settings = policy.LlmSettings.from_dict(cfg.llm_params)
-    return policy.LlmPolicy(settings, cache=cache, transport=transport,
-                            body_char_budget=cfg.body_char_budget)
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One plan cell: a run of `news` on replicate `replicate`, written to runs/`file`."""
-
-    cfg: ingest.ExperimentConfig
-    news: ingest.NewsItem
-    replicate: int
-    labels: dict
-    file: str
-
-
-def _execute_cell(cell: Cell, cache=None, transport=None):
-    """Run one plan cell, re-running non-effective stub runs with fresh seeds."""
-    cfg, rep = cell.cfg, cell.replicate
-    net_seed = derive_seed(cfg.master_seed, "net", rep)
-    persona_seed = derive_seed(cfg.master_seed, "personas", rep)
-    trait = cell.labels.get("trait")
-    pin = (trait, cell.labels["level"], cfg.sweep_offset) if trait else ()
-    with _replicate_lock:
-        net = _cached_network(cfg.network_kind, tuple(sorted(cfg.network_params.items())),
-                              net_seed)
-        personas = _cached_cohort(net.n, persona_seed, *pin)
-
-    budget = cfg.effective_retry_budget if cfg.policy_kind == "stub" else 0
-    attempt = 0
-    while True:
-        decision_seed = derive_seed(cfg.master_seed, "decide", rep, cell.news.news_id, attempt)
-        cell_policy = _build_cell_policy(cfg, decision_seed, cache, transport)
-        meta = dict(cell.labels)
-        meta.update(
-            {
-                "replicate": rep,
-                "news_id": cell.news.news_id,
-                "attempt": attempt,
-                "net_seed": net_seed,
-                "persona_seed": persona_seed,
-                "decision_seed": decision_seed,
-            }
-        )
-        record = engine.run(cfg, net, personas, cell.news, cell_policy, extra_meta=meta)
-        if record.effective or attempt >= budget:
-            return record
-        attempt += 1
-
-
-def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, parallel: int = 1):
-    """Execute cells in order, writing each record to out_dir/runs/<cell.file>.
-
-    An INCOMPLETE sentinel exists in out_dir while cells are executing; an
-    interrupted plan leaves it behind along with the partial runs directory.
-    The cache's append handle is closed once the cells are done.
-    """
-    runs_dir = out_dir / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-    sentinel = out_dir / "INCOMPLETE"
-    _write_text(sentinel, "plan execution in progress or interrupted\n")
-
-    def _one(cell):
-        record = _execute_cell(cell, cache=cache, transport=transport)
-        _write_text(runs_dir / cell.file, record.to_json())
-        return record
-
-    try:
-        if parallel > 1:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                records = list(pool.map(_one, cells))
-        else:
-            records = [_one(c) for c in cells]
-    finally:
-        if cache is not None:
-            cache.close()  # the plan's appends are done
-    sentinel.unlink()
-    return records
 
 
 def _write_summary(out_dir: Path, summary: stats.ExperimentSummary, prov: dict) -> None:
@@ -235,169 +86,32 @@ def _write_comparisons_tsv(path: Path, summary: stats.ExperimentSummary, prov: d
     _write_text(path, "".join(lines))
 
 
-def _open_cache(cfg) -> policy.DecisionCache | None:
-    if cfg.policy_kind != "llm":
-        return None
-    return policy.DecisionCache(cfg.llm_params.get("cache_path"))
-
-
-def _apply_overrides(cfg, args) -> None:
-    if getattr(args, "policy", None):
-        cfg.policy_kind = args.policy
-    if getattr(args, "seed", None) is not None:
-        cfg.master_seed = args.seed
-    if getattr(args, "cache_path", None):
-        cfg.llm_params["cache_path"] = args.cache_path
-    cfg.validate()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_network(args) -> int:
-    params = {**ingest.default_network_params(args.kind, args.n), "n": args.n}
-    flags = {"edge_prob": args.edge_prob, "attach_m": args.attach_m,
-             "community_size": args.community_size, "rewire_p": args.rewire_p}
-    params.update((k, v) for k, v in flags.items() if k in params and v is not None)
-    net = connected_network(args.kind, params, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    base = f"{args.kind}_seed{args.seed}"
-    netgen.save_network(net, out / f"{base}.edges")
-    st = netgen.stats(net)
-    n, e = net.n, len(net.edges)
-    doc = {
-        "kind": net.kind,
-        "seed": net.gen_seed,
-        "n": n,
-        "edges": e,
-        "density_2E_over_NN1": st.density,
-        "density_E_over_NN1": e / (n * (n - 1)),
-        "mean_degree": st.mean_degree,
-        "sd_degree": st.sd_degree,
-        "avg_path_length": st.avg_path_length,
-        "avg_clustering": st.avg_clustering,
-        "modularity": st.modularity,
-        "modularity_partition": "ground_truth" if net.communities else "detected",
-        "params": params,
-    }
-    _write_text(out / f"{base}.stats.json", _canonical_json(doc))
-    print(f"wrote {out / (base + '.edges')} and stats")
-    return 0
-
-
-def cmd_sample_personas(args) -> int:
-    cohort = persona.sample_personas(args.n, rng_seed=args.seed)
-    if args.pin:
-        trait, _, level = args.pin.partition("=")
-        cohort = persona.pin_trait(cohort, trait, level, offset=args.pin_offset)
-    persona.save_personas(cohort, args.out)
-    print(f"wrote {args.n} personas to {args.out}")
-    return 0
-
-
-def _news_for(cfg) -> list[ingest.NewsItem]:
-    return ingest.load_news(cfg.news_path, cfg.news_limit)
-
-
-def _execute_plan(args, groups, group_by: tuple):
-    """Load the config, then write plan.json, the cells' records and the summary.
-
-    groups(cfg) yields (cell_cfg, labels, file_prefix); each group expands to
-    replicates x news items. plan.json and the summary carry one provenance
-    dict, so `newssim stats` over the finished plan rewrites the same summary.
-    """
-    cfg = ingest.load_config(args.config)
-    _apply_overrides(cfg, args)
-    news_items = _news_for(cfg)
-    cells = [
-        Cell(cell_cfg, item, rep, labels, f"{prefix}_rep{rep:03d}_news{_slug(item.news_id)}.json")
-        for cell_cfg, labels, prefix in groups(cfg)
-        for rep in range(cfg.replications)
-        for item in news_items
-    ]
-    by_file = {}
-    for cell in cells:
-        other = by_file.setdefault(cell.file, cell)
-        if other is not cell:
-            raise ValueError(f"news ids {other.news.news_id!r} and {cell.news.news_id!r} "
-                             f"would both write runs/{cell.file}")
-    out_dir = Path(args.out)
-    cache = _open_cache(cfg)
-    prov = _provenance(cfg, cache)
-    plan = {
-        "provenance": prov,
-        "cells": [
-            {"labels": c.labels, "replicate": c.replicate, "news_id": c.news.news_id,
-             "file": f"runs/{c.file}"}
-            for c in cells
-        ],
-    }
-    _write_text(out_dir / "plan.json", _canonical_json(plan))
-    records = _run_plan(cells, out_dir, cache=cache, parallel=args.parallel)
-    summary = stats.aggregate_experiment(records, group_by)
-    _write_summary(out_dir, summary, prov)
-    return records, summary, out_dir
-
-
-def cmd_run(args) -> int:
-    def groups(cfg):
-        yield cfg, {"network": cfg.network_kind, "intervention": cfg.intervention_kind}, "run"
-
-    records, _, out_dir = _execute_plan(args, groups, ("network", "intervention"))
-    effective = sum(1 for r in records if r.effective)
-    print(f"{len(records)} runs written to {out_dir} ({effective} effective)")
-    return 0
-
-
-def cmd_sweep_personality(args) -> int:
-    def groups(cfg):
-        sweep_cfg = replace(cfg, intervention_kind="none")
-        for trait in persona.TRAITS:
-            for level in ("high", "low"):
-                labels = {"network": cfg.network_kind, "intervention": "none",
-                          "trait": trait, "level": level}
-                yield sweep_cfg, labels, f"sweep_{trait}_{level}"
-
-    records, summary, out_dir = _execute_plan(args, groups, ("trait", "level"))
-    print(f"personality sweep: {len(records)} runs, {len(summary.groups)} groups -> {out_dir}")
-    return 0
-
-
-def cmd_compare(args) -> int:
-    def groups(cfg):
-        for kind in cfg.compare_networks:
-            net_params = (
-                cfg.network_params
-                if kind == cfg.network_kind
-                else ingest.default_network_params(kind, cfg.network_params["n"])
-            )
-            for intervention in cfg.compare_interventions:
-                cell_cfg = replace(cfg, network_kind=kind, network_params=net_params,
-                                   intervention_kind=intervention)
-                labels = {"network": kind, "intervention": intervention}
-                yield cell_cfg, labels, f"compare_{kind}_{intervention}"
-
-    records, summary, out_dir = _execute_plan(args, groups, ("network", "intervention"))
-    print(f"compare: {len(records)} runs, {len(summary.groups)} groups -> {out_dir}")
-    return 0
-
-
-def _read_record(path: Path) -> engine.RunRecord:
+def _read_record(path: Path) -> RunRecord:
     try:
-        return engine.RunRecord.from_json(path.read_text(encoding="utf-8"))
+        return RunRecord.from_json(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_stats(args) -> int:
-    """Aggregate the records plan.json lists; without plan.json, every runs/*.json."""
+    """Aggregate the records plan.json lists; without plan.json, every runs/*.json.
+
+    A record under runs/ that plan.json does not list is refused, not ignored.
+    """
     results = Path(args.results)
     plan_path = results / "plan.json"
     if plan_path.exists():
         plan = json.loads(plan_path.read_text(encoding="utf-8"))
         paths = [results / cell["file"] for cell in plan["cells"]]
+        stray = sorted(set((results / "runs").glob("*.json")) - set(paths))
+        if stray:
+            print(f"error: {results / 'runs'} holds records plan.json does not list: "
+                  f"{', '.join(p.name for p in stray)}", file=sys.stderr)
+            return 2
         prov = plan.get("provenance", {})
     else:
         runs_dir = results / "runs"
@@ -454,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-network", help="materialize one network and its statistics")
-    p.add_argument("--kind", required=True, choices=netgen.NETWORK_KINDS)
+    p.add_argument("--kind", required=True, choices=ingest.NETWORK_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--edge-prob", type=float, default=None)
@@ -463,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--community-size", type=int, default=None)
     p.add_argument("--rewire-p", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_network)
+    p.set_defaults(func="cmd_gen_network")
 
     p = sub.add_parser("sample-personas", help="sample a persona cohort to a TSV file")
     p.add_argument("--n", type=int, required=True)
@@ -471,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pin", default=None, metavar="TRAIT=LEVEL")
     p.add_argument("--pin-offset", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample_personas)
+    p.set_defaults(func="cmd_sample_personas")
 
     def _common_run_args(p):
         p.add_argument("--config", required=True)
@@ -484,15 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute one experiment plan")
     _common_run_args(p)
     p.add_argument("--policy", choices=ingest.POLICY_KINDS, default=None)
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func="cmd_run")
 
     p = sub.add_parser("sweep-personality", help="pinned trait x level sweep")
     _common_run_args(p)
-    p.set_defaults(func=cmd_sweep_personality)
+    p.set_defaults(func="cmd_sweep_personality")
 
     p = sub.add_parser("compare", help="network x intervention cross product")
     _common_run_args(p)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func="cmd_compare")
 
     p = sub.add_parser("stats", help="aggregate a directory of run records")
     p.add_argument("--results", required=True)
@@ -510,12 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # ValueError covers ingest.ConfigError and ingest.NewsFormatError
+    func, errors = args.func, (ValueError, OSError)
+    if isinstance(func, str):  # a plan command, named by its handler in plan.py
+        from . import plan
+
+        func, errors = getattr(plan, func), errors + plan.ERRORS
     try:
-        return args.func(args)
-    except (ValueError, ingest.ConfigError, ingest.NewsFormatError,
-            netgen.NetworkGenerationError, policy.PolicyError, OSError) as exc:
+        return func(args)
+    except errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,8 +18,7 @@ import typing
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
-from .netgen import NETWORK_KINDS
-
+NETWORK_KINDS = ("random", "scale_free", "high_brokerage")
 VERACITIES = ("fake", "real")
 INTERVENTION_KINDS = ("none", "commenting", "accuracy", "blocking")
 POLICY_KINDS = ("stub", "llm")
@@ -120,6 +119,35 @@ def _network_n_problem(n) -> str | None:
     return None
 
 
+#: kind -> (key, test of (value, n), the range in words) for each of its keys but n
+_NETWORK_RANGES = {
+    "random": (("edge_prob", lambda p, n: 0 < p < 1, "in (0, 1)"),),
+    "scale_free": (("attach_m", lambda m, n: 1 <= m <= n - 2, "in [1, n - 2] for n = {n}"),),
+    "high_brokerage": (("community_size", lambda c, n: 3 <= c <= n, "in [3, n] for n = {n}"),
+                       ("rewire_p", lambda r, n: 0 <= r <= 1, "in [0, 1]")),
+}
+
+
+def network_param_problems(kind: str, params: dict) -> list[str]:
+    """A problem line, naming its dotted key, for each value of `params` out of range.
+
+    `kind` is one of NETWORK_KINDS. The generators in netgen check their
+    arguments here too, so a config and a generator accept the same values.
+    """
+    n = params.get("n")
+    if problem := _network_n_problem(n):
+        return [problem]
+    problems = []
+    for key, in_range, span in _NETWORK_RANGES[kind]:
+        value = params.get(key)
+        problem = type_problem(f"network.{key}", value, float)
+        if problem is None and not in_range(value, n):
+            problem = f"network.{key} must be {span.format(n=n)}, got {value!r}"
+        if problem:
+            problems.append(problem)
+    return problems
+
+
 def default_network_params(kind: str, n: int = 300) -> dict:
     """The network keys `kind` accepts, with their defaults for `n` agents.
 
@@ -176,8 +204,8 @@ class ExperimentConfig:
         problems = list(problems)
         if self.network_kind not in NETWORK_KINDS:
             problems.append(f"network.kind {self.network_kind!r} unknown")
-        elif problem := _network_n_problem(self.network_params.get("n")):
-            problems.append(problem)
+        else:
+            problems.extend(network_param_problems(self.network_kind, self.network_params))
         if self.days < 1:
             problems.append(f"days must be >= 1, got {self.days}")
         if not 0.0 < self.trigger_threshold <= 1.0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NETWORK_KINDS = ("random", "scale_free", "high_brokerage")
+from .ingest import NETWORK_KINDS, network_param_problems  # noqa: F401 - NETWORK_KINDS re-exported
 
 #: Random draws per block: the uniforms of one preferential-attachment refill,
 #: and the slack over the expected count in each block of random-graph gaps.
@@ -34,6 +34,12 @@ CHURN_CAP = 0.05
 
 class NetworkGenerationError(RuntimeError):
     """Raised when a generator cannot produce an acceptable graph."""
+
+
+def _check_params(kind: str, **params) -> None:
+    """Raise one ValueError naming every value of `params` out of its range."""
+    if problems := network_param_problems(kind, params):
+        raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -137,10 +143,7 @@ def gen_random(n: int, edge_prob: float, seed: int) -> Network:
     the upper triangle, are geometric(edge_prob). Time and memory are
     O(n + edges).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0.0 < edge_prob < 1.0:
-        raise ValueError("edge_prob must be in (0, 1)")
+    _check_params("random", n=n, edge_prob=edge_prob)
     rng = np.random.default_rng(seed)
     pairs = n * (n - 1) // 2
     chunks, last = [], -1  # last: linear index of the last included pair
@@ -194,8 +197,7 @@ def gen_scale_free(n: int, attach_m: int, seed: int) -> Network:
     Starts from attach_m seed nodes, so the edge count is exactly
     attach_m * (n - attach_m) for every seed.
     """
-    if not 1 <= attach_m <= n - 2:
-        raise ValueError("attach_m must satisfy 1 <= attach_m <= n - 2")
+    _check_params("scale_free", n=n, attach_m=attach_m)
     u = _attachment_targets(n, attach_m, np.random.default_rng(seed))
     v = np.repeat(np.arange(attach_m, n, dtype=np.int32), attach_m)
     order = np.argsort(u, kind="stable")  # v ascends already, so ties stay sorted
@@ -284,14 +286,9 @@ def gen_high_brokerage(
     remaining intra edges get a small uniform churn (default min(CHURN_CAP,
     rewire_p)) so degrees are not lattice-regular. Ground-truth communities are
     stored on the result. The result may be disconnected; callers that need
-    a connected graph retry with another seed (see cli.connected_network).
+    a connected graph retry with another seed (see plan.connected_network).
     """
-    if community_size < 3:
-        raise ValueError("community_size must be >= 3")
-    if community_size > n:
-        raise ValueError("community_size cannot exceed n")
-    if not 0.0 <= rewire_p <= 1.0:
-        raise ValueError("rewire_p must be in [0, 1]")
+    _check_params("high_brokerage", n=n, community_size=community_size, rewire_p=rewire_p)
     if churn_p is None:
         churn_p = min(CHURN_CAP, rewire_p)
     return _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac, churn_p)

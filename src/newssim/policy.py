@@ -534,14 +534,15 @@ class LlmPolicy:
 
     `transport` takes (url, headers, payload, timeout) and returns the parsed
     JSON body; tests inject fakes here. `api_key` falls back to the
-    environment variable named in settings.
+    environment variable named in settings. `cache` belongs to the caller,
+    who closes it once the policy's decisions are done.
     """
 
-    def __init__(self, settings: LlmSettings, cache: DecisionCache | None = None,
+    def __init__(self, settings: LlmSettings, cache: DecisionCache,
                  transport=None, api_key: str | None = None,
                  body_char_budget: int = 1200):
         self.settings = settings
-        self.cache = cache if cache is not None else DecisionCache(settings.cache_path)
+        self.cache = cache
         self.transport = transport or _default_transport
         self.api_key = api_key
         self.body_char_budget = body_char_budget

@@ -1,0 +1,116 @@
+"""Run records: the replayable result of one seeded run, and its JSON form.
+
+This module imports no numpy, so `newssim stats` can read a plan's records
+without loading the simulation.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+RECORD_FORMAT = 3
+AGENT_COLUMNS = ("reach_day", "reached_by", "decision")
+
+
+def _field(d, *path):
+    """d[path[0]][path[1]]...; a ValueError names the path a record lacks."""
+    for key in path:
+        if not isinstance(d, dict) or key not in d:
+            raise ValueError(f"run record has no {'.'.join(path)!r}")
+        d = d[key]
+    return d
+
+
+_ENTRY_TYPES = {"integers": (int,), "numbers": (int, float)}  # bools are neither
+
+
+def _list_of(d, kind: str, *path) -> list:
+    """The list at d's path; a ValueError names the column unless it holds only `kind`."""
+    column = _field(d, *path)
+    if not isinstance(column, list) or not all(type(v) in _ENTRY_TYPES[kind] for v in column):
+        raise ValueError(f"run record column {'.'.join(path)} is not a list of {kind}")
+    return column
+
+
+@dataclass
+class RunRecord:
+    """Replayable result of one seeded run.
+
+    Its size grows with the number of agents, not edges: the per-agent
+    columns reach_day, reached_by and decision (see engine.DiffusionState), the
+    comments and LLM transcript keys by agent id, and the seed and
+    intervention events. A decider decided on the day after its reach_day.
+    Repeat deliveries are not stored; they follow from the network's
+    adjacency, the decisions and the blocking_applied event.
+    """
+
+    meta: dict
+    reached_prop: list[float]
+    forwarded_prop: list[float]
+    reach_day: list[int]
+    reached_by: list[int]
+    decision: list[int]
+    comments: dict[int, str]
+    transcripts: dict[int, str]
+    events: list[dict]
+    effective: bool
+    taints: list[str]
+
+    def first_reached_by_day(self) -> dict[int, set[int]]:
+        layers: dict[int, set[int]] = {}
+        for agent, day in enumerate(self.reach_day):
+            if day >= 0:
+                layers.setdefault(day, set()).add(agent)
+        return layers
+
+    def to_dict(self) -> dict:
+        return {
+            "format": RECORD_FORMAT,
+            "meta": self.meta,
+            "series": {
+                "reached_prop": self.reached_prop,
+                "forwarded_prop": self.forwarded_prop,
+            },
+            "agents": {name: getattr(self, name) for name in AGENT_COLUMNS},
+            "comments": self.comments,
+            "transcripts": self.transcripts,
+            "events": self.events,
+            "effective": self.effective,
+            "taints": self.taints,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RunRecord":
+        """Read a format-3 record; a ValueError names what is missing or malformed."""
+        found = d.get("format") if isinstance(d, dict) else None
+        if found != RECORD_FORMAT:
+            raise ValueError(
+                f"run record format {found!r} is not supported (expected {RECORD_FORMAT})"
+            )
+        columns = {name: _list_of(d, "integers", "agents", name) for name in AGENT_COLUMNS}
+        n = len(columns["reach_day"])
+        for name, column in columns.items():
+            if len(column) != n:
+                raise ValueError(f"run record column agents.{name} has {len(column)} "
+                                 f"entries, agents.reach_day has {n}")
+        if not set(columns["decision"]) <= {-1, 0, 1}:
+            raise ValueError("run record column agents.decision holds a value outside -1/0/1")
+        return cls(
+            meta=_field(d, "meta"),
+            reached_prop=_list_of(d, "numbers", "series", "reached_prop"),
+            forwarded_prop=_list_of(d, "numbers", "series", "forwarded_prop"),
+            **columns,
+            comments={int(a): c for a, c in _field(d, "comments").items()},
+            transcripts={int(a): k for a, k in _field(d, "transcripts").items()},
+            events=list(_field(d, "events")),
+            effective=_field(d, "effective"),
+            taints=list(_field(d, "taints")),
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "RunRecord":
+        return cls.from_dict(json.loads(text))

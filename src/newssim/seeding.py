@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(master_seed: int, *labels) -> int:
     """Return a stable 128-bit integer seed for (master_seed, *labels)."""
@@ -23,6 +21,8 @@ def derive_seed(master_seed: int, *labels) -> int:
     return int.from_bytes(h.digest()[:16], "big")
 
 
-def derive_rng(master_seed: int, *labels) -> np.random.Generator:
-    """Generator seeded from the derived stream label."""
+def derive_rng(master_seed: int, *labels):
+    """numpy Generator seeded from the derived stream label."""
+    import numpy as np  # imported here so this module loads without numpy
+
     return np.random.default_rng(derive_seed(master_seed, *labels))

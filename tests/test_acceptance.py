@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from newssim import cli, engine, ingest, netgen, persona, policy, stats
+from newssim import cli, engine, ingest, netgen, persona, plan, policy, stats
 
 MASTER_SEED = 42
 REPS = 20
@@ -58,7 +58,7 @@ def run_group(kind, intervention, trait=None, level=None, reps=REPS):
         labels = {"network": kind, "intervention": intervention}
         if trait is not None:
             labels.update({"trait": trait, "level": level})
-        records.append(cli._execute_cell(cli.Cell(cfg, news, rep, labels, "")))
+        records.append(plan._execute_cell(plan.Cell(cfg, news, rep, labels, "")))
     return [r for r in records if r.effective]
 
 
@@ -80,7 +80,7 @@ def test_criterion_1_network_statistics():
 
     rand_stats = {"mean_degree": [], "apl": [], "clust": [], "mod": []}
     for seed in range(10):
-        net = cli.connected_network("random", {"n": 300, "edge_prob": 12.07 / 299}, seed)
+        net = plan.connected_network("random", {"n": 300, "edge_prob": 12.07 / 299}, seed)
         mean_deg, _ = netgen.degree_stats(net)
         rand_stats["mean_degree"].append(mean_deg)
         rand_stats["apl"].append(netgen.avg_path_length(net))
@@ -95,7 +95,7 @@ def test_criterion_1_network_statistics():
 
     sf_stats = {"sd": [], "apl": []}
     for seed in range(10):
-        net = cli.connected_network("scale_free", {"n": 288, "attach_m": 6}, seed)
+        net = plan.connected_network("scale_free", {"n": 288, "attach_m": 6}, seed)
         mean_deg, sd_deg = netgen.degree_stats(net)
         if mean_deg != 11.75:
             failures.append(f"scale-free mean degree {mean_deg} != 11.75 at seed {seed}")
@@ -108,7 +108,7 @@ def test_criterion_1_network_statistics():
 
     hb_stats = {"clust": [], "mod": [], "apl": [], "sd": []}
     for seed in range(10):
-        net = cli.connected_network(
+        net = plan.connected_network(
             "high_brokerage", {"n": 300, "community_size": 13, "rewire_p": 0.7}, seed
         )
         hb_stats["clust"].append(netgen.avg_clustering(net))
@@ -397,7 +397,7 @@ def test_criterion_8_determinism_and_replay(tmp_path, news_path):
     cfg.llm_params = {"cache_path": str(tmp_path / "cache.jsonl")}
     news_items = ingest.load_news(cfg.news_path, cfg.news_limit)
     cells = [
-        cli.Cell(cfg, item, rep, {"network": "random", "intervention": "none"},
+        plan.Cell(cfg, item, rep, {"network": "random", "intervention": "none"},
                  f"run_rep{rep:03d}_news{item.news_id}.json")
         for rep in range(cfg.replications) for item in news_items
     ]
@@ -411,7 +411,7 @@ def test_criterion_8_determinism_and_replay(tmp_path, news_path):
         return {"choices": [{"message": {"content": f"DECISION: {share}\nREASON: scripted"}}]}
 
     cache_live = policy.DecisionCache(tmp_path / "cache.jsonl")
-    live = cli._run_plan(cells, tmp_path / "llm_live", cache=cache_live,
+    live = plan._run_plan(cells, tmp_path / "llm_live", cache=cache_live,
                          transport=scripted)
     if calls["n"] == 0:
         failures.append("scripted transport never called in live mode")
@@ -420,7 +420,7 @@ def test_criterion_8_determinism_and_replay(tmp_path, news_path):
         raise AssertionError("network touched during replay")
 
     cache_replay = policy.DecisionCache(tmp_path / "cache.jsonl")
-    replay = cli._run_plan(cells, tmp_path / "llm_replay", cache=cache_replay,
+    replay = plan._run_plan(cells, tmp_path / "llm_replay", cache=cache_replay,
                            transport=boom)
     if [r.to_json() for r in live] != [r.to_json() for r in replay]:
         failures.append("replayed llm records differ from live records")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from newssim import cli, engine, ingest, netgen, persona, policy
+from newssim import cli, engine, ingest, netgen, persona, plan, policy
 from newssim.ingest import load_config
 from newssim.seeding import derive_seed
 
@@ -103,15 +103,41 @@ def test_gen_network_random_detects_modularity(tmp_path):
     assert 0.1 < doc["modularity"] < 1.0
 
 
-def test_cli_import_skips_libraries_only_some_commands_use():
-    code = ("import newssim.cli, sys; "
-            "print(sorted({'networkx', 'requests', 'yaml'} & set(sys.modules)))")
+#: modules that `import newssim.cli`, `stats` and `export-plot-data` leave unloaded
+PLAN_ONLY_MODULES = ["networkx", "requests", "yaml", "numpy", "newssim.engine", "newssim.netgen",
+                     "newssim.persona", "newssim.plan", "newssim.policy"]
+
+
+def _python(code: str) -> str:
+    """stdout of a fresh interpreter running `code` with this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_cli_import_skips_libraries_only_some_commands_use():
+    code = f"import newssim.cli, sys; print(sorted(set({PLAN_ONLY_MODULES}) & set(sys.modules)))"
+    assert _python(code) == "[]"
+
+
+def test_stats_and_export_plot_data_load_no_plan_module(tmp_path, small_config):
+    out, again, plots = tmp_path / "out", tmp_path / "again", tmp_path / "plots"
+    assert cli.main(["run", "--config", str(small_config(reps=2, news_limit=1)),
+                     "--out", str(out)]) == 0
+    code = (
+        "import sys; from newssim import cli; "
+        f"assert cli.main(['stats', '--results', {str(out)!r}, '--out', {str(again)!r}]) == 0; "
+        f"assert cli.main(['export-plot-data', '--results', {str(again)!r}, "
+        f"'--out', {str(plots)!r}]) == 0; "
+        f"print(sorted(set({PLAN_ONLY_MODULES}) & set(sys.modules)))"
+    )
+    assert _python(code).splitlines()[-1] == "[]"
+    assert (again / "summary.json").read_bytes() == (out / "summary.json").read_bytes()
+    assert {p.name for p in plots.iterdir()} == {"figure_reached.tsv", "figure_forwarded.tsv"}
 
 
 def test_perfbench_tracer_wraps_a_stub_run(tmp_path, news_path):
@@ -225,7 +251,7 @@ def test_interrupted_run_leaves_incomplete_marker(tmp_path, small_config, monkey
             raise RuntimeError("simulated crash")
         return real_run(*args, **kwargs)
 
-    monkeypatch.setattr(cli.engine, "run", flaky)
+    monkeypatch.setattr(plan.engine, "run", flaky)
     with pytest.raises(RuntimeError):
         cli.main(["run", "--config", str(small_config(reps=3, news_limit=2)),
                   "--out", str(out)])
@@ -250,13 +276,36 @@ def test_run_effective_retry_rewrites_attempt(tmp_path, small_config):
         seeds = [derive_seed(cfg.master_seed, "decide", meta["replicate"], meta["news_id"], k)
                  for k in range(attempt + 1)]
         assert meta["decision_seed"] == seeds[-1]
-        net = cli._cached_network(cfg.network_kind, tuple(sorted(cfg.network_params.items())),
+        net = plan._cached_network(cfg.network_kind, tuple(sorted(cfg.network_params.items())),
                                   meta["net_seed"])
-        personas = cli._cached_cohort(net.n, meta["persona_seed"])
+        personas = plan._cached_cohort(net.n, meta["persona_seed"])
         for seed in seeds[:-1]:  # every earlier attempt was non-effective
             earlier = engine.run(cfg, net, personas, news[meta["news_id"]],
-                                 cli._build_cell_policy(cfg, seed, None, None))
+                                 plan._build_cell_policy(cfg, seed, None, None))
             assert not earlier.effective
+
+
+def test_plan_failures_are_one_error_line(tmp_path, small_config, monkeypatch, capsys):
+    def refuse(*args):
+        raise OSError("connection refused")
+
+    monkeypatch.setattr(policy, "_default_transport", refuse)
+    llm = small_config(reps=1, news_limit=1, extra=(
+        "policy:\n  kind: llm\n  llm:\n    max_retries: 0\n"
+        f"    cache_path: {tmp_path / 'cache.jsonl'}\n"))
+    assert cli.main(["run", "--config", str(llm), "--out", str(tmp_path / "llm")]) == 2
+    assert re.fullmatch(r"error: day 1, agent \d+: chat completion failed after 1 tries: "
+                        r"connection refused\n", capsys.readouterr().err)
+    # two cliques and no bridges: every seed gives a disconnected network
+    cliques = small_config(reps=1, news_limit=1).read_text().replace(
+        "kind: random\n  n: 60\n  edge_prob: 0.12",
+        "kind: high_brokerage\n  n: 8\n  community_size: 4\n  rewire_p: 0.0")
+    (tmp_path / "cliques.yaml").write_text(cliques, encoding="utf-8")
+    assert cli.main(["run", "--config", str(tmp_path / "cliques.yaml"),
+                     "--out", str(tmp_path / "net")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not generate a connected high_brokerage network")
+    assert err.count("\n") == 1
 
 
 def test_run_refuses_news_ids_that_share_a_run_file(tmp_path, capsys):
@@ -343,14 +392,42 @@ def test_a_value_of_the_wrong_type_is_one_problem_line(tmp_path, capsys, doc, pr
     assert err == "error: invalid config:\n" + "".join(f"  - {p}\n" for p in problems)
 
 
+@pytest.mark.parametrize("network, problems", [
+    ({"edge_prob": 0.0}, ["network.edge_prob must be in (0, 1), got 0.0"]),
+    ({"edge_prob": 1.5}, ["network.edge_prob must be in (0, 1), got 1.5"]),
+    ({"kind": "scale_free", "attach_m": 0},
+     ["network.attach_m must be in [1, n - 2] for n = 288, got 0"]),
+    ({"kind": "scale_free", "n": 10, "attach_m": 9},
+     ["network.attach_m must be in [1, n - 2] for n = 10, got 9"]),
+    ({"kind": "high_brokerage", "community_size": 2, "rewire_p": 1.5},
+     ["network.community_size must be in [3, n] for n = 300, got 2",
+      "network.rewire_p must be in [0, 1], got 1.5"]),
+    ({"kind": "high_brokerage", "n": 10},
+     ["network.community_size must be in [3, n] for n = 10, got 13"]),
+], ids=["edge_prob-0", "edge_prob-1.5", "attach_m-0", "attach_m-n-1", "two-values",
+        "default-community_size"])
+def test_a_network_value_out_of_range_is_refused_before_any_write(tmp_path, capsys, network,
+                                                                   problems):
+    err = _refused(tmp_path, capsys, {"network": network})
+    assert err == "error: invalid config:\n" + "".join(f"  - {p}\n" for p in problems)
+    # the generator refuses the same values with the same words
+    network = dict(network)
+    kind = network.pop("kind", "random")
+    params = {**ingest.default_network_params(kind, network.get("n", 300)), **network}
+    with pytest.raises(ValueError) as refused:
+        netgen.generate(kind, params, 0)
+    assert str(refused.value) == "; ".join(problems)
+
+
 def test_ints_pass_as_numbers_and_null_as_an_unset_news_limit(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(json.dumps({"intervention": {"trigger_threshold": 1}, "sweep": {"offset": 2},
-                               "news": {"limit": None}, "network": {"edge_prob": 1}}),
+                               "news": {"limit": None},
+                               "network": {"kind": "high_brokerage", "rewire_p": 1}}),
                    encoding="utf-8")
     loaded = load_config(cfg)
     assert (loaded.trigger_threshold, loaded.sweep_offset, loaded.news_limit) == (1, 2, None)
-    assert loaded.network_params["edge_prob"] == 1
+    assert loaded.network_params["rewire_p"] == 1
 
 
 @pytest.mark.parametrize("doc, typos", [
@@ -384,7 +461,7 @@ def test_sweep_personality_groups(tmp_path, small_config):
 
 @pytest.mark.parametrize("command", ["compare", "sweep-personality"])
 def test_a_replicate_samples_its_cohort_once(tmp_path, small_config, monkeypatch, command):
-    cli._cached_cohort.cache_clear()
+    plan._cached_cohort.cache_clear()
     sampled = []
     real = persona.sample_personas
 
@@ -404,13 +481,13 @@ def test_a_replicate_samples_its_cohort_once(tmp_path, small_config, monkeypatch
 
 
 def test_cached_cohorts_are_shared_and_pinned_per_trait_level():
-    base = cli._cached_cohort(30, 5)
-    assert cli._cached_cohort(30, 5) is base and isinstance(base, tuple)
-    pinned = {(t, lv): cli._cached_cohort(30, 5, t, lv, 1.0)
+    base = plan._cached_cohort(30, 5)
+    assert plan._cached_cohort(30, 5) is base and isinstance(base, tuple)
+    pinned = {(t, lv): plan._cached_cohort(30, 5, t, lv, 1.0)
               for t in persona.TRAITS for lv in persona.LEVELS}
     assert len({c[0].big_five_scores for c in pinned.values()}) == len(pinned)
     for (trait, level), cohort in pinned.items():
-        assert cohort is cli._cached_cohort(30, 5, trait, level, 1.0)
+        assert cohort is plan._cached_cohort(30, 5, trait, level, 1.0)
         idx = persona.TRAITS.index(trait)
         assert all(p.big_five_labels[idx] == level for p in cohort)
         assert [p.age for p in cohort] == [p.age for p in base]
@@ -462,18 +539,23 @@ def test_stats_command_missing_dir(tmp_path, capsys):
     assert cli.main(["stats", "--results", str(tmp_path / "nope")]) == 2
 
 
-def test_stats_reads_only_plan_cells(tmp_path, small_config):
+def test_stats_refuses_records_the_plan_does_not_list(tmp_path, small_config, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(small_config(reps=2, news_limit=2)),
                      "--out", str(out)]) == 0
-    summary = (out / "summary.json").read_bytes()
-    # a stale record left by an earlier plan in the same out dir
-    stale = json.loads(next((out / "runs").glob("*.json")).read_text())
-    stale["series"]["reached_prop"] = [1.0] * len(stale["series"]["reached_prop"])
-    stale["effective"] = True
-    (out / "runs" / "stale_rep999.json").write_text(json.dumps(stale))
+    before = tree_bytes(out)
+    # stale records left by an earlier plan in the same out dir
+    for name in ("stale_rep999.json", "old_rep000.json"):
+        (out / "runs" / name).write_text(next((out / "runs").glob("run_*.json")).read_text())
+    capsys.readouterr()
+    assert cli.main(["stats", "--results", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {out / 'runs'} holds records plan.json does not "
+                                       "list: old_rep000.json, stale_rep999.json\n")
+    for name in ("stale_rep999.json", "old_rep000.json"):
+        (out / "runs" / name).unlink()
+    assert tree_bytes(out) == before
     assert cli.main(["stats", "--results", str(out)]) == 0
-    assert (out / "summary.json").read_bytes() == summary
+    assert tree_bytes(out) == before
 
 
 def _drop(*path):
@@ -561,13 +643,13 @@ def test_export_plot_data_empty_dir(tmp_path, capsys):
 
 def test_cache_path_flag_overrides_config(tmp_path, small_config, monkeypatch):
     seen = {}
-    real = cli._open_cache
+    real = plan._open_cache
 
     def spy(cfg):
         seen["path"] = cfg.llm_params.get("cache_path")
         return real(cfg)
 
-    monkeypatch.setattr(cli, "_open_cache", spy)
+    monkeypatch.setattr(plan, "_open_cache", spy)
     cfg = small_config(reps=1, news_limit=1)
     # stub policy: the flag still lands in the config for provenance
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -607,9 +689,9 @@ def test_llm_plan_replays_from_cache(tmp_path, small_config, news_path):
         "policy:\n  kind: llm\n  llm:\n    cache_path: " + str(tmp_path / "cache.jsonl") + "\n"
     ))
     cfg = load_config(cfg_path)
-    news = cli._news_for(cfg)
+    news = plan._news_for(cfg)
     cells = [
-        cli.Cell(cfg, item, rep, {"network": cfg.network_kind, "intervention": "none"},
+        plan.Cell(cfg, item, rep, {"network": cfg.network_kind, "intervention": "none"},
                  f"run_rep{rep:03d}_news{item.news_id}.json")
         for rep in range(cfg.replications) for item in news
     ]
@@ -617,7 +699,7 @@ def test_llm_plan_replays_from_cache(tmp_path, small_config, news_path):
     live = scripted_transport("DECISION: SHARE\nREASON: interesting")
     cache1 = policy.DecisionCache(tmp_path / "cache.jsonl")
     out1 = tmp_path / "live"
-    records1 = cli._run_plan(cells, out1, cache=cache1, transport=live)
+    records1 = plan._run_plan(cells, out1, cache=cache1, transport=live)
     assert live.calls > 0
 
     def boom(*a, **k):
@@ -625,7 +707,7 @@ def test_llm_plan_replays_from_cache(tmp_path, small_config, news_path):
 
     cache2 = policy.DecisionCache(tmp_path / "cache.jsonl")
     out2 = tmp_path / "replay"
-    records2 = cli._run_plan(cells, out2, cache=cache2, transport=boom)
+    records2 = plan._run_plan(cells, out2, cache=cache2, transport=boom)
     assert [r.to_json() for r in records1] == [r.to_json() for r in records2]
     assert tree_bytes(out1 / "runs") == tree_bytes(out2 / "runs")
 

@@ -14,7 +14,7 @@ import math
 import pytest
 
 from newssim import engine, ingest, persona
-from newssim.cli import connected_network
+from newssim.plan import connected_network
 from newssim.engine import RunRecord, blocking_candidates
 from newssim.ingest import NewsItem, config_snapshot
 from newssim.policy import (

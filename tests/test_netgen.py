@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newssim import cli, netgen
+from newssim import netgen, plan
 from newssim.netgen import (
     Network,
     NetworkGenerationError,
@@ -289,7 +289,7 @@ def test_high_brokerage_structure():
 
 def test_high_brokerage_no_bridges_errors(monkeypatch):
     # two cliques, no rewiring: always disconnected; the one retry site in
-    # cli.connected_network gives up after its 5 seeds
+    # plan.connected_network gives up after its 5 seeds
     builds = []
     real_build = netgen._build_high_brokerage
 
@@ -300,7 +300,7 @@ def test_high_brokerage_no_bridges_errors(monkeypatch):
     monkeypatch.setattr(netgen, "_build_high_brokerage", counting_build)
     params = {"n": 8, "community_size": 4, "rewire_p": 0.0}
     with pytest.raises(NetworkGenerationError, match=r"connected high_brokerage .* seed 0"):
-        cli.connected_network("high_brokerage", params, 0)
+        plan.connected_network("high_brokerage", params, 0)
     assert len(builds) == 5
 
 

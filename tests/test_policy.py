@@ -385,7 +385,8 @@ def make_transport(script):
 def test_llm_outcome_and_wire_format(tmp_path):
     transport = make_transport(["DECISION: SHARE\nREASON: looks important"])
     settings = LlmSettings(cache_path=str(tmp_path / "cache.jsonl"), max_retries=0)
-    policy = LlmPolicy(settings, transport=transport, api_key="sk-test")
+    policy = LlmPolicy(settings, DecisionCache(settings.cache_path), transport=transport,
+                       api_key="sk-test")
     with policy.cache:
         out = policy.decide(request(), persona_at())
     assert out.share is True and out.source == "llm_live"
@@ -401,7 +402,7 @@ def test_llm_cache_hit_is_byte_identical_without_network(tmp_path):
     cache_path = str(tmp_path / "cache.jsonl")
     transport = make_transport(["DECISION: IGNORE\nREASON: why not"])
     settings = LlmSettings(cache_path=cache_path)
-    policy = LlmPolicy(settings, transport=transport)
+    policy = LlmPolicy(settings, DecisionCache(cache_path), transport=transport)
     with policy.cache:
         first = policy.decide(request(), persona_at())
     assert policy.network_calls == 1
@@ -410,7 +411,7 @@ def test_llm_cache_hit_is_byte_identical_without_network(tmp_path):
     def boom(*a, **k):
         raise AssertionError("network touched during replay")
 
-    replay = LlmPolicy(LlmSettings(cache_path=cache_path), transport=boom)
+    replay = LlmPolicy(settings, DecisionCache(cache_path), transport=boom)
     second = replay.decide(request(), persona_at())
     assert replay.network_calls == 0
     assert second.source == "llm_cache"
@@ -422,7 +423,7 @@ def test_llm_cache_hit_is_byte_identical_without_network(tmp_path):
 def test_llm_reask_then_fallback(tmp_path):
     transport = make_transport(["maybe??", "huh", "still nothing"])
     settings = LlmSettings(cache_path=None, reask_limit=2, max_retries=0)
-    policy = LlmPolicy(settings, transport=transport)
+    policy = LlmPolicy(settings, DecisionCache(), transport=transport)
     out = policy.decide(request(), persona_at())
     assert out.share is False and out.parse_failure
     assert len(transport.calls) == 3  # one per re-ask attempt
@@ -430,7 +431,8 @@ def test_llm_reask_then_fallback(tmp_path):
 
 def test_llm_reask_recovers_on_second_attempt():
     transport = make_transport(["garbled", "DECISION: SHARE"])
-    policy = LlmPolicy(LlmSettings(reask_limit=2, max_retries=0), transport=transport)
+    policy = LlmPolicy(LlmSettings(reask_limit=2, max_retries=0), DecisionCache(),
+                       transport=transport)
     out = policy.decide(request(), persona_at())
     assert out.share is True and not out.parse_failure
     assert len(transport.calls) == 2
@@ -438,7 +440,7 @@ def test_llm_reask_recovers_on_second_attempt():
 
 def test_llm_network_failure_aborts():
     transport = make_transport([RuntimeError("connection refused")])
-    policy = LlmPolicy(LlmSettings(max_retries=1), transport=transport)
+    policy = LlmPolicy(LlmSettings(max_retries=1), DecisionCache(), transport=transport)
     with pytest.raises(PolicyError, match="2 tries"):
         policy.decide(request(), persona_at())
     assert len(transport.calls) == 2
@@ -446,14 +448,15 @@ def test_llm_network_failure_aborts():
 
 def test_llm_retries_transient_then_succeeds():
     transport = make_transport([RuntimeError("503"), "DECISION: SHARE"])
-    policy = LlmPolicy(LlmSettings(max_retries=2), transport=transport)
+    policy = LlmPolicy(LlmSettings(max_retries=2), DecisionCache(), transport=transport)
     out = policy.decide(request(), persona_at())
     assert out.share is True
     assert len(transport.calls) == 2
 
 
 def test_network_calls_counted_across_threads():
-    policy = LlmPolicy(LlmSettings(), transport=make_transport(["DECISION: SHARE"]))
+    policy = LlmPolicy(LlmSettings(), DecisionCache(),
+                       transport=make_transport(["DECISION: SHARE"]))
     threads, per_thread = 8, 500
 
     def work(t):

@@ -72,7 +72,7 @@ def decide(server, max_retries=3, api_key=None):
         endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
         max_retries=max_retries, timeout=10.0,
     )
-    llm = policy.LlmPolicy(settings, api_key=api_key)
+    llm = policy.LlmPolicy(settings, policy.DecisionCache(), api_key=api_key)
     assert llm.transport is policy._default_transport
     persona = sample_personas(1, rng_seed=3)[0]
     return llm.decide(policy.DecisionRequest(news=NEWS, day=1), persona), llm
