@@ -14,7 +14,6 @@ mean per-node clustering 2*e_i/(k_i*(k_i-1)), and Newman modularity
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,61 +41,57 @@ def _check_params(kind: str, **params) -> None:
         raise ValueError("; ".join(problems))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Simple undirected graph with generator provenance.
 
-    edges is a sorted tuple of (u, v) pairs with u < v; communities, when
-    present, is the ground-truth partition of range(n).
+    edges is a read-only int32 array of shape (m, 2) whose rows ascend, each
+    row (u, v) with u < v; the constructor takes any sequence of such pairs.
+    communities, when present, is the ground-truth partition of range(n).
+    The CSR and the degrees are built from the edge columns when the Network
+    is made.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     kind: str
     gen_seed: int
     communities: tuple[tuple[int, ...], ...] | None = None
 
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Ascending neighbour ids per node; built on first use, then shared.
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.int32).reshape(-1, 2)
+        src = np.concatenate((edges[:, 0], edges[:, 1]))
+        dst = np.concatenate((edges[:, 1], edges[:, 0]))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+        indices = dst[np.argsort(src.astype(np.int64) * self.n + dst)]
+        degrees = np.diff(indptr)
+        for a in (edges, indptr, indices, degrees):
+            a.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_csr", (indptr, indices))
+        object.__setattr__(self, "_degrees", degrees)
 
-        Threads racing on the first call may each build it; they build equal
-        values, and every later call returns the one stored last.
-        """
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbour ids per node, cut from the CSR on first use, then shared."""
         adj = self.__dict__.get("_adjacency")
         if adj is None:
-            lists: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                lists[u].append(v)
-                lists[v].append(u)
-            adj = tuple(tuple(sorted(a)) for a in lists)
+            indptr, indices = self._csr
+            flat, bounds = indices.tolist(), indptr.tolist()
+            adj = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (indptr, indices): the ascending neighbours of u are
-        indices[indptr[u]:indptr[u + 1]]. Built on first use, then shared,
-        like adjacency().
-        """
-        csr = self.__dict__.get("_csr")
-        if csr is None:
-            flat = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
-                               count=2 * len(self.edges))
-            src = np.concatenate([flat[0::2], flat[1::2]])
-            dst = np.concatenate([flat[1::2], flat[0::2]])
-            order = np.argsort(src * self.n + dst)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
-            csr = (indptr, dst[order])
-            for a in csr:
-                a.flags.writeable = False
-            object.__setattr__(self, "_csr", csr)
-        return csr
+        indices[indptr[u]:indptr[u + 1]]."""
+        return self._csr
 
     def neighbours(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(owners, nbrs): every neighbour of each of `nodes`, node by node in
         the given order and ascending within a node; owners[i] is the node
         whose neighbour nbrs[i] is."""
-        indptr, indices = self.csr()
+        indptr, indices = self._csr
         starts = indptr[nodes]
         counts = indptr[nodes + 1] - starts
         # a gathered neighbour's position in `indices` is its node's start
@@ -105,13 +100,8 @@ class Network:
         return np.repeat(nodes, counts), indices[np.repeat(starts, counts) + ranks]
 
     def degrees(self) -> np.ndarray:
-        """Read-only degree array; built on first use, then shared."""
-        deg = self.__dict__.get("_degrees")
-        if deg is None:
-            deg = np.diff(self.csr()[0])
-            deg.flags.writeable = False
-            object.__setattr__(self, "_degrees", deg)
-        return deg
+        """Read-only degree array."""
+        return self._degrees
 
 
 @dataclass(frozen=True)
@@ -122,17 +112,6 @@ class NetworkStats:
     avg_path_length: float
     avg_clustering: float
     modularity: float
-
-
-def _edge_tuples(n: int, u: np.ndarray, v: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """The pairs (u[k], v[k]) in order.
-
-    Each node id is one int object shared by all its edges. At N=10^5 and
-    mean degree 12 the edges then take 41 MB, against 77 MB with an int per
-    endpoint.
-    """
-    ids = np.arange(n).astype(object)
-    return tuple(zip(ids[u].tolist(), ids[v].tolist()))
 
 
 def gen_random(n: int, edge_prob: float, seed: int) -> Network:
@@ -159,11 +138,13 @@ def gen_random(n: int, edge_prob: float, seed: int) -> Network:
         chunks.append(ks)
         last = int(ks[-1])
     ks = np.concatenate(chunks)
+    del chunks  # the draws' buffers, freed before the CSR is built
     rows = np.arange(n, dtype=np.int64)
     starts = rows * (2 * n - rows - 1) // 2  # linear index of pair (i, i + 1)
     i = np.searchsorted(starts, ks, side="right") - 1
     j = ks - starts[i] + i + 1
-    return Network(n=n, edges=_edge_tuples(n, i, j), kind="random", gen_seed=seed)
+    return Network(n=n, edges=np.stack((i, j), axis=1, dtype=np.int32), kind="random",
+                   gen_seed=seed)
 
 
 def _attachment_targets(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -201,7 +182,7 @@ def gen_scale_free(n: int, attach_m: int, seed: int) -> Network:
     u = _attachment_targets(n, attach_m, np.random.default_rng(seed))
     v = np.repeat(np.arange(attach_m, n, dtype=np.int32), attach_m)
     order = np.argsort(u, kind="stable")  # v ascends already, so ties stay sorted
-    return Network(n=n, edges=_edge_tuples(n, u[order], v[order]), kind="scale_free",
+    return Network(n=n, edges=np.stack((u[order], v[order]), axis=1), kind="scale_free",
                    gen_seed=seed)
 
 
@@ -209,8 +190,6 @@ def _split_communities(n: int, community_size: int) -> list[list[int]]:
     ncomm = max(1, round(n / community_size))
     base, extra = divmod(n, ncomm)
     sizes = [base + (1 if i < extra else 0) for i in range(ncomm)]
-    if max(sizes) - min(sizes) > 1:
-        raise ValueError("n cannot be split into communities within +/-1 of each other")
     comms, start = [], 0
     for size in sizes:
         comms.append(list(range(start, start + size)))
@@ -218,7 +197,8 @@ def _split_communities(n: int, community_size: int) -> list[list[int]]:
     return comms
 
 
-def _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac, churn_p):
+def _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac):
+    churn_p = min(CHURN_CAP, rewire_p)
     rng = np.random.default_rng(seed)
     comms = _split_communities(n, community_size)
     comm_of = {}
@@ -261,7 +241,7 @@ def _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac, churn_
 
     return Network(
         n=n,
-        edges=tuple(sorted(edges)),  # every pair in the set is already (min, max)
+        edges=sorted(edges),  # every pair in the set is already (min, max)
         kind="high_brokerage",
         gen_seed=seed,
         communities=tuple(tuple(c) for c in comms),
@@ -275,7 +255,6 @@ def gen_high_brokerage(
     seed: int,
     *,
     broker_frac: float = BROKER_FRACTION,
-    churn_p: float | None = None,
 ) -> Network:
     """Clique communities bridged by broker nodes.
 
@@ -283,15 +262,13 @@ def gen_high_brokerage(
     members, at least one) anchors the bridges: intra-community edges touching
     a broker are rewired with probability rewire_p, keeping the broker end and
     re-attaching the other end to a random node outside the community. The
-    remaining intra edges get a small uniform churn (default min(CHURN_CAP,
-    rewire_p)) so degrees are not lattice-regular. Ground-truth communities are
+    remaining intra edges get a small uniform churn, min(CHURN_CAP, rewire_p),
+    so degrees are not lattice-regular. Ground-truth communities are
     stored on the result. The result may be disconnected; callers that need
     a connected graph retry with another seed (see plan.connected_network).
     """
     _check_params("high_brokerage", n=n, community_size=community_size, rewire_p=rewire_p)
-    if churn_p is None:
-        churn_p = min(CHURN_CAP, rewire_p)
-    return _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac, churn_p)
+    return _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac)
 
 
 def generate(kind: str, params: dict, seed: int) -> Network:
@@ -381,26 +358,19 @@ def avg_clustering(net: Network) -> float:
 
 def modularity(net: Network, partition) -> float:
     """Newman modularity of a node partition, via per-community aggregates."""
-    comm_of: dict[int, int] = {}
-    for ci, nodes in enumerate(partition):
-        for u in nodes:
-            if u in comm_of:
-                raise ValueError(f"node {u} appears in more than one community")
-            comm_of[u] = ci
-    if set(comm_of) != set(range(net.n)):
-        raise ValueError("partition must cover all nodes exactly")
+    parts = [np.asarray(nodes, dtype=np.int64).reshape(-1) for nodes in partition]
+    members = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    if not np.array_equal(np.sort(members), np.arange(net.n)):
+        raise ValueError("partition must cover every node exactly once")
     m = len(net.edges)
     if m == 0:
         return 0.0
-    ncomm = len(list(partition))
-    intra = np.zeros(ncomm)
-    deg_sum = np.zeros(ncomm)
-    for u, v in net.edges:
-        if comm_of[u] == comm_of[v]:
-            intra[comm_of[u]] += 1.0
-    deg = net.degrees()
-    for u in range(net.n):
-        deg_sum[comm_of[u]] += deg[u]
+    comm = np.empty(net.n, dtype=np.int64)
+    comm[members] = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+    u, v = comm[net.edges[:, 0]], comm[net.edges[:, 1]]
+    # integer-valued counts and degree sums, exact in float64
+    intra = np.bincount(u[u == v], minlength=len(parts)).astype(float)
+    deg_sum = np.bincount(comm, weights=net.degrees(), minlength=len(parts))
     return float(np.sum(intra / m - (deg_sum / (2.0 * m)) ** 2))
 
 
@@ -410,13 +380,13 @@ def detect_communities(net: Network) -> tuple[tuple[int, ...], ...]:
     Deterministic for a given graph; singleton graphs fall back to one
     community.
     """
-    if net.n < 2 or not net.edges:
+    if net.n < 2 or len(net.edges) == 0:
         return (tuple(range(net.n)),) if net.n else ()
     import networkx as nx  # only gen-network needs it, and it is slow to import
 
     g = nx.Graph()
     g.add_nodes_from(range(net.n))
-    g.add_edges_from(net.edges)
+    g.add_edges_from(net.edges.tolist())
     comms = nx.community.greedy_modularity_communities(g)
     return tuple(sorted((tuple(sorted(c)) for c in comms), key=lambda c: c[0]))
 
@@ -443,8 +413,7 @@ def save_network(net: Network, path) -> None:
         fh.write(f"kind={net.kind}\n")
         fh.write(f"seed={net.gen_seed}\n")
         fh.write("edges\n")
-        for u, v in net.edges:
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in net.edges.tolist())
         if net.communities is not None:
             fh.write("communities\n")
             for nodes in net.communities:

@@ -43,19 +43,12 @@ def _provenance(cfg: ingest.ExperimentConfig, cache: policy.DecisionCache | None
 
 def connected_network(kind: str, params: dict, seed: int, retries: int = 5) -> netgen.Network:
     """Generate a network, regenerating with seed+offset if disconnected."""
-    last_err = None
     for attempt in range(retries):
-        try:
-            net = netgen.generate(kind, params, seed + attempt)
-        except netgen.NetworkGenerationError as exc:
-            last_err = exc
-            continue
+        net = netgen.generate(kind, params, seed + attempt)
         if netgen.is_connected(net):
             return net
-        last_err = netgen.NetworkGenerationError(f"{kind} disconnected at seed {seed + attempt}")
     raise netgen.NetworkGenerationError(
-        f"could not generate a connected {kind} network from seed {seed}: {last_err}"
-    )
+        f"could not generate a connected {kind} network in {retries} tries from seed {seed}")
 
 
 # lru_cache does not hold its lock while it builds a value: without this one,
@@ -256,6 +249,12 @@ def _execute_plan(args, groups, group_by: tuple):
         for rep in range(cfg.replications)
         for item in news_items
     ]
+    # every network the cells need is checked before anything is written
+    networks = dict.fromkeys((c.cfg.network_kind, tuple(sorted(c.cfg.network_params.items())))
+                             for c in cells)
+    if problems := [f"{kind}: {problem}" for kind, items in networks
+                    for problem in ingest.network_param_problems(kind, dict(items))]:
+        raise ingest.ConfigError(problems)
     by_file = {}
     for cell in cells:
         other = by_file.setdefault(cell.file, cell)

@@ -464,7 +464,7 @@ def test_criterion_9_modularity_brute_force():
         n = int(rng.integers(3, 51))
         net = netgen.gen_random(n, float(rng.uniform(0.08, 0.6)),
                                 seed=int(rng.integers(0, 10**6)))
-        if not net.edges:
+        if len(net.edges) == 0:
             continue
         k = int(rng.integers(1, 6))
         assignment = rng.integers(0, k, size=n)

@@ -322,6 +322,20 @@ def test_run_refuses_news_ids_that_share_a_run_file(tmp_path, capsys):
                                        "runs/run_rep000_newsx-1.json\n")
 
 
+def test_compare_checks_every_network_before_writing(tmp_path, news_path, capsys):
+    # random is valid at n = 10; compare's default high_brokerage communities are not
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps({"network": {"kind": "random", "n": 10, "edge_prob": 0.5},
+                               "replications": 1, "news": {"path": str(news_path), "limit": 2}}),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: invalid config:\n"
+        "  - high_brokerage: network.community_size must be in [3, n] for n = 10, got 13\n")
+
+
 # ---------------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------------
