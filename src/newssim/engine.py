@@ -149,7 +149,7 @@ def _deliver(state: DiffusionState, net: Network, sharers: np.ndarray, day: int)
 def step_day(
     state: DiffusionState,
     net: Network,
-    personas: list[persona_mod.AgentPersona],
+    personas: persona_mod.Cohort,
     news: NewsItem,
     policy,
     config: ExperimentConfig,
@@ -191,24 +191,18 @@ def apply_accuracy_intervention(
     return state
 
 
-def blocking_candidates(net: Network, personas) -> list[int]:
+def blocking_candidates(net: Network, personas: persona_mod.Cohort) -> list[int]:
     """High-openness or high-extraversion agents, ranked by degree desc, id asc."""
     e_idx = persona_mod.TRAITS.index("extraversion")
     o_idx = persona_mod.TRAITS.index("openness")
-    deg = net.degrees()
-    cands = [
-        p.agent_id
-        for p in personas
-        if p.big_five_labels[e_idx] == "high" or p.big_five_labels[o_idx] == "high"
-    ]
-    cands.sort(key=lambda a: (-deg[a], a))
-    return cands
+    cands = np.flatnonzero(personas.high[:, e_idx] | personas.high[:, o_idx])
+    return cands[np.lexsort((cands, -net.degrees()[cands]))].tolist()
 
 
 def apply_blocking_intervention(
     state: DiffusionState,
     net: Network,
-    personas: list[persona_mod.AgentPersona],
+    personas: persona_mod.Cohort,
     trigger_threshold: float,
     block_fraction: float,
     events: list[dict] | None = None,
@@ -247,7 +241,7 @@ def _evaluate_triggers(state, net, personas, config: ExperimentConfig, events):
 def run(
     config: ExperimentConfig,
     net: Network,
-    personas: list[persona_mod.AgentPersona],
+    personas: persona_mod.Cohort,
     news: NewsItem,
     policy,
     extra_meta: dict | None = None,

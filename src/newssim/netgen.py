@@ -291,7 +291,10 @@ def is_connected(net: Network) -> bool:
     frontier = np.array([0])
     while frontier.size:
         _, nbrs = net.neighbours(frontier)
-        frontier = np.unique(nbrs[~seen[nbrs]])
+        # a mask, not np.unique: numpy 2.4's unique imports numpy.ma, which no plan needs
+        fresh = np.zeros(net.n, dtype=bool)
+        fresh[nbrs] = True
+        frontier = np.flatnonzero(fresh & ~seen)
         seen[frontier] = True
     return bool(seen.all())
 

@@ -9,7 +9,7 @@ composition. Sampled scores are clamped to the [1, 7] instrument range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class BigFiveStats:
         corr = np.asarray(self.correlations, dtype=float)
         if means.shape != (5,) or sds.shape != (5,) or corr.shape != (5, 5):
             raise PersonaConfigError("trait stats must cover exactly 5 traits")
+        if not np.all(np.isfinite(means)):
+            raise PersonaConfigError("all trait means must be finite")
         if not np.all(sds > 0):
             raise PersonaConfigError("all trait sds must be strictly positive")
         if not np.allclose(corr, corr.T):
@@ -85,18 +87,38 @@ class AgentPersona:
     pinned_traits: dict[str, str] | None = field(default=None)
 
 
-class Cohort(tuple):
-    """A cohort that cannot change: its personas, indexed by agent id.
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """A cohort that cannot change, held as columns indexed by agent id.
 
-    Columns derived from the personas are built once per cohort by `column`.
+    `female` (n,) bool, `age` (n,) int, `scores` (n, 5) float64 and `high`
+    (n, 5) bool, the high/low level of each score, in TRAITS order. Every
+    column is read-only, so cohorts can share columns. `pinned` maps each
+    pinned trait to its level. `cohort[i]` builds agent i's AgentPersona.
     """
 
-    def column(self, key, build):
-        """Return build(self), built on the first call for `key`, then shared."""
-        columns = self.__dict__.setdefault("_columns", {})
-        if key not in columns:
-            columns[key] = build(self)
-        return columns[key]
+    female: np.ndarray
+    age: np.ndarray
+    scores: np.ndarray
+    high: np.ndarray
+    pinned: dict[str, str] | None = None
+
+    def __post_init__(self):
+        for column in (self.female, self.age, self.scores, self.high):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.age)
+
+    def __getitem__(self, i: int) -> AgentPersona:
+        i = range(len(self))[i]
+        return AgentPersona(i, GENDERS[not self.female[i]], int(self.age[i]),
+                            tuple(self.scores[i].tolist()),
+                            tuple(LEVELS[not h] for h in self.high[i].tolist()),
+                            dict(self.pinned) if self.pinned else None)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def categorize_traits(scores, thresholds):
@@ -117,20 +139,21 @@ def sample_personas(
     n: int,
     stats: BigFiveStats = DEFAULT_TRAIT_STATS,
     rng_seed: int = 0,
-) -> list[AgentPersona]:
+) -> Cohort:
     """Sample n personas deterministically for a given seed.
 
     Gender is a fair coin. Age is Gamma-distributed with mean 28.5 / sd 9.54
     (shape mu^2/sd^2, scale sd^2/mu), rounded half away from zero and clamped
     to a minimum of 13. Trait scores are drawn from the multivariate normal
-    implied by `stats` and clamped to [1, 7] after sampling.
+    implied by `stats` and clamped to [1, 7] after sampling; a score at or
+    above its trait's mean is high.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     stats.validate()
     rng = np.random.default_rng(rng_seed)
 
-    genders = np.where(rng.random(n) < 0.5, "female", "male")
+    female = rng.random(n) < 0.5
 
     shape = AGE_MEAN**2 / AGE_SD**2
     scale = AGE_SD**2 / AGE_MEAN
@@ -139,46 +162,31 @@ def sample_personas(
 
     means = np.asarray(stats.means, dtype=float)
     scores = rng.multivariate_normal(means, stats.covariance(), size=n, method="svd")
-    scores = np.clip(scores, SCORE_MIN, SCORE_MAX)
-
-    # positional AgentPersona(agent_id, gender, age, big_five_scores, big_five_labels)
-    return list(map(AgentPersona, range(n), genders.tolist(), ages.tolist(),
-                    zip(*scores.T.tolist()), categorize_traits(scores, means)))
+    np.clip(scores, SCORE_MIN, SCORE_MAX, out=scores)
+    return Cohort(female, ages, scores, scores >= means)
 
 
 def pin_trait(
-    personas: list[AgentPersona],
+    cohort: Cohort,
     trait: str,
     level: str,
     offset: float = 1.0,
     stats: BigFiveStats = DEFAULT_TRAIT_STATS,
-) -> list[AgentPersona]:
-    """Force one trait to mean +/- offset*sd for every persona; other traits untouched."""
+) -> Cohort:
+    """Force one trait to mean +/- offset*sd for every persona; other traits untouched.
+
+    The pinned cohort copies the score and level columns and shares the others.
+    """
     if trait not in TRAITS:
         raise ValueError(f"unknown trait {trait!r}; expected one of {TRAITS}")
     if level not in LEVELS:
         raise ValueError(f"level must be 'high' or 'low', got {level!r}")
     idx = TRAITS.index(trait)
     sign = 1.0 if level == "high" else -1.0
-    pinned_score = stats.means[idx] + sign * offset * stats.sds[idx]
-
-    out = []
-    for p in personas:
-        scores = list(p.big_five_scores)
-        labels = list(p.big_five_labels)
-        scores[idx] = pinned_score
-        labels[idx] = level
-        pins = dict(p.pinned_traits or {})
-        pins[trait] = level
-        out.append(
-            replace(
-                p,
-                big_five_scores=tuple(scores),
-                big_five_labels=tuple(labels),
-                pinned_traits=pins,
-            )
-        )
-    return out
+    scores, high = cohort.scores.copy(), cohort.high.copy()
+    scores[:, idx] = stats.means[idx] + sign * offset * stats.sds[idx]
+    high[:, idx] = level == "high"
+    return Cohort(cohort.female, cohort.age, scores, high, {**(cohort.pinned or {}), trait: level})
 
 
 def render_persona_text(persona: AgentPersona) -> str:
@@ -192,12 +200,14 @@ def render_persona_text(persona: AgentPersona) -> str:
     )
 
 
-def save_personas(personas: list[AgentPersona], path) -> None:
+def save_personas(cohort: Cohort, path) -> None:
     """Write a cohort as tab-separated records (documented in the header line)."""
+    genders = np.array(GENDERS)[(~cohort.female).astype(int)].tolist()
+    labels = np.array(LEVELS)[(~cohort.high).astype(int)].tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("agent_id\tgender\tage\t" + "\t".join(TRAITS) + "\t"
                  + "\t".join(f"{t}_label" for t in TRAITS) + "\n")
-        for p in personas:
-            scores = "\t".join(repr(s) for s in p.big_five_scores)
-            labels = "\t".join(p.big_five_labels)
-            fh.write(f"{p.agent_id}\t{p.gender}\t{p.age}\t{scores}\t{labels}\n")
+        for i, (gender, age, scores, levels) in enumerate(
+                zip(genders, cohort.age.tolist(), cohort.scores.tolist(), labels)):
+            fh.write(f"{i}\t{gender}\t{age}\t" + "\t".join(map(repr, scores)) + "\t"
+                     + "\t".join(levels) + "\n")

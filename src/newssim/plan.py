@@ -66,13 +66,12 @@ def _cached_cohort(n: int, seed: int, trait: str | None = None, level: str | Non
                    offset: float = 1.0) -> persona.Cohort:
     """The replicate's cohort, pinned to trait=level when a trait is given.
 
-    A Cohort is read-only, so every cell of the replicate can share it, and
-    the stub's per-cohort columns with it.
+    A Cohort is read-only, so every cell of the replicate can share it, and a
+    pinned cohort shares the base cohort's unpinned columns.
     """
     if trait:
-        base = _cached_cohort(n, seed)
-        return persona.Cohort(persona.pin_trait(base, trait, level, offset=offset))
-    return persona.Cohort(persona.sample_personas(n, rng_seed=seed))
+        return persona.pin_trait(_cached_cohort(n, seed), trait, level, offset=offset)
+    return persona.sample_personas(n, rng_seed=seed)
 
 
 def _slug(text: str) -> str:

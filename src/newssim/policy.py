@@ -217,11 +217,10 @@ def share_probability(
     return 1.0 / (1.0 + np.exp(-logit))
 
 
-def _zscore_columns(personas, stats: persona_mod.BigFiveStats) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized extraversion and openness of every persona, by agent id."""
+def _zscores(scores: np.ndarray, stats: persona_mod.BigFiveStats) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized extraversion and openness of each row of an agents x traits matrix."""
     cols = [persona_mod.TRAITS.index("extraversion"), persona_mod.TRAITS.index("openness")]
-    scores = np.array([p.big_five_scores for p in personas], dtype=float).reshape(-1, 5)[:, cols]
-    z = (scores - np.asarray(stats.means)[cols]) / np.asarray(stats.sds)[cols]
+    z = (scores[:, cols] - np.asarray(stats.means)[cols]) / np.asarray(stats.sds)[cols]
     return z[:, 0], z[:, 1]
 
 
@@ -270,7 +269,7 @@ def decide_stub(
     stats: persona_mod.BigFiveStats = persona_mod.DEFAULT_TRAIT_STATS,
 ) -> DecisionOutcome:
     """One agent's stub decision; equal to its entry in any batch holding it."""
-    z_e, z_o = _zscore_columns([persona], stats)
+    z_e, z_o = _zscores(np.array([persona.big_five_scores]), stats)
     d = _decide_stub_columns(z_e, z_o, [persona.agent_id], req.news.news_id, req.template_id,
                              req.accuracy_notice, params, rng_seed)
     share = bool(d.share[0])
@@ -297,21 +296,12 @@ class StubPolicy:
     def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
         return decide_stub(req, persona, self.params, self.rng_seed, self.stats)
 
-    def decide_many(self, batch: DecisionBatch, personas) -> Decisions:
-        """Decide the whole batch in numpy; each agent as `decide` would.
-
-        A persona_mod.Cohort keeps its z-score columns across runs; a plain
-        list of personas has them rebuilt on every call.
-        """
-        if isinstance(personas, persona_mod.Cohort):
-            z_e, z_o = personas.column(("stub_z", self.stats),
-                                       lambda c: _zscore_columns(c, self.stats))
-        else:
-            z_e, z_o = _zscore_columns(personas, self.stats)
+    def decide_many(self, batch: DecisionBatch, personas: persona_mod.Cohort) -> Decisions:
+        """Decide the whole batch in numpy; each agent as `decide` would."""
         agents = batch.agents
-        return _decide_stub_columns(z_e[agents], z_o[agents], agents, batch.news.news_id,
-                                    batch.template_id, batch.accuracy_notice, self.params,
-                                    self.rng_seed)
+        z_e, z_o = _zscores(personas.scores[agents], self.stats)
+        return _decide_stub_columns(z_e, z_o, agents, batch.news.news_id, batch.template_id,
+                                    batch.accuracy_notice, self.params, self.rng_seed)
 
     def identity(self) -> dict:
         return {"kind": "stub", "rng_seed": self.rng_seed, **self.params.__dict__}

@@ -140,6 +140,17 @@ def test_stats_and_export_plot_data_load_no_plan_module(tmp_path, small_config):
     assert {p.name for p in plots.iterdir()} == {"figure_reached.tsv", "figure_forwarded.tsv"}
 
 
+def test_a_stub_run_does_not_import_numpy_ma(tmp_path, small_config):
+    """No plan needs numpy.ma; importing it costs every plan process start-up time and RSS."""
+    cfg = small_config(reps=2, news_limit=1, extra="intervention:\n  kind: blocking\n")
+    code = (
+        "import sys; from newssim import cli; "
+        f"assert cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])"
+        " == 0; print('numpy.ma' in sys.modules)"
+    )
+    assert _python(code).splitlines()[-1] == "False"
+
+
 def test_perfbench_tracer_wraps_a_stub_run(tmp_path, news_path):
     """The benchmark's tracer finds every function it wraps by name."""
     cfg = tmp_path / "cfg.yaml"
@@ -496,9 +507,13 @@ def test_a_replicate_samples_its_cohort_once(tmp_path, small_config, monkeypatch
 
 def test_cached_cohorts_are_shared_and_pinned_per_trait_level():
     base = plan._cached_cohort(30, 5)
-    assert plan._cached_cohort(30, 5) is base and isinstance(base, tuple)
+    assert plan._cached_cohort(30, 5) is base
     pinned = {(t, lv): plan._cached_cohort(30, 5, t, lv, 1.0)
               for t in persona.TRAITS for lv in persona.LEVELS}
+    for cohort in (base, pinned["openness", "high"]):  # cells share them: no column is writable
+        for column in (cohort.female, cohort.age, cohort.scores, cohort.high):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
     assert len({c[0].big_five_scores for c in pinned.values()}) == len(pinned)
     for (trait, level), cohort in pinned.items():
         assert cohort is plan._cached_cohort(30, 5, trait, level, 1.0)

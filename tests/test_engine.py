@@ -441,6 +441,46 @@ def test_blocking_candidates_ranked_by_degree_then_id():
     assert cands[0] == 0 and cands[1] == 4  # equal degree 3, lower id first
 
 
+def blocking_candidates_oracle(net, personas):
+    """The per-persona ranking by sort key that the column version replaced."""
+    e_idx = persona_mod.TRAITS.index("extraversion")
+    o_idx = persona_mod.TRAITS.index("openness")
+    deg = net.degrees()
+    cands = [
+        p.agent_id
+        for p in personas
+        if p.big_five_labels[e_idx] == "high" or p.big_five_labels[o_idx] == "high"
+    ]
+    cands.sort(key=lambda a: (-deg[a], a))
+    return cands
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    net=small_graphs(),
+    seed=st.integers(0, 999),
+    pins=st.lists(st.tuples(st.sampled_from(persona_mod.TRAITS),
+                            st.sampled_from(persona_mod.LEVELS)), max_size=2),
+    fraction=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    denominator=st.sampled_from(["all_agents", "candidates"]),
+)
+def test_blocking_candidates_match_the_per_persona_ranking(net, seed, pins, fraction,
+                                                           denominator):
+    personas = persona_mod.sample_personas(net.n, rng_seed=seed)
+    for trait, level in pins:
+        personas = persona_mod.pin_trait(personas, trait, level)
+    oracle = blocking_candidates_oracle(net, personas)
+    cands = blocking_candidates(net, personas)
+    assert cands == oracle and all(type(a) is int for a in cands)
+    state = initial_state(net, 0)
+    events = []
+    apply_blocking_intervention(state, net, personas, 0.0, fraction, events,
+                                block_denominator=denominator)
+    quota = math.ceil(fraction * (net.n if denominator == "all_agents" else len(oracle)))
+    assert events[0]["blocked"] == oracle[:quota]
+    assert np.flatnonzero(state.blocked).tolist() == sorted(oracle[:quota])
+
+
 def test_blocking_zero_candidates_noop():
     net = gen_random(50, 0.15, seed=2)
     personas = persona_mod.sample_personas(50, rng_seed=2)

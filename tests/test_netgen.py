@@ -26,6 +26,7 @@ from newssim.netgen import (
     save_network,
     stats,
 )
+from newssim.persona import pin_trait, sample_personas
 
 
 def net_from_edges(n, edges, communities=None):
@@ -287,6 +288,16 @@ def test_generators_allocate_linear_memory():
     assert traced_peak_mb(gen_scale_free, 20000, 3, 1) < 9.3
     # N=10^5, mean degree 12, with its CSR: tuple edges and a CSR rebuilt from them peaked at 91 MB
     assert traced_peak_mb(lambda: gen_random(100000, 12 / 99999, 1).csr()) < 60.0
+
+
+def test_cohorts_allocate_columns_not_objects():
+    # one AgentPersona per agent, each with two 5-tuples, peaked at 63.8 MB
+    assert traced_peak_mb(sample_personas, 100000) < 20.0
+    base = sample_personas(1000, rng_seed=1)
+    pinned = pin_trait(base, "openness", "high")
+    assert np.shares_memory(pinned.female, base.female)
+    assert np.shares_memory(pinned.age, base.age)
+    assert not np.shares_memory(pinned.scores, base.scores)
 
 
 def test_high_brokerage_structure():

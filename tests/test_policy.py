@@ -182,7 +182,7 @@ def test_stub_bits_are_splitmix64_outputs_keyed_by_the_run():
 
 
 def _cohort(n, seed=0):
-    return persona.Cohort(persona.sample_personas(n, rng_seed=seed))
+    return persona.sample_personas(n, rng_seed=seed)
 
 
 def _outcomes(decisions, agents):
@@ -206,11 +206,10 @@ def test_decide_many_is_independent_of_batch_order_and_split(template_id):
     permuted = np.random.default_rng(1).permutation(400)
     assert decide(permuted) == whole
     assert {**decide(permuted[:137]), **decide(permuted[137:])} == whole
-    # a plain list decides as the Cohort does, and decide() as the batch does
+    # decide() on each agent's persona decides as the batch over the columns does
     batch = DecisionBatch(news=NEWS, day=2, agents=np.arange(400), template_id=template_id,
                           accuracy_notice=notice, peer_comments=lambda a: ())
-    assert _outcomes(policy.decide_many(batch, list(cohort)), range(400)) == whole
-    for a in (0, 7, 399):
+    for a in range(400):
         out = policy.decide(batch.request(a), cohort[a])
         assert (out.share, out.comment) == whole[a]
 
@@ -247,7 +246,12 @@ def test_share_uniforms_are_uniform_over_agents_and_attempt_seeds():
 def test_comment_index_uses_bits_disjoint_from_the_share_uniform():
     agents = np.arange(20_000)
     policy = StubPolicy(StubParams(intercept=0.0), rng_seed=5)  # p = 0.5 at mean traits
-    cohort = [persona_at(agent_id=a) for a in agents]
+    at_means = persona_at()
+    cohort = persona.Cohort(female=np.ones(len(agents), dtype=bool),
+                            age=np.full(len(agents), at_means.age),
+                            scores=np.tile(at_means.big_five_scores, (len(agents), 1)),
+                            high=np.tile([lv == "high" for lv in at_means.big_five_labels],
+                                         (len(agents), 1)))
     batch = DecisionBatch(news=NEWS, day=1, agents=agents, template_id="commenting",
                           peer_comments=lambda a: ())
     out = policy.decide_many(batch, cohort)
