@@ -13,8 +13,9 @@ The first five are plan commands. Their handlers live in `plan`, which is
 imported only for them, so `stats` and `export-plot-data` load neither
 numpy nor the simulation modules.
 
-Every output embeds provenance (config hash, master seed, policy identity,
-template hashes, cache hash) sufficient to replay the experiment exactly.
+Every output embeds provenance (config hash, master seed, policy kind,
+template hashes, cache hash), and plan.json keeps each cell config the run
+records name by hash, sufficient to replay the experiment exactly.
 Outputs contain no timestamps or absolute paths, so rerunning an unchanged
 plan rewrites byte-identical files.
 """
@@ -98,29 +99,30 @@ def _read_record(path: Path) -> RunRecord:
 
 
 def cmd_stats(args) -> int:
-    """Aggregate the records plan.json lists; without plan.json, every runs/*.json.
+    """Aggregate the records plan.json lists.
 
-    A record under runs/ that plan.json does not list is refused, not ignored.
+    A record under runs/ that plan.json does not list, or whose config_sha is
+    not a key of plan.json's `configs`, is refused, not ignored.
     """
     results = Path(args.results)
     plan_path = results / "plan.json"
-    if plan_path.exists():
-        plan = json.loads(plan_path.read_text(encoding="utf-8"))
-        paths = [results / cell["file"] for cell in plan["cells"]]
-        stray = sorted(set((results / "runs").glob("*.json")) - set(paths))
-        if stray:
-            print(f"error: {results / 'runs'} holds records plan.json does not list: "
-                  f"{', '.join(p.name for p in stray)}", file=sys.stderr)
-            return 2
-        prov = plan.get("provenance", {})
-    else:
-        runs_dir = results / "runs"
-        if not runs_dir.is_dir():
-            print(f"error: no runs directory under {args.results}", file=sys.stderr)
-            return 2
-        paths = sorted(runs_dir.glob("*.json"))
-        prov = {}
+    if not plan_path.exists():
+        print(f"error: no plan.json under {results}", file=sys.stderr)
+        return 2
+    plan = json.loads(plan_path.read_text(encoding="utf-8"))
+    paths = [results / cell["file"] for cell in plan["cells"]]
+    stray = sorted(set((results / "runs").glob("*.json")) - set(paths))
+    if stray:
+        print(f"error: {results / 'runs'} holds records plan.json does not list: "
+              f"{', '.join(p.name for p in stray)}", file=sys.stderr)
+        return 2
     records = [_read_record(p) for p in paths]
+    configs = plan.get("configs", {})
+    for path, rec in zip(paths, records):
+        if rec.meta["config_sha"] not in configs:
+            print(f"error: {path}: config_sha {rec.meta['config_sha']!r} is not a key of "
+                  "plan.json's configs", file=sys.stderr)
+            return 2
     if not records:
         print(f"error: no run records under {results}", file=sys.stderr)
         return 2
@@ -128,7 +130,7 @@ def cmd_stats(args) -> int:
     summary = stats.aggregate_experiment(
         records, group_by, include_non_effective=args.include_non_effective
     )
-    _write_summary(Path(args.out or args.results), summary, prov)
+    _write_summary(Path(args.out or args.results), summary, plan.get("provenance", {}))
     print(f"aggregated {len(records)} records into {len(summary.groups)} groups")
     return 0
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import persona as persona_mod
 from . import policy as policy_mod
-from .ingest import ExperimentConfig, NewsItem, config_snapshot
+from .ingest import ExperimentConfig, NewsItem
+from .ingest import config_snapshot  # noqa: F401 - perfbench traces engine.config_snapshot
 from .netgen import Network
 from .record import RunRecord
 
@@ -244,9 +245,9 @@ def run(
     personas: persona_mod.Cohort,
     news: NewsItem,
     policy,
-    extra_meta: dict | None = None,
+    meta: dict | None = None,
 ) -> RunRecord:
-    """Execute one seeded run of `config.days` days and return its full record."""
+    """Execute one seeded run of `config.days` days; its record keeps `meta` as given."""
     if len(personas) != net.n:
         raise ValueError(f"cohort size {len(personas)} != network size {net.n}")
     source = select_source(net)
@@ -269,15 +270,8 @@ def run(
     reached_prop += reached_prop[-1:] * idle
     forwarded_prop += forwarded_prop[-1:] * idle
 
-    meta = {
-        "config": config_snapshot(config),
-        "news_id": news.news_id,
-        "source_agent": source,
-        "policy": policy.identity() if hasattr(policy, "identity") else {"kind": "unknown"},
-        "labels": dict(extra_meta or {}),
-    }
     return RunRecord(
-        meta=meta,
+        meta={} if meta is None else meta,
         reached_prop=reached_prop,
         forwarded_prop=forwarded_prop,
         reach_day=state.reach_day,

@@ -238,6 +238,11 @@ class ExperimentConfig:
             problems.append(f"news.limit must be >= 1, got {self.news_limit}")
         if self.body_char_budget < 1:
             problems.append(f"news.body_char_budget must be >= 1, got {self.body_char_budget}")
+        if self.effective_retry_budget < 0:
+            problems.append(
+                f"effective_retry_budget must be >= 0, got {self.effective_retry_budget}")
+        if not self.sweep_offset >= 0:
+            problems.append(f"sweep.offset must be >= 0, got {self.sweep_offset}")
         for kind in self.compare_networks:
             if kind not in NETWORK_KINDS:
                 problems.append(f"compare.networks entry {kind!r} unknown")
@@ -330,5 +335,5 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_snapshot(cfg: ExperimentConfig) -> dict:
-    """Flat JSON-serializable snapshot embedded in run records."""
+    """Flat JSON-serializable snapshot of a config, as plan.json's `configs` keeps it."""
     return json.loads(json.dumps(asdict(cfg)))

@@ -121,20 +121,6 @@ class Cohort:
         return map(self.__getitem__, range(len(self)))
 
 
-def categorize_traits(scores, thresholds):
-    """Label each score high/low against its threshold; ties label high.
-
-    One agent's scores give a tuple of labels, an agents x traits matrix a list of them.
-    """
-    scores = np.asarray(scores, dtype=float)
-    thresholds = np.asarray(thresholds, dtype=float)
-    if not np.all(np.isfinite(thresholds)):
-        raise ValueError("thresholds must be finite")
-    # an object array hands out the two shared label strings, not a copy per score
-    labels = np.array(["low", "high"], dtype=object)[(scores >= thresholds).astype(int)]
-    return tuple(labels.tolist()) if scores.ndim == 1 else list(zip(*labels.T.tolist()))
-
-
 def sample_personas(
     n: int,
     stats: BigFiveStats = DEFAULT_TRAIT_STATS,
@@ -176,7 +162,10 @@ def pin_trait(
     """Force one trait to mean +/- offset*sd for every persona; other traits untouched.
 
     The pinned cohort copies the score and level columns and shares the others.
+    A negative offset would put a `high` score below the mean, so it is refused.
     """
+    if not offset >= 0:
+        raise ValueError(f"pin offset must be >= 0, got {offset}")
     if trait not in TRAITS:
         raise ValueError(f"unknown trait {trait!r}; expected one of {TRAITS}")
     if level not in LEVELS:

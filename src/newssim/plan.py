@@ -25,15 +25,16 @@ from .seeding import derive_seed
 ERRORS = (netgen.NetworkGenerationError, policy.PolicyError)
 
 
-def _config_hash(cfg: ingest.ExperimentConfig) -> str:
-    blob = json.dumps(ingest.config_snapshot(cfg), sort_keys=True).encode("utf-8")
+def _config_hash(snapshot: dict) -> str:
+    """The 16-hex `config_sha` of an ingest.config_snapshot."""
+    blob = json.dumps(snapshot, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _provenance(cfg: ingest.ExperimentConfig, cache: policy.DecisionCache | None = None) -> dict:
     return {
         "package_version": __version__,
-        "config_sha": _config_hash(cfg),
+        "config_sha": _config_hash(ingest.config_snapshot(cfg)),
         "master_seed": cfg.master_seed,
         "policy_kind": cfg.policy_kind,
         "template_hashes": policy.template_hashes(),
@@ -82,24 +83,35 @@ def _slug(text: str) -> str:
 # run execution
 # ---------------------------------------------------------------------------
 
-def _build_cell_policy(cfg, decision_seed, cache, transport):
+def _build_cell_policy(cfg, cache, transport):
+    """A function from a decision seed to the cell's policy; the settings are
+    parsed once per cell, and only the stub depends on the seed."""
     if cfg.policy_kind == "stub":
-        return policy.StubPolicy(policy.StubParams.from_dict(cfg.stub_params),
-                                 rng_seed=decision_seed)
-    settings = policy.LlmSettings.from_dict(cfg.llm_params)
-    return policy.LlmPolicy(settings, cache=cache, transport=transport,
-                            body_char_budget=cfg.body_char_budget)
+        params = policy.StubParams.from_dict(cfg.stub_params)
+        return lambda decision_seed: policy.StubPolicy(params, rng_seed=decision_seed)
+    llm = policy.LlmPolicy(policy.LlmSettings.from_dict(cfg.llm_params), cache=cache,
+                           transport=transport, body_char_budget=cfg.body_char_budget)
+    return lambda decision_seed: llm
 
 
 @dataclass(frozen=True)
 class Cell:
-    """One plan cell: a run of `news` on replicate `replicate`, written to runs/`file`."""
+    """One plan cell: a run of `news` on replicate `replicate`, written to runs/`file`.
+
+    `config_sha` keys `cfg`'s snapshot in plan.json's `configs`: a plan hashes
+    each group's config once, and a cell built without a sha hashes its own.
+    """
 
     cfg: ingest.ExperimentConfig
     news: ingest.NewsItem
     replicate: int
     labels: dict
     file: str
+    config_sha: str | None = None
+
+    def __post_init__(self):
+        if self.config_sha is None:
+            object.__setattr__(self, "config_sha", _config_hash(ingest.config_snapshot(self.cfg)))
 
 
 def _execute_cell(cell: Cell, cache=None, transport=None):
@@ -115,22 +127,15 @@ def _execute_cell(cell: Cell, cache=None, transport=None):
         personas = _cached_cohort(net.n, persona_seed, *pin)
 
     budget = cfg.effective_retry_budget if cfg.policy_kind == "stub" else 0
+    policy_for = _build_cell_policy(cfg, cache, transport)
     attempt = 0
     while True:
         decision_seed = derive_seed(cfg.master_seed, "decide", rep, cell.news.news_id, attempt)
-        cell_policy = _build_cell_policy(cfg, decision_seed, cache, transport)
-        meta = dict(cell.labels)
-        meta.update(
-            {
-                "replicate": rep,
-                "news_id": cell.news.news_id,
-                "attempt": attempt,
-                "net_seed": net_seed,
-                "persona_seed": persona_seed,
-                "decision_seed": decision_seed,
-            }
-        )
-        record = engine.run(cfg, net, personas, cell.news, cell_policy, extra_meta=meta)
+        labels = {**cell.labels, "replicate": rep, "news_id": cell.news.news_id,
+                  "attempt": attempt, "net_seed": net_seed, "persona_seed": persona_seed,
+                  "decision_seed": decision_seed}
+        record = engine.run(cfg, net, personas, cell.news, policy_for(decision_seed),
+                            meta={"config_sha": cell.config_sha, "labels": labels})
         if record.effective or attempt >= budget:
             return record
         attempt += 1
@@ -237,17 +242,20 @@ def _execute_plan(args, groups, group_by: tuple):
 
     groups(cfg) yields (cell_cfg, labels, file_prefix); each group expands to
     replicates x news items. plan.json and the summary carry one provenance
-    dict, so `newssim stats` over the finished plan rewrites the same summary.
+    dict, so `newssim stats` over the finished plan rewrites the same summary;
+    its `configs` maps each group's config_sha to the config's snapshot.
     """
     cfg = ingest.load_config(args.config)
     _apply_overrides(cfg, args)
     news_items = _news_for(cfg)
-    cells = [
-        Cell(cell_cfg, item, rep, labels, f"{prefix}_rep{rep:03d}_news{_slug(item.news_id)}.json")
-        for cell_cfg, labels, prefix in groups(cfg)
-        for rep in range(cfg.replications)
-        for item in news_items
-    ]
+    configs, cells = {}, []
+    for cell_cfg, labels, prefix in groups(cfg):
+        snapshot = ingest.config_snapshot(cell_cfg)
+        sha = _config_hash(snapshot)
+        configs[sha] = snapshot
+        cells.extend(Cell(cell_cfg, item, rep, labels,
+                          f"{prefix}_rep{rep:03d}_news{_slug(item.news_id)}.json", sha)
+                     for rep in range(cfg.replications) for item in news_items)
     # every network the cells need is checked before anything is written
     networks = dict.fromkeys((c.cfg.network_kind, tuple(sorted(c.cfg.network_params.items())))
                              for c in cells)
@@ -265,6 +273,7 @@ def _execute_plan(args, groups, group_by: tuple):
     prov = _provenance(cfg, cache)
     plan = {
         "provenance": prov,
+        "configs": configs,
         "cells": [
             {"labels": c.labels, "replicate": c.replicate, "news_id": c.news.news_id,
              "file": f"runs/{c.file}"}

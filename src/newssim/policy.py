@@ -303,9 +303,6 @@ class StubPolicy:
         return _decide_stub_columns(z_e, z_o, agents, batch.news.news_id, batch.template_id,
                                     batch.accuracy_notice, self.params, self.rng_seed)
 
-    def identity(self) -> dict:
-        return {"kind": "stub", "rng_seed": self.rng_seed, **self.params.__dict__}
-
 
 # ---------------------------------------------------------------------------
 # Prompt rendering
@@ -397,6 +394,12 @@ class LlmSettings:
             raise ValueError("policy.llm.temperature must be >= 0")
         if self.max_retries < 0:
             raise ValueError("policy.llm.max_retries must be >= 0")
+        if self.reask_limit < 0:
+            raise ValueError("policy.llm.reask_limit must be >= 0")
+        if self.concurrency < 1:
+            raise ValueError("policy.llm.concurrency must be >= 1")
+        if not self.timeout > 0:
+            raise ValueError("policy.llm.timeout must be > 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "LlmSettings":
@@ -536,16 +539,9 @@ class LlmPolicy:
         self.transport = transport or _default_transport
         self.api_key = api_key
         self.body_char_budget = body_char_budget
-        self.concurrency = max(1, settings.concurrency)
+        self.concurrency = settings.concurrency
         self.network_calls = 0
         self._calls_lock = threading.Lock()
-
-    def identity(self) -> dict:
-        return {
-            "kind": "llm",
-            "model": self.settings.model,
-            "temperature": self.settings.temperature,
-        }
 
     def _headers(self) -> dict:
         import os

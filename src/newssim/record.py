@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-RECORD_FORMAT = 3
+RECORD_FORMAT = 4
 AGENT_COLUMNS = ("reach_day", "reached_by", "decision")
 
 
@@ -37,12 +37,13 @@ def _list_of(d, kind: str, *path) -> list:
 class RunRecord:
     """Replayable result of one seeded run.
 
-    Its size grows with the number of agents, not edges: the per-agent
-    columns reach_day, reached_by and decision (see engine.DiffusionState), the
-    comments and LLM transcript keys by agent id, and the seed and
-    intervention events. A decider decided on the day after its reach_day.
-    Repeat deliveries are not stored; they follow from the network's
-    adjacency, the decisions and the blocking_applied event.
+    `meta` holds the run's `labels` and seeds, and the `config_sha` that keys
+    its cell config in plan.json's `configs`. Its size grows with the number
+    of agents, not edges: the per-agent columns reach_day, reached_by and
+    decision (see engine.DiffusionState), the comments and LLM transcript keys
+    by agent id, and the seed and intervention events. A decider decided on
+    the day after its reach_day. Repeat deliveries are not stored; they follow
+    from the network's adjacency, the decisions and the blocking_applied event.
     """
 
     meta: dict
@@ -85,7 +86,7 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        """Read a format-3 record; a ValueError names what is missing or malformed."""
+        """Read a format-4 record; a ValueError names what is missing or malformed."""
         found = d.get("format") if isinstance(d, dict) else None
         if found != RECORD_FORMAT:
             raise ValueError(
@@ -99,6 +100,9 @@ class RunRecord:
                                  f"entries, agents.reach_day has {n}")
         if not set(columns["decision"]) <= {-1, 0, 1}:
             raise ValueError("run record column agents.decision holds a value outside -1/0/1")
+        if not (isinstance(_field(d, "meta", "config_sha"), str)
+                and isinstance(_field(d, "meta", "labels"), dict)):
+            raise ValueError("run record meta needs a config_sha string and a labels mapping")
         return cls(
             meta=_field(d, "meta"),
             reached_prop=_list_of(d, "numbers", "series", "reached_prop"),

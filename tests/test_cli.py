@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -210,6 +210,14 @@ def test_sample_personas_unknown_trait_errors(tmp_path, capsys):
     assert "bravery" in capsys.readouterr().err
 
 
+def test_sample_personas_refuses_a_negative_pin_offset(tmp_path, capsys):
+    out = tmp_path / "x.tsv"
+    assert cli.main(["sample-personas", "--n", "5", "--pin", "openness=high",
+                     "--pin-offset", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: pin offset must be >= 0, got -1.0\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -292,7 +300,7 @@ def test_run_effective_retry_rewrites_attempt(tmp_path, small_config):
         personas = plan._cached_cohort(net.n, meta["persona_seed"])
         for seed in seeds[:-1]:  # every earlier attempt was non-effective
             earlier = engine.run(cfg, net, personas, news[meta["news_id"]],
-                                 plan._build_cell_policy(cfg, seed, None, None))
+                                 plan._build_cell_policy(cfg, None, None)(seed))
             assert not earlier.effective
 
 
@@ -629,10 +637,12 @@ def _put(value, *path):
     (_put(2, "agents", "decision", 0), "agents.decision holds a value outside -1/0/1"),
     (_put(["0.5"] * 8, "series", "reached_prop"), "series.reached_prop is not a list of numbers"),
     (_put(None, "series", "forwarded_prop"), "series.forwarded_prop is not a list of numbers"),
+    (_set_format(3), "format 3 is not supported"),
+    (_drop("meta", "config_sha"), "no 'meta.config_sha'"),
 ], ids=["no-format", "format-1", "format-2", "no-agents", "no-decision", "no-series-column",
         "no-comments", "no-transcripts", "no-taints", "short-reached_by", "short-decision",
         "int-decision", "float-reach_day", "bool-reached_by", "decision-2", "string-series",
-        "null-series"])
+        "null-series", "format-3", "no-config_sha"])
 def test_stats_refuses_old_record_format(tmp_path, small_config, capsys, edit, message):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=1)),
@@ -648,6 +658,70 @@ def test_stats_refuses_old_record_format(tmp_path, small_config, capsys, edit, m
     assert err.startswith(f"error: {path}: ") and message in err
     with pytest.raises(ValueError, match=re.escape(message)):
         engine.RunRecord.from_json(path.read_text())
+
+
+def test_stats_refuses_a_config_sha_plan_json_does_not_list(tmp_path, small_config, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=2)),
+                     "--out", str(out)]) == 0
+    path = sorted((out / "runs").glob("*.json"))[-1]
+    doc = json.loads(path.read_text())
+    doc["meta"]["config_sha"] = "0" * 16
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["stats", "--results", str(out), "--out", str(tmp_path / "again")]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: config_sha '{'0' * 16}' is not a key "
+                                       "of plan.json's configs\n")
+    assert not (tmp_path / "again").exists()
+
+
+def test_stats_refuses_a_directory_without_plan_json(tmp_path, small_config, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=1)),
+                     "--out", str(out)]) == 0
+    (out / "plan.json").unlink()
+    capsys.readouterr()
+    assert cli.main(["stats", "--results", str(out), "--out", str(tmp_path / "again")]) == 2
+    assert capsys.readouterr().err == f"error: no plan.json under {out}\n"
+    assert not (tmp_path / "again").exists()
+
+
+def test_compare_records_name_their_cell_config_in_plan_json(tmp_path, small_config):
+    cfg_path = small_config(reps=2, news_limit=1)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    doc = json.loads((out / "plan.json").read_text())
+    configs = doc["configs"]
+    assert len(configs) == 12  # 3 networks x 4 interventions
+    assert configs == {plan._config_hash(snap): snap for snap in configs.values()}
+    cfg = load_config(cfg_path)
+    for cell in doc["cells"]:
+        rec = json.loads((out / cell["file"]).read_text())
+        assert set(rec["meta"]) == {"config_sha", "labels"}
+        kind, intervention = rec["meta"]["labels"]["network"], rec["meta"]["labels"]["intervention"]
+        params = (cfg.network_params if kind == cfg.network_kind
+                  else ingest.default_network_params(kind, cfg.network_params["n"]))
+        cell_cfg = replace(cfg, network_kind=kind, network_params=params,
+                           intervention_kind=intervention)
+        assert configs[rec["meta"]["config_sha"]] == ingest.config_snapshot(cell_cfg)
+
+
+def test_a_plan_snapshots_each_cell_config_once(tmp_path, small_config, monkeypatch):
+    snapshots = []
+    real = ingest.config_snapshot
+
+    def counting(cfg):
+        snapshots.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(ingest, "config_snapshot", counting)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", str(small_config(reps=2, news_limit=2)),
+                     "--out", str(out)]) == 0
+    attempts = sum(json.loads(p.read_text())["meta"]["labels"]["attempt"] + 1
+                   for p in (out / "runs").glob("*.json"))
+    assert attempts > 48  # some of the 48 cells retried: not vacuous
+    assert len(snapshots) == 12 + 1  # one per cell config, one for the provenance
 
 
 def test_export_plot_data(tmp_path, small_config):

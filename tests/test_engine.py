@@ -24,6 +24,8 @@ from newssim.netgen import Network, gen_random
 from newssim.policy import DecisionOutcome, StubParams, StubPolicy, decide_each
 
 NEWS = NewsItem(news_id="n-1", title="headline", body="body", veracity="fake")
+# what a plan passes as a record's meta; a record that is read back needs one
+META = {"config_sha": "0123456789abcdef", "labels": {"replicate": 0}}
 
 
 def net_from_edges(n, edges):
@@ -60,9 +62,6 @@ class ScriptedPolicy:
             share=share, comment=None, rationale=None,
             raw_response="", source="stub",
         )
-
-    def identity(self):
-        return {"kind": "scripted"}
 
 
 def always_share():
@@ -205,9 +204,9 @@ def small_graphs(draw):
 def test_reach_columns_match_first_delivery(net, seed, intercept, intervention):
     personas = persona_mod.sample_personas(net.n, rng_seed=seed % 1000)
     rec = run(config(days=6, intervention=intervention), net, personas, NEWS,
-              StubPolicy(StubParams(intercept=intercept), rng_seed=seed))
+              StubPolicy(StubParams(intercept=intercept), rng_seed=seed), meta=META)
     adj = net.adjacency()
-    source = rec.meta["source_agent"]
+    source = rec.events[0]["agent"]
     # an agent decides on the day after it was reached
     shared_on = {v: rec.reach_day[v] + 1 for v in range(net.n) if rec.decision[v] == 1}
     assert len(rec.reach_day) == len(rec.reached_by) == len(rec.decision) == net.n
@@ -257,7 +256,7 @@ def test_skipping_idle_days_matches_stepping_every_day(net, seed, intercept, int
 
     # reference: step all cfg.days days, idle ones included
     state = initial_state(net, select_source(net))
-    events = [{"type": "seed", "day": 0, "agent": rec.meta["source_agent"]}]
+    events = [{"type": "seed", "day": 0, "agent": rec.events[0]["agent"]}]
     taints = []
     reached, forwarded = [state.reached_prop()], [state.forwarded_prop()]
     engine_mod._evaluate_triggers(state, net, personas, cfg, events)
@@ -316,23 +315,25 @@ def test_comments_transcripts_and_taints_come_from_the_decision_columns():
             )
 
     personas = persona_mod.sample_personas(6, rng_seed=0)
-    rec = run(config(days=3, intervention="commenting"), star(6), personas, NEWS, Scripted({}))
+    rec = run(config(days=3, intervention="commenting"), star(6), personas, NEWS, Scripted({}),
+              meta=META)
     assert rec.decision == [1, 0, 1, 0, 0, 0]
     assert rec.comments == {0: "c0"}  # agent 1 ignored, so its comment is dropped
     assert rec.transcripts == {0: "k0", 1: "k1", 2: "k2", 3: "k3", 5: "k5"}
     assert rec.taints == ["parse_failure day=2 agent=3"]
     doc = json.loads(rec.to_json())
     assert (doc["format"], doc["comments"], doc["agents"]["decision"]) == (
-        3, {"0": "c0"}, [1, 0, 1, 0, 0, 0])
+        4, {"0": "c0"}, [1, 0, 1, 0, 0, 0])
     assert RunRecord.from_json(rec.to_json()) == rec
 
 
 def test_replay_byte_identical():
     net = gen_random(50, 0.12, seed=6)
     personas = persona_mod.sample_personas(50, rng_seed=6)
-    rec1 = run(config(days=7), net, personas, NEWS, StubPolicy(rng_seed=10))
-    rec2 = run(config(days=7), net, personas, NEWS, StubPolicy(rng_seed=10))
+    rec1 = run(config(days=7), net, personas, NEWS, StubPolicy(rng_seed=10), meta=META)
+    rec2 = run(config(days=7), net, personas, NEWS, StubPolicy(rng_seed=10), meta=META)
     assert rec1.to_json() == rec2.to_json()
+    assert rec1.meta is META  # stored as given
     assert RunRecord.from_json(rec1.to_json()).to_dict() == rec1.to_dict()
 
 

@@ -6,7 +6,8 @@ draw, one SHA-256 per (agent, news), which the engine reaches through the
 per-agent `decide_each` path. Under the same decisions both engines must
 write byte-identical records and ask the policy the same requests. The
 oracle logs one event per decision, as the 0.2.0 records did, and its
-record assembly turns them into the format-3 columns.
+record assembly turns them into the format-4 columns, storing the meta it is
+given as the engine does.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 from newssim import engine, ingest, persona
 from newssim.plan import connected_network
 from newssim.engine import RunRecord, blocking_candidates
-from newssim.ingest import NewsItem, config_snapshot
+from newssim.ingest import NewsItem
 from newssim.policy import (
     _STUB_COMMENTS,
     DecisionOutcome,
@@ -27,6 +28,7 @@ from newssim.policy import (
 from newssim.seeding import derive_seed
 
 NEWS = NewsItem(news_id="n-1", title="headline", body="body", veracity="fake")
+META = {"config_sha": "0123456789abcdef", "labels": {"replicate": 0}}
 
 
 class OldDrawStub:
@@ -58,9 +60,6 @@ class OldDrawStub:
             comment = _STUB_COMMENTS[draw % len(_STUB_COMMENTS)]
         return DecisionOutcome(share=share, comment=comment, rationale=f"p_share={prob:.4f}",
                                raw_response="", source="stub")
-
-    def identity(self):
-        return {"kind": "old-draw", "rng_seed": self.rng_seed}
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,7 @@ def _oracle_triggers(state, net, personas, cfg, events):
         events.append({"type": "blocking_applied", "day": state.day, "blocked": to_block})
 
 
-def oracle_run(cfg, net, personas, policy) -> RunRecord:
+def oracle_run(cfg, net, personas, policy, meta) -> RunRecord:
     deg = [len(a) for a in net.adjacency()]
     source = max(range(net.n), key=lambda u: (deg[u], -u))
     state = _State(net.n, source)
@@ -145,8 +144,6 @@ def oracle_run(cfg, net, personas, policy) -> RunRecord:
         reached.append(len(state.reached) / net.n)
         forwarded.append(len(state.spreaders) / net.n)
         _oracle_triggers(state, net, personas, cfg, events)
-    meta = {"config": config_snapshot(cfg), "news_id": NEWS.news_id, "source_agent": source,
-            "policy": policy.identity(), "labels": {}}
     decisions = [e for e in events if e["type"] == "decision"]
     decision = [-1] * net.n
     for e in decisions:
@@ -181,6 +178,6 @@ def test_array_engine_matches_set_engine_under_old_draws(cohorts, kind, interven
     for seed in (1, 2, 3):
         params = StubParams(intercept=intercept, comment_shift=0.5)
         new, old = OldDrawStub(params, seed), OldDrawStub(params, seed)
-        record = engine.run(cfg, net, personas, NEWS, new)
-        assert record.to_json() == oracle_run(cfg, net, personas, old).to_json()
+        record = engine.run(cfg, net, personas, NEWS, new, meta=META)
+        assert record.to_json() == oracle_run(cfg, net, personas, old, META).to_json()
         assert new.requests == old.requests

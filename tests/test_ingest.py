@@ -110,6 +110,11 @@ def test_out_of_range_values_aggregate(tmp_path):
         ("compare_networks", ["random", "bogus"], "compare.networks entry 'bogus' unknown"),
         ("compare_interventions", ["none", "bogus"],
          "compare.interventions entry 'bogus' unknown"),
+        ("llm_params", {"reask_limit": -1}, "policy.llm.reask_limit must be >= 0"),
+        ("llm_params", {"concurrency": 0}, "policy.llm.concurrency must be >= 1"),
+        ("llm_params", {"timeout": 0}, "policy.llm.timeout must be > 0"),
+        ("effective_retry_budget", -1, "effective_retry_budget must be >= 0, got -1"),
+        ("sweep_offset", -1.0, "sweep.offset must be >= 0, got -1.0"),
     ],
 )
 def test_validate_rejects_each_bad_value(field, value, problem):

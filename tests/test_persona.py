@@ -11,7 +11,6 @@ from newssim.persona import (
     AgentPersona,
     BigFiveStats,
     PersonaConfigError,
-    categorize_traits,
     pin_trait,
     render_persona_text,
     sample_personas,
@@ -66,7 +65,11 @@ def test_determinism_bit_for_bit():
 
 
 def reference_cohort(n, rng_seed):
-    """Row-by-row build over the same draws as sample_personas."""
+    """Row-by-row build over the same draws as sample_personas.
+
+    Each score is labelled against its trait's mean one at a time, a tie
+    labelling high.
+    """
     stats = DEFAULT_TRAIT_STATS
     rng = np.random.default_rng(rng_seed)
     genders = np.where(rng.random(n) < 0.5, "female", "male")
@@ -78,9 +81,9 @@ def reference_cohort(n, rng_seed):
     cohort = []
     for i in range(n):
         row = tuple(float(x) for x in scores[i])
+        labels = tuple("high" if s >= m else "low" for s, m in zip(row, stats.means))
         cohort.append(AgentPersona(agent_id=i, gender=str(genders[i]), age=int(ages[i]),
-                                   big_five_scores=row,
-                                   big_five_labels=categorize_traits(row, stats.means)))
+                                   big_five_scores=row, big_five_labels=labels))
     return cohort
 
 
@@ -142,31 +145,6 @@ def test_identity_correlation_reduces_to_independent_draws():
     assert np.max(np.abs(off_diag)) < 0.02
 
 
-def test_categorize_tie_breaks_high():
-    labels = categorize_traits([4.02, 3.0, 5.0, 3.43, 4.52], DEFAULT_TRAIT_STATS.means)
-    assert labels[0] == "high"  # exactly at threshold
-    labels = categorize_traits([4.019, 3.0, 5.0, 3.43, 4.52], DEFAULT_TRAIT_STATS.means)
-    assert labels[0] == "low"
-
-
-def test_categorize_one_sd_above_means_all_high():
-    scores = [m + s for m, s in zip(DEFAULT_TRAIT_STATS.means, DEFAULT_TRAIT_STATS.sds)]
-    assert categorize_traits(scores, DEFAULT_TRAIT_STATS.means) == ("high",) * 5
-
-
-def test_categorize_monotone_in_score():
-    rng = np.random.default_rng(21)
-    thresholds = DEFAULT_TRAIT_STATS.means
-    for _ in range(200):
-        scores = rng.uniform(1, 7, size=5)
-        before = categorize_traits(scores, thresholds)
-        i = int(rng.integers(0, 5))
-        bumped = scores.copy()
-        bumped[i] += rng.uniform(0, 3)
-        after = categorize_traits(bumped, thresholds)
-        assert not (before[i] == "high" and after[i] == "low")
-
-
 def test_pin_trait_arithmetic():
     personas = sample_personas(50, rng_seed=1)
     o_idx = TRAITS.index("openness")
@@ -197,6 +175,13 @@ def test_pin_trait_rejects_unknown():
         pin_trait(personas, "bravery", "high")
     with pytest.raises(ValueError):
         pin_trait(personas, "openness", "medium")
+
+
+def test_pin_trait_rejects_a_negative_offset():
+    # offset -1 would put a `high` openness at 3.45, below the 4.52 mean
+    personas = sample_personas(3, rng_seed=1)
+    with pytest.raises(ValueError, match="pin offset must be >= 0, got -1"):
+        pin_trait(personas, "openness", "high", offset=-1)
 
 
 def test_render_mentions_each_label_once():
