@@ -110,7 +110,14 @@ def cmd_stats(args) -> int:
         print(f"error: no plan.json under {results}", file=sys.stderr)
         return 2
     plan = json.loads(plan_path.read_text(encoding="utf-8"))
-    paths = [results / cell["file"] for cell in plan["cells"]]
+    cells = plan.get("cells") if isinstance(plan, dict) else None
+    if not (isinstance(cells, list)
+            and all(isinstance(c, dict) and isinstance(c.get("file"), str) for c in cells)
+            and isinstance(plan.get("configs", {}), dict)
+            and isinstance(plan.get("provenance", {}), dict)):
+        raise ValueError(f"{plan_path}: not a plan: it needs a `cells` list of objects with a "
+                         "string `file`, and `configs` and `provenance` must be objects")
+    paths = [results / cell["file"] for cell in cells]
     stray = sorted(set((results / "runs").glob("*.json")) - set(paths))
     if stray:
         print(f"error: {results / 'runs'} holds records plan.json does not list: "

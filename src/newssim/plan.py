@@ -83,15 +83,21 @@ def _slug(text: str) -> str:
 # run execution
 # ---------------------------------------------------------------------------
 
-def _build_cell_policy(cfg, cache, transport):
-    """A function from a decision seed to the cell's policy; the settings are
-    parsed once per cell, and only the stub depends on the seed."""
+def _build_cell_policy(cfg, llm: policy.LlmPolicy | None = None):
+    """A function from a decision seed to the cell's policy: a stub whose
+    parameters are parsed once per cell, or the plan's one LlmPolicy `llm`."""
     if cfg.policy_kind == "stub":
         params = policy.StubParams.from_dict(cfg.stub_params)
         return lambda decision_seed: policy.StubPolicy(params, rng_seed=decision_seed)
-    llm = policy.LlmPolicy(policy.LlmSettings.from_dict(cfg.llm_params), cache=cache,
-                           transport=transport, body_char_budget=cfg.body_char_budget)
     return lambda decision_seed: llm
+
+
+def _open_llm(cfg, cache, transport=None) -> policy.LlmPolicy | None:
+    """The plan's one LlmPolicy, whose request pool every cell shares; None for the stub."""
+    if cfg.policy_kind != "llm":
+        return None
+    return policy.LlmPolicy(policy.LlmSettings.from_dict(cfg.llm_params), cache=cache,
+                            transport=transport, body_char_budget=cfg.body_char_budget)
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ class Cell:
             object.__setattr__(self, "config_sha", _config_hash(ingest.config_snapshot(self.cfg)))
 
 
-def _execute_cell(cell: Cell, cache=None, transport=None):
+def _execute_cell(cell: Cell, llm: policy.LlmPolicy | None = None):
     """Run one plan cell, re-running non-effective stub runs with fresh seeds."""
     cfg, rep = cell.cfg, cell.replicate
     net_seed = derive_seed(cfg.master_seed, "net", rep)
@@ -127,7 +133,7 @@ def _execute_cell(cell: Cell, cache=None, transport=None):
         personas = _cached_cohort(net.n, persona_seed, *pin)
 
     budget = cfg.effective_retry_budget if cfg.policy_kind == "stub" else 0
-    policy_for = _build_cell_policy(cfg, cache, transport)
+    policy_for = _build_cell_policy(cfg, llm)
     attempt = 0
     while True:
         decision_seed = derive_seed(cfg.master_seed, "decide", rep, cell.news.news_id, attempt)
@@ -146,15 +152,18 @@ def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, para
 
     An INCOMPLETE sentinel exists in out_dir while cells are executing; an
     interrupted plan leaves it behind along with the partial runs directory.
-    The cache's append handle is closed once the cells are done.
+    An LLM plan's cells share one LlmPolicy over `cache`, so requests in
+    flight stay within `llm.concurrency` at any `parallel`; the policy's pool
+    and the cache's append handle are closed once the cells are done.
     """
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     sentinel = out_dir / "INCOMPLETE"
     _write_text(sentinel, "plan execution in progress or interrupted\n")
+    llm = _open_llm(cells[0].cfg, cache, transport) if cells else None
 
     def _one(cell):
-        record = _execute_cell(cell, cache=cache, transport=transport)
+        record = _execute_cell(cell, llm)
         _write_text(runs_dir / cell.file, record.to_json())
         return record
 
@@ -165,6 +174,8 @@ def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, para
         else:
             records = [_one(c) for c in cells]
     finally:
+        if llm is not None:
+            llm.close()
         if cache is not None:
             cache.close()  # the plan's appends are done
     sentinel.unlink()

@@ -8,11 +8,12 @@ agent and `decide_many(batch, personas)` for one day's deciders:
   Every (agent, news) pair draws from a counter-based stream keyed by the
   decision seed, so outcomes are reproducible and independent of the order,
   or the batches, in which decisions are requested.
-* LlmPolicy: renders a prompt from an editable text template, calls an
-  OpenAI-compatible chat-completion endpoint, and parses a line-oriented
-  reply (DECISION / COMMENT / REASON), one agent at a time. Raw responses
-  are stored in an append-only cache keyed by (model, attempt, prompt);
-  replaying against a complete cache performs no network calls.
+* LlmPolicy: renders a prompt per agent from an editable text template,
+  calls an OpenAI-compatible chat-completion endpoint, and parses a
+  line-oriented reply (DECISION / COMMENT / REASON). Raw responses are
+  stored in an append-only cache keyed by (model, attempt, prompt); cache
+  hits are decided on the calling thread, and replaying against a complete
+  cache performs no network calls and starts no thread.
 """
 
 from __future__ import annotations
@@ -134,27 +135,22 @@ class Decisions:
         )
 
 
+def _located(exc: PolicyError, day: int, agent: int) -> PolicyError:
+    return PolicyError(f"day {day}, agent {agent}: {exc}")
+
+
 def decide_each(policy, batch: DecisionBatch, personas) -> Decisions:
-    """Decide a batch one agent at a time through `policy.decide`.
+    """Decide a batch one agent at a time through `policy.decide`, in order.
 
-    Runs on up to `policy.concurrency` threads. A policy that decides one
-    agent at a time sets `decide_many = decide_each`. A PolicyError is
-    re-raised naming the day and agent.
+    A policy that decides one agent at a time sets `decide_many = decide_each`.
+    A PolicyError is re-raised naming the day and agent.
     """
-    agents = batch.agents.tolist()
-
-    def one(agent):
+    outcomes = []
+    for agent in batch.agents.tolist():
         try:
-            return policy.decide(batch.request(agent), personas[agent])
+            outcomes.append(policy.decide(batch.request(agent), personas[agent]))
         except PolicyError as exc:
-            raise PolicyError(f"day {batch.day}, agent {agent}: {exc}") from exc
-
-    workers = getattr(policy, "concurrency", 1)
-    if workers > 1 and len(agents) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, agents))
-    else:
-        outcomes = [one(agent) for agent in agents]
+            raise _located(exc, batch.day, agent) from exc
     return Decisions.from_outcomes(outcomes)
 
 
@@ -284,8 +280,6 @@ def decide_stub(
 
 class StubPolicy:
     """Deterministic offline policy; safe to call from any thread."""
-
-    concurrency = 1
 
     def __init__(self, params: StubParams | None = None, rng_seed: int = 0,
                  stats: persona_mod.BigFiveStats = persona_mod.DEFAULT_TRAIT_STATS):
@@ -525,10 +519,20 @@ def _default_transport(url, headers, payload, timeout):
 class LlmPolicy:
     """Chat-completion decision policy with caching and bounded re-asks.
 
+    `decide_many` renders each decider's prompt on the calling thread and
+    resolves there every attempt the cache already holds. Only the prompts
+    that need the endpoint go to the policy's one pool of
+    `settings.concurrency` threads, started at the first such prompt, so all
+    the batches and plan cells that share the policy share that bound on
+    requests in flight. Two threads that miss on the same cache key make one
+    call: the second waits for the first and reads its transcript from the
+    cache, or asks itself if that call failed.
+
     `transport` takes (url, headers, payload, timeout) and returns the parsed
     JSON body; tests inject fakes here. `api_key` falls back to the
     environment variable named in settings. `cache` belongs to the caller,
-    who closes it once the policy's decisions are done.
+    who closes it once the policy's decisions are done; close() shuts the
+    pool down.
     """
 
     def __init__(self, settings: LlmSettings, cache: DecisionCache,
@@ -539,9 +543,18 @@ class LlmPolicy:
         self.transport = transport or _default_transport
         self.api_key = api_key
         self.body_char_budget = body_char_budget
-        self.concurrency = settings.concurrency
         self.network_calls = 0
-        self._calls_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards network_calls, _in_flight and _pool
+        self._in_flight: dict[str, threading.Event] = {}
+        self._pool: ThreadPoolExecutor | None = None
+
+    def close(self) -> None:
+        """Drop the prompts a failed batch left queued, wait for those in
+        flight, then stop the pool's threads."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     def _headers(self) -> dict:
         import os
@@ -552,12 +565,8 @@ class LlmPolicy:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _complete(self, prompt: str, attempt: int) -> tuple[str, str, str]:
-        """Return (raw_text, source, key) for one prompt attempt, via cache or wire."""
-        key = cache_key(self.settings.model, prompt, attempt)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached["response"], "llm_cache", key
+    def _request(self, prompt: str) -> str:
+        """The reply text to one prompt from the endpoint, retried with backoff."""
         payload = {
             "model": self.settings.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -566,49 +575,102 @@ class LlmPolicy:
         last_exc = None
         for retry in range(self.settings.max_retries + 1):
             try:
-                with self._calls_lock:
+                with self._lock:
                     self.network_calls += 1
                 body = self.transport(self.settings.endpoint, self._headers(), payload,
                                       self.settings.timeout)
-                text = body["choices"][0]["message"]["content"]
-                break
+                return body["choices"][0]["message"]["content"]
             except Exception as exc:  # noqa: BLE001 - any transport failure retries
                 last_exc = exc
                 if retry < self.settings.max_retries:
                     time.sleep(min(2.0**retry * 0.1, 2.0))
-        else:
-            raise PolicyError(
-                f"chat completion failed after {self.settings.max_retries + 1} tries: {last_exc}"
-            )
-        self.cache.put(key, self.settings.model, prompt, attempt, text)
+        raise PolicyError(
+            f"chat completion failed after {self.settings.max_retries + 1} tries: {last_exc}"
+        )
+
+    def _complete(self, prompt: str, attempt: int) -> tuple[str, str, str]:
+        """Return (raw_text, source, key) for one prompt attempt, via cache or wire.
+
+        One request per key is in flight at a time: a thread that finds its
+        key in flight waits for that request, then looks again.
+        """
+        key = cache_key(self.settings.model, prompt, attempt)
+        while True:
+            with self._lock:
+                cached = self.cache.get(key)
+                if cached is not None:
+                    return cached["response"], "llm_cache", key
+                flight = self._in_flight.get(key)
+                if flight is None:
+                    flight = self._in_flight[key] = threading.Event()
+                    break
+            flight.wait()
+        try:
+            text = self._request(prompt)
+            self.cache.put(key, self.settings.model, prompt, attempt, text)
+        finally:
+            with self._lock:
+                del self._in_flight[key]
+            flight.set()
         return text, "llm_live", key
 
-    decide_many = decide_each
+    def _prompt(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> str:
+        return render_prompt(req, persona_mod.render_persona_text(persona),
+                             self.body_char_budget)
 
-    def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
-        prompt = render_prompt(req, persona_mod.render_persona_text(persona),
-                               self.body_char_budget)
-        want_comment = req.template_id == "commenting"
-        raw_last, source_last, key_last = "", "llm_live", None
-        for attempt in range(self.settings.reask_limit + 1):
-            raw, source, key = self._complete(prompt, attempt)
-            raw_last, source_last, key_last = raw, source, key
+    def _decide_prompt(self, prompt: str, want_comment: bool, start: int = 0,
+                       cached_only: bool = False) -> DecisionOutcome | int:
+        """Ask `prompt` from attempt `start` on until a reply parses or the re-asks run out.
+
+        Replies come from the cache, or from the endpoint unless `cached_only`:
+        then the first attempt the cache lacks is returned instead of an outcome.
+        """
+        for attempt in range(start, self.settings.reask_limit + 1):
+            if cached_only:
+                key = cache_key(self.settings.model, prompt, attempt)
+                cached = self.cache.get(key)
+                if cached is None:
+                    return attempt
+                raw, source = cached["response"], "llm_cache"
+            else:
+                raw, source, key = self._complete(prompt, attempt)
             share, comment, rationale = parse_response(raw, want_comment)
             if share is not None:
-                return DecisionOutcome(
-                    share=share,
-                    comment=comment,
-                    rationale=rationale,
-                    raw_response=raw,
-                    source=source,
-                    transcript_key=key,
-                )
-        return DecisionOutcome(
-            share=False,
-            comment=None,
-            rationale="unparseable response",
-            raw_response=raw_last,
-            source=source_last,
-            parse_failure=True,
-            transcript_key=key_last,
-        )
+                return DecisionOutcome(share=share, comment=comment, rationale=rationale,
+                                       raw_response=raw, source=source, transcript_key=key)
+        return DecisionOutcome(share=False, comment=None, rationale="unparseable response",
+                               raw_response=raw, source=source, parse_failure=True,
+                               transcript_key=key)
+
+    def _submit(self, prompt: str, want_comment: bool, start: int):
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(max_workers=self.settings.concurrency,
+                                                thread_name_prefix="newssim-llm")
+            pool = self._pool
+        return pool.submit(self._decide_prompt, prompt, want_comment, start)
+
+    def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
+        return self._decide_prompt(self._prompt(req, persona), req.template_id == "commenting")
+
+    def decide_many(self, batch: DecisionBatch, personas: persona_mod.Cohort) -> Decisions:
+        """Decide the batch as `decide` would each agent: the cache's answers
+        here, the rest on the pool. A PolicyError is re-raised naming the day
+        and agent."""
+        want_comment = batch.template_id == "commenting"
+        agents = batch.agents.tolist()
+        outcomes: list[DecisionOutcome | None] = []
+        pending = []
+        for i, agent in enumerate(agents):
+            prompt = self._prompt(batch.request(agent), personas[agent])
+            found = self._decide_prompt(prompt, want_comment, cached_only=True)
+            if isinstance(found, int):
+                pending.append((i, self._submit(prompt, want_comment, found)))
+                found = None
+            outcomes.append(found)
+        for i, future in pending:
+            try:
+                outcomes[i] = future.result()
+            except PolicyError as exc:
+                raise _located(exc, batch.day, agents[i]) from exc
+        return Decisions.from_outcomes(outcomes)

@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -300,7 +302,7 @@ def test_run_effective_retry_rewrites_attempt(tmp_path, small_config):
         personas = plan._cached_cohort(net.n, meta["persona_seed"])
         for seed in seeds[:-1]:  # every earlier attempt was non-effective
             earlier = engine.run(cfg, net, personas, news[meta["news_id"]],
-                                 plan._build_cell_policy(cfg, None, None)(seed))
+                                 plan._build_cell_policy(cfg)(seed))
             assert not earlier.effective
 
 
@@ -686,6 +688,20 @@ def test_stats_refuses_a_directory_without_plan_json(tmp_path, small_config, cap
     assert not (tmp_path / "again").exists()
 
 
+@pytest.mark.parametrize("doc", [{}, [1], {"cells": 5}, {"cells": [{}]}],
+                         ids=["empty", "list", "cells-not-a-list", "cell-without-file"])
+def test_stats_refuses_a_malformed_plan_json(tmp_path, small_config, capsys, doc):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=1)),
+                     "--out", str(out)]) == 0
+    (out / "plan.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["stats", "--results", str(out), "--out", str(tmp_path / "again")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {out / 'plan.json'}: ")
+    assert not (tmp_path / "again").exists()
+
+
 def test_compare_records_name_their_cell_config_in_plan_json(tmp_path, small_config):
     cfg_path = small_config(reps=2, news_limit=1)
     out = tmp_path / "cmp"
@@ -787,17 +803,21 @@ def scripted_transport(text):
     return transport
 
 
-def test_llm_plan_replays_from_cache(tmp_path, small_config, news_path):
+def llm_cells(small_config, tmp_path, llm=""):
     cfg_path = small_config(reps=2, news_limit=1, extra=(
         "policy:\n  kind: llm\n  llm:\n    cache_path: " + str(tmp_path / "cache.jsonl") + "\n"
+        + llm
     ))
     cfg = load_config(cfg_path)
-    news = plan._news_for(cfg)
-    cells = [
+    return [
         plan.Cell(cfg, item, rep, {"network": cfg.network_kind, "intervention": "none"},
                  f"run_rep{rep:03d}_news{item.news_id}.json")
-        for rep in range(cfg.replications) for item in news
+        for rep in range(cfg.replications) for item in plan._news_for(cfg)
     ]
+
+
+def test_llm_plan_replays_from_cache(tmp_path, small_config, monkeypatch):
+    cells = llm_cells(small_config, tmp_path)
 
     live = scripted_transport("DECISION: SHARE\nREASON: interesting")
     cache1 = policy.DecisionCache(tmp_path / "cache.jsonl")
@@ -806,13 +826,44 @@ def test_llm_plan_replays_from_cache(tmp_path, small_config, news_path):
     assert live.calls > 0
 
     def boom(*a, **k):
-        raise AssertionError("network touched during replay")
+        raise AssertionError("network touched, or a thread started, during replay")
 
+    # a replay answers every decision from the cache on the cell's own thread
+    monkeypatch.setattr(policy.ThreadPoolExecutor, "__init__", boom)
+    monkeypatch.setattr(threading.Thread, "start", boom)
     cache2 = policy.DecisionCache(tmp_path / "cache.jsonl")
     out2 = tmp_path / "replay"
     records2 = plan._run_plan(cells, out2, cache=cache2, transport=boom)
     assert [r.to_json() for r in records1] == [r.to_json() for r in records2]
     assert tree_bytes(out1 / "runs") == tree_bytes(out2 / "runs")
+
+
+def test_llm_plan_requests_in_flight_stay_within_concurrency(tmp_path, small_config):
+    concurrency = 2
+    cells = llm_cells(small_config, tmp_path, llm=f"    concurrency: {concurrency}\n")
+    lock = threading.Lock()
+    flying = {"now": 0, "peak": 0, "calls": 0}
+
+    def overlapping(url, headers, payload, timeout):
+        with lock:
+            flying["now"] += 1
+            flying["calls"] += 1
+            flying["peak"] = max(flying["peak"], flying["now"])
+        time.sleep(0.005)
+        with lock:
+            flying["now"] -= 1
+        share = "IGNORE" if len(payload["messages"][0]["content"]) % 5 == 0 else "SHARE"
+        return {"choices": [{"message": {"content": f"DECISION: {share}"}}]}
+
+    runs = {}
+    for parallel in (1, 2):
+        out = tmp_path / f"parallel{parallel}"
+        with policy.DecisionCache(tmp_path / f"cache{parallel}.jsonl") as cache:
+            plan._run_plan(cells, out, cache=cache, transport=overlapping, parallel=parallel)
+        runs[parallel] = tree_bytes(out / "runs")
+    assert flying["calls"] > 0
+    assert flying["peak"] == concurrency  # the pool is used, and never beyond its size
+    assert runs[1] == runs[2]
 
 
 LLM_CFG = "policy:\n  kind: llm\n  llm:\n    cache_path: {cache}\n"

@@ -50,7 +50,6 @@ def config(days=7, intervention="none", **kw):
 class ScriptedPolicy:
     """share per agent id; defaults to False."""
 
-    concurrency = 1
     decide_many = decide_each
 
     def __init__(self, shares):

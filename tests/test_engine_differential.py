@@ -34,7 +34,6 @@ META = {"config_sha": "0123456789abcdef", "labels": {"replicate": 0}}
 class OldDrawStub:
     """The 0.2.0 stub: share when the (agent, news) hash's top 53 bits fall below p."""
 
-    concurrency = 1
     decide_many = decide_each
 
     def __init__(self, params, rng_seed):

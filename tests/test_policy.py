@@ -481,6 +481,130 @@ def test_network_calls_counted_across_threads():
     assert policy.network_calls == threads * per_thread
 
 
+def _hold_until_found_in_flight(policy, first_reply):
+    """A transport whose first call waits until another thread finds its key in
+    flight, then returns `first_reply` (or raises it); later calls share. The
+    returned event is set once the first call is out."""
+    entered, found = threading.Event(), threading.Event()
+
+    class InFlight(dict):
+        def get(self, key, default=None):
+            flight = super().get(key, default)
+            if flight is not None:
+                found.set()
+            return flight
+
+    policy._in_flight = InFlight()
+    calls = []
+
+    def transport(url, headers, payload, timeout):
+        calls.append(payload)
+        if len(calls) == 1:
+            entered.set()
+            assert found.wait(timeout=5), "no second caller found the key in flight"
+            if isinstance(first_reply, Exception):
+                raise first_reply
+            return {"choices": [{"message": {"content": first_reply}}]}
+        return {"choices": [{"message": {"content": "DECISION: IGNORE\nREASON: second"}}]}
+
+    policy.transport = transport
+    return calls, entered
+
+
+def _decide_on_two_threads(policy, entered):
+    results = [None, None]
+
+    def work(i):
+        try:
+            results[i] = policy.decide(request(), persona_at())
+        except PolicyError as exc:
+            results[i] = exc
+
+    first = threading.Thread(target=work, args=(0,))
+    first.start()
+    assert entered.wait(timeout=5)  # the first call is out before the second asks
+    second = threading.Thread(target=work, args=(1,))
+    second.start()
+    for t in (first, second):
+        t.join(timeout=10)
+    assert not first.is_alive() and not second.is_alive()
+    return results
+
+
+def test_two_threads_missing_one_key_make_one_call():
+    policy = LlmPolicy(LlmSettings(max_retries=0), DecisionCache())
+    calls, entered = _hold_until_found_in_flight(policy, "DECISION: SHARE\nREASON: first")
+    first, second = _decide_on_two_threads(policy, entered)
+    assert len(calls) == 1 and policy.network_calls == 1
+    assert (first.source, second.source) == ("llm_live", "llm_cache")
+    assert second.raw_response == first.raw_response == "DECISION: SHARE\nREASON: first"
+    assert second.transcript_key == first.transcript_key
+    assert not policy._in_flight
+
+
+def test_a_waiter_asks_itself_when_the_call_in_flight_fails():
+    policy = LlmPolicy(LlmSettings(max_retries=0), DecisionCache())
+    calls, entered = _hold_until_found_in_flight(policy, RuntimeError("connection reset"))
+    first, second = _decide_on_two_threads(policy, entered)
+    assert isinstance(first, PolicyError) and "connection reset" in str(first)
+    assert second.source == "llm_live" and second.share is False
+    assert len(calls) == 2 and len(policy.cache) == 1
+    assert not policy._in_flight
+
+
+def _cohort_batch(n=12, template_id="commenting"):
+    cohort = persona.sample_personas(n, rng_seed=3)
+    batch = DecisionBatch(news=NEWS, day=2, agents=np.arange(n), template_id=template_id,
+                          peer_comments=lambda agent: (f"comment for {agent}",))
+    return cohort, batch
+
+
+def test_llm_decide_many_answers_hits_inline_and_misses_on_the_pool(monkeypatch):
+    cohort, batch = _cohort_batch()
+    calls = []
+
+    def reply(url, headers, payload, timeout):
+        calls.append(payload)
+        prompt = payload["messages"][0]["content"]
+        text = "DECISION: SHARE\nCOMMENT: yes" if len(prompt) % 2 else "no decision here"
+        return {"choices": [{"message": {"content": text}}]}
+
+    settings = LlmSettings(max_retries=0, reask_limit=1, concurrency=3)
+    everyone = range(len(cohort))
+    expected = [LlmPolicy(settings, DecisionCache(), transport=reply).decide(
+        batch.request(a), cohort[a]) for a in everyone]
+    # a cache that holds the even agents' transcripts
+    cache = DecisionCache()
+    warm = LlmPolicy(settings, cache, transport=reply)
+    for a in everyone[::2]:
+        warm.decide(batch.request(a), cohort[a])
+    calls.clear()
+    policy = LlmPolicy(settings, cache, transport=reply)
+    sent = []
+    submit = policy._submit
+    monkeypatch.setattr(policy, "_submit", lambda *args: sent.append(args) or submit(*args))
+    got = policy.decide_many(batch, cohort)
+    policy.close()
+    assert got.share.tolist() == [o.share for o in expected]
+    assert got.comment == [o.comment for o in expected]
+    assert got.transcript == [o.transcript_key for o in expected]
+    assert got.parse_failure == [o.parse_failure for o in expected]
+    assert any(got.parse_failure) and not all(got.parse_failure)
+    # only the odd agents' prompts went to the pool, each from attempt 0
+    assert [args[2] for args in sent] == [0] * len(everyone[1::2])
+    assert len(calls) == policy.network_calls == sum(
+        1 + o.parse_failure for o in expected[1::2])
+
+
+def test_llm_decide_many_names_the_day_and_agent_of_a_failure():
+    cohort, batch = _cohort_batch(n=4, template_id="none")
+    policy = LlmPolicy(LlmSettings(max_retries=0), DecisionCache(),
+                       transport=make_transport([RuntimeError("refused")]))
+    with pytest.raises(PolicyError, match=r"^day 2, agent 0: .*refused"):
+        policy.decide_many(batch, cohort)
+    policy.close()
+
+
 def test_cache_keys_distinguish_attempts_and_prompts():
     k1 = cache_key("m", "prompt a", 0)
     assert cache_key("m", "prompt a", 1) != k1
