@@ -4,7 +4,8 @@ News files are JSON Lines: one object per line with keys
     news_id, title, body, veracity ("fake" | "real"), topic
 Veracity is always explicit in the file, never inferred from content.
 
-Experiment configs are YAML. Every unset field takes a documented default that
+Experiment configs are YAML; a config that is JSON is read without PyYAML
+(see _parse_config). Every unset field takes a documented default that
 mirrors the standard protocol (7 simulated days, 10% intervention trigger,
 20% block fraction, stub policy), and a key outside the schema (CONFIG_KEYS)
 is refused. See config.example.yaml at the repo root for a fully annotated
@@ -321,12 +322,40 @@ def _config_from_mapping(raw: dict) -> tuple[ExperimentConfig, list[str]]:
     return cfg, problems
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load a YAML config; one ConfigError names every unknown key and bad value."""
-    import yaml  # imported here so commands that read no config skip it
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a YAML number")
 
+
+def _parse_config(path) -> object:
+    """The document in the file at `path`, read as JSON if it is JSON, else as YAML.
+
+    PyYAML reads a JSON document as json does, but for two kinds of number.
+    It reads an exponent float without a dot or an exponent sign (1e-05) as a
+    string, where json reads a float. It reads NaN and Infinity as strings
+    too; json would read floats, so a document holding one goes to PyYAML,
+    as does every document that is not JSON.
+    """
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+        text = fh.read()
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except ValueError:
+        pass
+    import yaml  # imported here so JSON configs, and commands that read none, skip it
+
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError([f"{where}: not valid YAML: {problem}"]) from None
+
+
+def load_config(path) -> ExperimentConfig:
+    """Load a JSON or YAML config; one ConfigError names every unknown key and
+    bad value, or where the file stops being YAML."""
+    raw = _parse_config(path) or {}
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: config must be a mapping"])
     cfg, problems = _config_from_mapping(raw)

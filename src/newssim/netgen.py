@@ -20,11 +20,20 @@ import numpy as np
 
 from .ingest import NETWORK_KINDS, network_param_problems  # noqa: F401 - NETWORK_KINDS re-exported
 
-#: Random draws per block: the uniforms of one preferential-attachment refill,
-#: and the slack over the expected count in each block of random-graph gaps.
-#: No graph depends on it: draws left in the last block are dropped only once
-#: the graph is complete.
+#: Random draws per block: preferential attachment draws its uniforms in
+#: multiples of it (one block per refill when growing a node one at a time, as
+#: many as a speculative block needs), and random graphs add it as slack over
+#: the expected count of each block of gaps. No graph depends on it: draws
+#: left in the last block are dropped only once the graph is complete.
 _DRAW_BLOCK = 1024
+
+# Preferential attachment (see _attachment_targets): nodes below
+# _ONE_BY_ONE_BELOW grow one at a time; later nodes grow in speculative blocks
+# of _FIRST_BLOCK nodes at first, and at most _LARGEST_BLOCK, which bounds the
+# temporary arrays and the rounds of references inside one block.
+_ONE_BY_ONE_BELOW = 1024
+_FIRST_BLOCK = 64
+_LARGEST_BLOCK = 1 << 14
 
 # High-brokerage construction constants (see gen_high_brokerage).
 BROKER_FRACTION = 0.15
@@ -64,7 +73,9 @@ class Network:
         dst = np.concatenate((edges[:, 1], edges[:, 0]))
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
-        indices = dst[np.argsort(src.astype(np.int64) * self.n + dst)]
+        # rows that tie on the key src * n + dst share their dst, so sorting
+        # the keys alone gives each node's ascending neighbours
+        indices = (np.sort(src.astype(np.int64) * self.n + dst) % self.n).astype(np.int32)
         degrees = np.diff(indptr)
         for a in (edges, indptr, indices, degrees):
             a.flags.writeable = False
@@ -147,20 +158,19 @@ def gen_random(n: int, edge_prob: float, seed: int) -> Network:
                    gen_seed=seed)
 
 
-def _attachment_targets(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """targets[e]: the older end of edge e, whose newer end is node m + e // m.
+def _grow_one_by_one(first, stop, m, targets, uniforms, drawn, rng):
+    """Attach nodes first .. stop - 1 one draw at a time, appending each node's
+    sorted targets to the list `targets`; returns the uniforms left and the
+    index of the next one to read.
 
-    Node m attaches to the m seed nodes. Every later node draws endpoints
-    uniformly from the edges made so far, which is degree-proportional, and
-    redraws repeats until it has m distinct targets.
+    Each node draws endpoints uniformly from the edges made before it, which
+    is degree-proportional, and redraws repeats until it has m distinct
+    targets.
     """
     # endpoint slots 2e and 2e + 1 of edge e hold targets[e] and m + e // m,
     # so the endpoint list itself is never built
-    targets = list(range(m))
-    uniforms: list[float] = []
-    drawn = 0
-    for _ in range(n - m - 1):  # nodes m + 1 .. n - 1
-        count = 2 * len(targets)
+    for node in range(first, stop):
+        count = 2 * m * (node - m)
         chosen: set[int] = set()
         while len(chosen) < m:
             if drawn == len(uniforms):
@@ -169,7 +179,85 @@ def _attachment_targets(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
             drawn += 1
             chosen.add(m + (r >> 1) // m if r & 1 else targets[r >> 1])
         targets.extend(sorted(chosen))
-    return np.array(targets, dtype=np.int32)
+    return uniforms, drawn
+
+
+def _speculate(node: int, m: int, targets: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Sorted targets of nodes node, node + 1, ..., one row each, if every one of
+    them makes exactly m draws: row i reads uniforms[i * m:(i + 1) * m].
+
+    A row holding a repeat is a node that would have redrawn; it and every row
+    after it are wrong, and the caller drops them. targets[:m * (node - m)] must
+    hold the edges made before `node`.
+    """
+    rows = len(uniforms) // m
+    base = m * (node - m)  # edges made before the block
+    counts = np.repeat(2 * m * np.arange(node - m, node - m + rows, dtype=np.int64), m)
+    r = (uniforms * counts).astype(np.int64)  # int(u * count), slot by slot
+    edge, odd = r >> 1, (r & 1).astype(bool)
+    inside = ~odd & (edge >= base)  # the even slot of an edge made inside the block
+    vals = np.where(odd, m + edge // m, targets[np.where(odd | inside, 0, edge)])
+    # an edge made inside the block is the (edge - base)-th entry of the block's
+    # sorted rows, so a row is resolved once the rows it reads are sorted
+    dst = np.flatnonzero(inside)
+    src = edge[dst] - base
+    grid = vals.reshape(rows, m)
+    rows_sorted = np.sort(grid, axis=1)  # final for each row that reads no row of the block
+    flat = rows_sorted.reshape(-1)
+    waiting = np.zeros(rows, dtype=bool)
+    waiting[dst // m] = True
+    while dst.size:
+        known = ~waiting[src // m]
+        vals[dst[known]] = flat[src[known]]
+        dst, src = dst[~known], src[~known]
+        still = np.zeros(rows, dtype=bool)
+        still[dst // m] = True
+        ready = np.flatnonzero(waiting & ~still)
+        rows_sorted[ready] = np.sort(grid[ready], axis=1)
+        waiting = still
+    return rows_sorted
+
+
+def _attachment_targets(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """targets[e]: the older end of edge e, whose newer end is node m + e // m.
+
+    Node m attaches to the m seed nodes, and every later node as
+    _grow_one_by_one says. The first _ONE_BY_ONE_BELOW nodes, among which
+    repeats are common, grow one at a time. Later nodes grow in blocks that
+    assume no repeats (see _speculate): the rows before a block's first repeat
+    are kept, that node is grown one at a time, and the next block starts
+    after it, half as large; a block without a repeat doubles the next.
+    """
+    targets = list(range(m))
+    early = min(n, max(m + 1, _ONE_BY_ONE_BELOW))
+    uniforms, drawn = _grow_one_by_one(m + 1, early, m, targets, [], 0, rng)
+    # `targets` lags `edges`; it catches up only when a node is grown one at a time
+    edges = np.empty(m * (n - m), dtype=np.int32)
+    edges[:len(targets)] = targets
+    uniforms, node, size = np.asarray(uniforms), early, _FIRST_BLOCK
+    while node < n:
+        size = min(size, n - node)
+        need = size * m
+        if len(uniforms) - drawn < need:
+            refill = -(-(need - len(uniforms) + drawn) // _DRAW_BLOCK) * _DRAW_BLOCK
+            uniforms, drawn = np.concatenate((uniforms[drawn:], rng.random(refill))), 0
+        rows = _speculate(node, m, edges, uniforms[drawn:drawn + need])
+        flat = rows.ravel()
+        same = flat[1:] == flat[:-1]
+        same[m - 1::m] = False  # a row's last target against the next row's first
+        repeats = np.flatnonzero(same)
+        kept = int(repeats[0]) // m if repeats.size else size
+        start = m * (node - m)
+        edges[start:start + kept * m] = rows[:kept].ravel()
+        drawn, node = drawn + kept * m, node + kept
+        if kept == size:
+            size = min(2 * size, _LARGEST_BLOCK)
+            continue
+        targets.extend(edges[len(targets):start + kept * m].tolist())
+        uniforms, drawn = _grow_one_by_one(node, node + 1, m, targets, uniforms, drawn, rng)
+        edges[start + kept * m:len(targets)] = targets[start + kept * m:]
+        uniforms, node, size = np.asarray(uniforms), node + 1, max(size // 2, 1)
+    return edges
 
 
 def gen_scale_free(n: int, attach_m: int, seed: int) -> Network:
@@ -180,9 +268,10 @@ def gen_scale_free(n: int, attach_m: int, seed: int) -> Network:
     """
     _check_params("scale_free", n=n, attach_m=attach_m)
     u = _attachment_targets(n, attach_m, np.random.default_rng(seed))
-    v = np.repeat(np.arange(attach_m, n, dtype=np.int32), attach_m)
-    order = np.argsort(u, kind="stable")  # v ascends already, so ties stay sorted
-    return Network(n=n, edges=np.stack((u[order], v[order]), axis=1), kind="scale_free",
+    v = np.repeat(np.arange(attach_m, n, dtype=np.int64), attach_m)
+    # no (u, v) pair repeats, so sorting the keys u * n + v sorts the rows
+    keys = np.sort(u.astype(np.int64) * n + v)
+    return Network(n=n, edges=np.stack(np.divmod(keys, n), axis=1), kind="scale_free",
                    gen_seed=seed)
 
 

@@ -22,13 +22,13 @@ def _field(d, *path):
     return d
 
 
-_ENTRY_TYPES = {"integers": (int,), "numbers": (int, float)}  # bools are neither
+_ENTRY_TYPES = {"integers": {int}, "numbers": {int, float}}  # bools are neither
 
 
 def _list_of(d, kind: str, *path) -> list:
     """The list at d's path; a ValueError names the column unless it holds only `kind`."""
     column = _field(d, *path)
-    if not isinstance(column, list) or not all(type(v) in _ENTRY_TYPES[kind] for v in column):
+    if not isinstance(column, list) or not set(map(type, column)) <= _ENTRY_TYPES[kind]:
         raise ValueError(f"run record column {'.'.join(path)} is not a list of {kind}")
     return column
 

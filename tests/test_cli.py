@@ -465,6 +465,63 @@ def test_ints_pass_as_numbers_and_null_as_an_unset_news_limit(tmp_path):
     assert loaded.network_params["rewire_p"] == 1
 
 
+@pytest.mark.parametrize("text, where, problem", [
+    ("network: [\n", "2:1", "expected the node content, but found '<stream end>'"),
+    ("days:\t7\n", "1:6", "found character '\\t' that cannot start any token"),
+], ids=["unclosed-list", "tab-before-value"])
+def test_a_config_that_is_not_yaml_is_one_error_line(tmp_path, capsys, text, where, problem):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: invalid config:\n  - {cfg}:{where}: not valid YAML: {problem}\n")
+
+
+def test_json_reads_an_exponent_float_that_pyyaml_reads_as_a_string(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text('{"intervention": {"trigger_threshold": 1e-05}}', encoding="utf-8")
+    assert load_config(cfg).trigger_threshold == 1e-05
+    cfg.write_text("intervention:\n  trigger_threshold: 1e-05\n", encoding="utf-8")
+    with pytest.raises(ingest.ConfigError, match="must be a number, got '1e-05'"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_json_nan_and_infinity_stay_strings_as_pyyaml_reads_them(tmp_path, capsys, constant):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f'{{"sweep": {{"offset": {constant}}}}}', encoding="utf-8")
+    with pytest.raises(ingest.ConfigError, match=f"sweep.offset must be a number, got '{constant}'"):
+        load_config(cfg)
+
+
+def test_example_config_and_its_json_form_load_alike(tmp_path, example_config_path):
+    import yaml
+
+    as_json = tmp_path / "cfg.json"
+    as_json.write_text(json.dumps(yaml.safe_load(example_config_path.read_text(encoding="utf-8"))),
+                       encoding="utf-8")
+    cfgs = [load_config(example_config_path), load_config(as_json)]
+    assert cfgs[0] == cfgs[1]
+    shas = {plan._config_hash(ingest.config_snapshot(cfg)) for cfg in cfgs}
+    assert len(shas) == 1
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_only_a_config_that_is_not_json_imports_pyyaml(tmp_path, small_config, as_json):
+    import yaml
+
+    cfg = small_config(reps=1, news_limit=1)
+    if as_json:
+        cfg.write_text(json.dumps(yaml.safe_load(cfg.read_text(encoding="utf-8"))),
+                       encoding="utf-8")
+    code = (f"import sys; from newssim import cli; "
+            f"assert cli.main(['run', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0; print('yaml' in sys.modules)")
+    assert _python(code).splitlines()[-1] == str(not as_json)
+
+
 @pytest.mark.parametrize("doc, typos", [
     ({"network": {"kind": "scale_free", "edge_prob": 0.1}}, ["network.edge_prob"]),
     ({"network": {"kind": "high_brokerage", "broker_frac": 0.5}}, ["network.broker_frac"]),

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,6 +226,64 @@ def test_gen_scale_free_every_node_attaches_m_older_distinct_targets(data, n, se
     newer = np.bincount([v for _, v in net.edges], minlength=n)
     assert newer.tolist() == [0] * m + [m] * (n - m)
     assert np.array_equal(gen_scale_free(n, m, seed).edges, net.edges)
+
+
+def attachment_targets_oracle(n, m, rng):
+    """Oracle: every node after node m grown one draw at a time, in one loop."""
+    targets = list(range(m))
+    uniforms: list[float] = []
+    drawn = 0
+    for _ in range(n - m - 1):  # nodes m + 1 .. n - 1
+        count = 2 * len(targets)
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            if drawn == len(uniforms):
+                uniforms, drawn = rng.random(1024).tolist(), 0
+            r = int(uniforms[drawn] * count)
+            drawn += 1
+            chosen.add(m + (r >> 1) // m if r & 1 else targets[r >> 1])
+        targets.extend(sorted(chosen))
+    return np.array(targets, dtype=np.int32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 8), st.integers(0, 2**32),
+       st.sampled_from([None, 1, 64]), st.sampled_from([1, 7, 1024]))
+def test_attachment_blocks_match_the_one_by_one_oracle(data, m, seed, one_by_one_below, block):
+    # one_by_one_below=1 speculates from node m + 1 on, where repeats and
+    # references into the block are most common; None keeps the default
+    n = data.draw(st.integers(m + 2, 5000), label="n")
+    below = one_by_one_below or netgen._ONE_BY_ONE_BELOW
+    with (mock.patch.object(netgen, "_ONE_BY_ONE_BELOW", below),
+          mock.patch.object(netgen, "_DRAW_BLOCK", block)):
+        got = netgen._attachment_targets(n, m, np.random.default_rng(seed))
+    assert got.dtype == np.int32
+    assert np.array_equal(got, attachment_targets_oracle(n, m, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_attachment_blocks_keep_rows_before_a_repeat_and_resize(monkeypatch, seed):
+    blocks, redrawn = [], []
+    speculate, grow = netgen._speculate, netgen._grow_one_by_one
+
+    def spy_speculate(node, m, targets, uniforms):
+        blocks.append((node, len(uniforms) // m))
+        return speculate(node, m, targets, uniforms)
+
+    def spy_grow(first, stop, *args):
+        redrawn.extend(range(first, stop))
+        return grow(first, stop, *args)
+
+    monkeypatch.setattr(netgen, "_speculate", spy_speculate)
+    monkeypatch.setattr(netgen, "_grow_one_by_one", spy_grow)
+    got = netgen._attachment_targets(20000, 3, np.random.default_rng(seed))
+    assert np.array_equal(got, attachment_targets_oracle(20000, 3, np.random.default_rng(seed)))
+    sizes = [size for _, size in blocks]
+    assert any(b > a for a, b in zip(sizes, sizes[1:]))  # doubled
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # halved
+    # a node redrawn after the one-by-one nodes, with rows of its block kept before it
+    late = [node for node in redrawn if node >= netgen._ONE_BY_ONE_BELOW]
+    assert any(start < node < start + size for node in late for start, size in blocks)
 
 
 @pytest.mark.parametrize("block", [1, 3, 50])
