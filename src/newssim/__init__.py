@@ -1,3 +1,3 @@
 """newssim: seeded multi-agent simulation of news diffusion on synthetic networks."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -13,15 +13,20 @@ decisions: the accuracy notice latches once the reached fraction crosses the
 trigger threshold, and blocking removes the top slice of high-openness /
 high-extraversion agents by degree at the first crossing.
 
-A run's state is a set of per-agent numpy columns (see DiffusionState), and
-a day's frontier expands over the network's CSR adjacency in array
-operations. Same-day decisions depend only on start-of-day state, so they
-are order-independent and are requested from the policy as one batch.
+The runs of one lockstep group share a network and a cohort and advance
+together: their state is one set of (runs x agents) numpy columns (see
+DiffusionState), a day's frontier is one flatnonzero over all of them, every
+run's deciders go to the policy as one batch, and the sharers of every run
+deliver over the network's CSR adjacency at once. A run reads and writes
+only its own slots, and same-day decisions depend only on start-of-day
+state, so a run's record does not depend on the runs grouped with it. `run`
+is a group of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -35,24 +40,43 @@ from .netgen import Network
 from .record import RunRecord
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One run of a lockstep group: its config and news item, its decision
+    seed (None: the policy's own), and the meta its record keeps as given."""
+
+    config: ExperimentConfig
+    news: NewsItem
+    seed: int | None = None
+    meta: dict | None = None
+
+
 @dataclass(eq=False)
 class DiffusionState:
-    """Mutable per-run ledger: one numpy column per agent attribute.
+    """Mutable ledger of `runs` runs over one n-agent network.
 
-    day_reached[v]  day v was first reached: -1 never, 0 the source
-    sender[v]       neighbour whose delivery reached v first: -1 for the
+    Each per-agent column is flat, with the slot of (run, agent) at
+    run * n + agent, so `grid(column)` is its (runs, n) view; with one run,
+    a slot is the agent id.
+
+    day_reached[s]  day the agent was first reached: -1 never, 0 the source
+    sender[s]       neighbour whose delivery reached it first: -1 for the
                     source and for unreached agents
-    decision[v]     -1 undecided, 0 ignored, 1 shared
-    day_shared[v]   day v shared, -1 if it has not
-    blocked[v]      removed by the blocking intervention
-    comments        the comment of each sharer that left one
-    transcripts     the LLM transcript cache key of each decider that has one
+    decision[s]     -1 undecided, 0 ignored, 1 shared
+    day_shared[s]   day it shared, -1 if it has not
+    blocked[s]      removed by its run's blocking intervention
+    comments        the comment of each sharer's slot that left one
+    transcripts     the LLM transcript cache key of each decider's slot that has one
+
+    Per run: the accuracy_triggered and blocking_applied latches, `active`
+    (cleared once the run has stepped all its days), its events, which start
+    with the seed, and its taints. `day` is the group's: its runs start
+    together on day 0.
     """
 
     n: int
+    runs: int = 1
     day: int = 0
-    accuracy_triggered: bool = False
-    blocking_applied: bool = False
     day_reached: np.ndarray = field(init=False)
     sender: np.ndarray = field(init=False)
     decision: np.ndarray = field(init=False)
@@ -60,39 +84,56 @@ class DiffusionState:
     blocked: np.ndarray = field(init=False)
     comments: dict[int, str] = field(init=False, default_factory=dict)
     transcripts: dict[int, str] = field(init=False, default_factory=dict)
+    accuracy_triggered: np.ndarray = field(init=False)
+    blocking_applied: np.ndarray = field(init=False)
+    active: np.ndarray = field(init=False)
+    events: list[list[dict]] = field(init=False)
+    taints: list[list[str]] = field(init=False)
 
     def __post_init__(self):
-        self.day_reached = np.full(self.n, -1, dtype=np.int32)
-        self.sender = np.full(self.n, -1, dtype=np.int32)
-        self.decision = np.full(self.n, -1, dtype=np.int8)
-        self.day_shared = np.full(self.n, -1, dtype=np.int32)
-        self.blocked = np.zeros(self.n, dtype=bool)
+        slots = self.runs * self.n
+        self.day_reached = np.full(slots, -1, dtype=np.int32)
+        self.sender = np.full(slots, -1, dtype=np.int32)
+        self.decision = np.full(slots, -1, dtype=np.int8)
+        self.day_shared = np.full(slots, -1, dtype=np.int32)
+        self.blocked = np.zeros(slots, dtype=bool)
+        self.accuracy_triggered = np.zeros(self.runs, dtype=bool)
+        self.blocking_applied = np.zeros(self.runs, dtype=bool)
+        self.active = np.ones(self.runs, dtype=bool)
+        self.events = [[] for _ in range(self.runs)]
+        self.taints = [[] for _ in range(self.runs)]
 
-    @property
-    def reach_day(self) -> list[int]:
-        """day_reached as a list, the form a RunRecord stores."""
-        return self.day_reached.tolist()
+    def grid(self, column: np.ndarray) -> np.ndarray:
+        """The (runs, n) view of a per-slot column."""
+        return column.reshape(self.runs, self.n)
 
-    @property
-    def reached_by(self) -> list[int]:
-        """sender as a list, the form a RunRecord stores."""
-        return self.sender.tolist()
+    def _due(self) -> np.ndarray:
+        due = (self.day_reached == self.day) & ~self.blocked
+        if not self.active.all():
+            self.grid(due)[~self.active] = False
+        return due
 
     def frontier(self) -> np.ndarray:
-        """Ascending ids of the agents that decide next: reached on the
-        current day and not blocked."""
-        return np.flatnonzero((self.day_reached == self.day) & ~self.blocked)
+        """Ascending slots of the agents that decide next: reached on the
+        current day, not blocked, in a run that is still active."""
+        return np.flatnonzero(self._due())
+
+    def busy_runs(self) -> np.ndarray:
+        """Ascending ids of the runs whose frontier is not empty."""
+        return np.flatnonzero(self.grid(self._due()).any(axis=1))
 
     @property
     def pending(self) -> list[int]:
-        """frontier() as a list: empty once the run has gone idle."""
+        """frontier() as a list: empty once every run has gone idle."""
         return self.frontier().tolist()
 
-    def reached_prop(self) -> float:
-        return int(np.count_nonzero(self.day_reached >= 0)) / self.n
+    def reached_prop(self) -> np.ndarray:
+        """Each run's reached fraction."""
+        return np.count_nonzero(self.grid(self.day_reached) >= 0, axis=1) / self.n
 
-    def forwarded_prop(self) -> float:
-        return int(np.count_nonzero(self.decision == 1)) / self.n
+    def forwarded_prop(self) -> np.ndarray:
+        """Each run's shared fraction."""
+        return np.count_nonzero(self.grid(self.decision) == 1, axis=1) / self.n
 
 
 def select_source(net: Network) -> int:
@@ -100,47 +141,62 @@ def select_source(net: Network) -> int:
     return int(np.argmax(net.degrees()))
 
 
-def initial_state(net: Network, source: int) -> DiffusionState:
-    state = DiffusionState(n=net.n)
-    state.day_reached[source] = 0
+def initial_state(net: Network, source: int, runs: int = 1) -> DiffusionState:
+    state = DiffusionState(n=net.n, runs=runs)
+    state.grid(state.day_reached)[:, source] = 0
+    for events in state.events:
+        events.append({"type": "seed", "day": 0, "agent": source})
     return state
 
 
-def _peer_comments(state: DiffusionState, net: Network, agent: int) -> tuple[str, ...]:
-    """Comments the neighbours who shared so far delivered to `agent`, by (day, sender)."""
+def _peer_comments(state: DiffusionState, net: Network, run: int,
+                   agent: int) -> tuple[str, ...]:
+    """Comments the neighbours who shared so far in `run` delivered to `agent`,
+    by (day, sender)."""
     indptr, indices = net.csr()
     nbrs = indices[indptr[agent]:indptr[agent + 1]]
-    days = state.day_shared[nbrs]
+    base = run * state.n
+    days = state.day_shared[base + nbrs]
     shared = days >= 0
     senders = nbrs[shared][np.argsort(days[shared], kind="stable")]
-    return tuple(state.comments[u] for u in senders.tolist() if u in state.comments)
+    comments = state.comments
+    return tuple(comments[base + u] for u in senders.tolist() if base + u in comments)
 
 
-def _batch(state, net, agents, news, config) -> policy_mod.DecisionBatch:
-    accuracy_notice = config.intervention_kind == "accuracy" and state.accuracy_triggered
-    if accuracy_notice:
-        template_id = "accuracy"
-    elif config.intervention_kind == "commenting":
-        template_id = "commenting"
-    else:
-        template_id = "none"
+def _template(kind: str, notice: bool) -> str:
+    if notice:
+        return "accuracy"
+    return "commenting" if kind == "commenting" else "none"
+
+
+def _batch(state, net, specs: Sequence[RunSpec], slots: np.ndarray) -> policy_mod.DecisionBatch:
+    runs, agents = np.divmod(slots, state.n)
+    notices = tuple(spec.config.intervention_kind == "accuracy" and latched
+                    for spec, latched in zip(specs, state.accuracy_triggered.tolist()))
     return policy_mod.DecisionBatch(
-        news=news,
         day=state.day + 1,
         agents=agents,
-        template_id=template_id,
-        accuracy_notice=accuracy_notice,
+        runs=runs,
+        news=tuple(spec.news for spec in specs),
+        template_id=tuple(_template(spec.config.intervention_kind, notice)
+                          for spec, notice in zip(specs, notices)),
+        accuracy_notice=notices,
+        seed=tuple(spec.seed for spec in specs),
         peer_comments=partial(_peer_comments, state, net),
     )
 
 
 def _deliver(state: DiffusionState, net: Network, sharers: np.ndarray, day: int) -> None:
-    """Reach every unreached, unblocked neighbour of `sharers` on `day`.
+    """Reach every unreached, unblocked neighbour of each sharer slot, in the
+    sharer's run, on `day`.
 
-    `sharers` is ascending, so the first delivery to a new agent, and its
-    reached_by, comes from the lowest-id neighbour sharing that day.
+    `sharers` is ascending, so within a run the first delivery to a new
+    agent, and its reached_by, comes from the lowest-id neighbour sharing
+    that day; a target's slot key is run * n + agent.
     """
-    senders, targets = net.neighbours(sharers)
+    runs, agents = np.divmod(sharers, state.n)
+    senders, targets = net.neighbours(agents)
+    targets = targets + np.repeat(runs * state.n, net.degrees()[agents])
     fresh = (state.day_reached[targets] < 0) & ~state.blocked[targets]
     reached, first = np.unique(targets[fresh], return_index=True)
     state.day_reached[reached] = day
@@ -151,42 +207,49 @@ def step_day(
     state: DiffusionState,
     net: Network,
     personas: persona_mod.Cohort,
-    news: NewsItem,
+    specs: Sequence[RunSpec],
     policy,
-    config: ExperimentConfig,
-    taints: list[str],
 ) -> DiffusionState:
-    """Advance one day: pending agents decide, spreaders deliver, new agents queue.
+    """Advance every run one day: pending agents decide, spreaders deliver,
+    new agents queue.
 
-    The day's deciders go to `policy.decide_many` as one batch; their
+    The deciders of every run go to `policy.decide_many` as one batch; their
     decisions, sharers' comments and transcript keys land in `state`, and a
-    decision whose reply could not be parsed adds a taint.
+    decision whose reply could not be parsed adds a taint to its run.
     """
     day = state.day + 1
-    agents = state.frontier()
-    if agents.size:
-        out = policy.decide_many(_batch(state, net, agents, news, config), personas)
-        ids = agents.tolist()
+    slots = state.frontier()
+    if slots.size:
+        batch = _batch(state, net, specs, slots)
+        out = policy.decide_many(batch, personas)
+        ids = slots.tolist()
         for i in np.flatnonzero(out.share).tolist():
             if out.comment[i] is not None:
                 state.comments[ids[i]] = out.comment[i]
-        state.transcripts.update((a, k) for a, k in zip(ids, out.transcript) if k is not None)
-        taints.extend(f"parse_failure day={day} agent={ids[i]}"
-                      for i in np.flatnonzero(out.parse_failure).tolist())
-        state.decision[agents] = out.share
-        sharers = agents[out.share]
+        state.transcripts.update((s, k) for s, k in zip(ids, out.transcript) if k is not None)
+        for i in np.flatnonzero(out.parse_failure).tolist():
+            run, agent = divmod(ids[i], state.n)
+            state.taints[run].append(f"parse_failure day={day} agent={agent}")
+        state.decision[slots] = out.share
+        sharers = slots[out.share]
         state.day_shared[sharers] = day
         _deliver(state, net, sharers, day)
     state.day = day
     return state
 
 
+def _reached_fraction(state: DiffusionState, run: int) -> float:
+    return int(np.count_nonzero(state.grid(state.day_reached)[run] >= 0)) / state.n
+
+
 def apply_accuracy_intervention(
-    state: DiffusionState, trigger_threshold: float, events: list[dict] | None = None
+    state: DiffusionState, trigger_threshold: float, events: list[dict] | None = None,
+    run: int = 0,
 ) -> DiffusionState:
-    """Latch the accuracy notice once the reached fraction crosses the threshold."""
-    if not state.accuracy_triggered and state.reached_prop() >= trigger_threshold:
-        state.accuracy_triggered = True
+    """Latch run `run`'s accuracy notice once its reached fraction crosses the threshold."""
+    if (not state.accuracy_triggered[run]
+            and _reached_fraction(state, run) >= trigger_threshold):
+        state.accuracy_triggered[run] = True
         if events is not None:
             events.append({"type": "accuracy_triggered", "day": state.day})
     return state
@@ -208,35 +271,106 @@ def apply_blocking_intervention(
     block_fraction: float,
     events: list[dict] | None = None,
     block_denominator: str = "all_agents",
+    run: int = 0,
 ) -> DiffusionState:
-    """Block the top ceil(block_fraction*N) candidates at the first threshold crossing.
+    """Block run `run`'s top ceil(block_fraction*N) candidates at its first
+    threshold crossing.
 
     Blocked agents never decide and never receive; a blocked agent reached
     today does not decide tomorrow. Agents who already shared keep their past effect. With
     block_denominator="candidates" the quota is a fraction of the candidate
     pool instead of all agents.
     """
-    if state.blocking_applied or state.reached_prop() < trigger_threshold:
+    if state.blocking_applied[run] or _reached_fraction(state, run) < trigger_threshold:
         return state
-    state.blocking_applied = True
+    state.blocking_applied[run] = True
     candidates = blocking_candidates(net, personas)
     base = state.n if block_denominator == "all_agents" else len(candidates)
     quota = math.ceil(block_fraction * base)
     to_block = candidates[:quota]
-    state.blocked[to_block] = True
+    state.grid(state.blocked)[run, to_block] = True
     if events is not None:
         events.append({"type": "blocking_applied", "day": state.day, "blocked": to_block})
     return state
 
 
-def _evaluate_triggers(state, net, personas, config: ExperimentConfig, events):
-    if config.intervention_kind == "accuracy":
-        apply_accuracy_intervention(state, config.trigger_threshold, events)
-    elif config.intervention_kind == "blocking":
-        apply_blocking_intervention(
-            state, net, personas, config.trigger_threshold, config.block_fraction, events,
-            block_denominator=config.block_denominator,
-        )
+def _evaluate_triggers(state, net, personas, specs: Sequence[RunSpec], runs) -> None:
+    """Evaluate the day-end triggers of each run in `runs`."""
+    for run in runs:
+        config = specs[run].config
+        if config.intervention_kind == "accuracy":
+            apply_accuracy_intervention(state, config.trigger_threshold, state.events[run], run)
+        elif config.intervention_kind == "blocking":
+            apply_blocking_intervention(
+                state, net, personas, config.trigger_threshold, config.block_fraction,
+                state.events[run], block_denominator=config.block_denominator, run=run,
+            )
+
+
+def _split(by_slot: dict, n: int, runs: int) -> list[dict]:
+    """Per-run dicts keyed by agent id from one dict keyed by slot."""
+    out = [{} for _ in range(runs)]
+    for slot, value in by_slot.items():
+        run, agent = divmod(slot, n)
+        out[run][agent] = value
+    return out
+
+
+def run_many(
+    specs: Sequence[RunSpec],
+    net: Network,
+    personas: persona_mod.Cohort,
+    policy,
+) -> list[RunRecord]:
+    """Execute the seeded runs `specs` over one network and cohort in
+    lockstep, each for its config's days; one record per spec, in order.
+
+    A run that has gone idle (no frontier) is no longer stepped and its
+    series repeat their last point: idle days change nothing and cannot
+    newly fire a trigger. The group stops stepping once every run is idle.
+    """
+    if len(personas) != net.n:
+        raise ValueError(f"cohort size {len(personas)} != network size {net.n}")
+    n, runs = net.n, len(specs)
+    source = select_source(net)
+    state = initial_state(net, source, runs)
+    reached = [[p] for p in state.reached_prop().tolist()]
+    forwarded = [[p] for p in state.forwarded_prop().tolist()]
+    _evaluate_triggers(state, net, personas, specs, range(runs))
+
+    days = np.array([spec.config.days for spec in specs], dtype=np.int64)
+    for _ in range(int(days.max(initial=0))):
+        state.active &= days > state.day
+        stepping = state.busy_runs().tolist()
+        if not stepping:
+            break
+        step_day(state, net, personas, specs, policy)
+        day_reached, day_forwarded = state.reached_prop().tolist(), state.forwarded_prop().tolist()
+        for run in stepping:
+            reached[run].append(day_reached[run])
+            forwarded[run].append(day_forwarded[run])
+        _evaluate_triggers(state, net, personas, specs, stepping)
+
+    comments = _split(state.comments, n, runs)
+    transcripts = _split(state.transcripts, n, runs)
+    records = []
+    for run, spec in enumerate(specs):
+        idle = spec.config.days + 1 - len(reached[run])
+        rows = slice(run * n, (run + 1) * n)
+        records.append(RunRecord(
+            meta={} if spec.meta is None else spec.meta,
+            reached_prop=reached[run] + reached[run][-1:] * idle,
+            forwarded_prop=forwarded[run] + forwarded[run][-1:] * idle,
+            reach_day=state.day_reached[rows].tolist(),
+            reached_by=state.sender[rows].tolist(),
+            decision=state.decision[rows].tolist(),
+            comments=comments[run],
+            transcripts=transcripts[run],
+            events=state.events[run],
+            effective=bool(state.decision[run * n + source] == 1),
+            taints=state.taints[run],
+        ))
+    return records
 
 
 def run(
@@ -247,39 +381,6 @@ def run(
     policy,
     meta: dict | None = None,
 ) -> RunRecord:
-    """Execute one seeded run of `config.days` days; its record keeps `meta` as given."""
-    if len(personas) != net.n:
-        raise ValueError(f"cohort size {len(personas)} != network size {net.n}")
-    source = select_source(net)
-    state = initial_state(net, source)
-    events: list[dict] = [{"type": "seed", "day": 0, "agent": source}]
-    taints: list[str] = []
-
-    reached_prop = [state.reached_prop()]
-    forwarded_prop = [state.forwarded_prop()]
-    _evaluate_triggers(state, net, personas, config, events)
-
-    for _ in range(config.days):
-        if not state.frontier().size:  # idle days change nothing and cannot newly fire a trigger
-            break
-        step_day(state, net, personas, news, policy, config, taints)
-        reached_prop.append(state.reached_prop())
-        forwarded_prop.append(state.forwarded_prop())
-        _evaluate_triggers(state, net, personas, config, events)
-    idle = config.days + 1 - len(reached_prop)
-    reached_prop += reached_prop[-1:] * idle
-    forwarded_prop += forwarded_prop[-1:] * idle
-
-    return RunRecord(
-        meta={} if meta is None else meta,
-        reached_prop=reached_prop,
-        forwarded_prop=forwarded_prop,
-        reach_day=state.reach_day,
-        reached_by=state.reached_by,
-        decision=state.decision.tolist(),
-        comments=state.comments,
-        transcripts=state.transcripts,
-        events=events,
-        effective=bool(state.decision[source] == 1),
-        taints=taints,
-    )
+    """Execute one seeded run of `config.days` days, a lockstep group of one;
+    its record keeps `meta` as given."""
+    return run_many([RunSpec(config, news, meta=meta)], net, personas, policy)[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import NETWORK_KINDS, network_param_problems  # noqa: F401 - NETWORK_KINDS re-exported
+from .ingest import network_param_problems
 
 #: Random draws per block: preferential attachment draws its uniforms in
 #: multiples of it (one block per refill when growing a node one at a time, as

@@ -83,19 +83,11 @@ def _slug(text: str) -> str:
 # run execution
 # ---------------------------------------------------------------------------
 
-def _build_cell_policy(cfg, llm: policy.LlmPolicy | None = None):
-    """A function from a decision seed to the cell's policy: a stub whose
-    parameters are parsed once per cell, or the plan's one LlmPolicy `llm`."""
+def _open_policy(cfg, cache=None, transport=None):
+    """The plan's one policy: a stub whose parameters are parsed once, or an
+    LlmPolicy whose request pool every group shares."""
     if cfg.policy_kind == "stub":
-        params = policy.StubParams.from_dict(cfg.stub_params)
-        return lambda decision_seed: policy.StubPolicy(params, rng_seed=decision_seed)
-    return lambda decision_seed: llm
-
-
-def _open_llm(cfg, cache, transport=None) -> policy.LlmPolicy | None:
-    """The plan's one LlmPolicy, whose request pool every cell shares; None for the stub."""
-    if cfg.policy_kind != "llm":
-        return None
+        return policy.StubPolicy(policy.StubParams.from_dict(cfg.stub_params))
     return policy.LlmPolicy(policy.LlmSettings.from_dict(cfg.llm_params), cache=cache,
                             transport=transport, body_char_budget=cfg.body_char_budget)
 
@@ -120,62 +112,94 @@ class Cell:
             object.__setattr__(self, "config_sha", _config_hash(ingest.config_snapshot(self.cfg)))
 
 
-def _execute_cell(cell: Cell, llm: policy.LlmPolicy | None = None):
-    """Run one plan cell, re-running non-effective stub runs with fresh seeds."""
+def _inputs(cell: Cell) -> tuple:
+    """What picks a cell's network and cohort: the cells with equal inputs
+    form one lockstep group."""
     cfg, rep = cell.cfg, cell.replicate
-    net_seed = derive_seed(cfg.master_seed, "net", rep)
-    persona_seed = derive_seed(cfg.master_seed, "personas", rep)
     trait = cell.labels.get("trait")
     pin = (trait, cell.labels["level"], cfg.sweep_offset) if trait else ()
-    with _replicate_lock:
-        net = _cached_network(cfg.network_kind, tuple(sorted(cfg.network_params.items())),
-                              net_seed)
-        personas = _cached_cohort(net.n, persona_seed, *pin)
+    return (cfg.network_kind, tuple(sorted(cfg.network_params.items())),
+            derive_seed(cfg.master_seed, "net", rep),
+            derive_seed(cfg.master_seed, "personas", rep), pin)
 
-    budget = cfg.effective_retry_budget if cfg.policy_kind == "stub" else 0
-    policy_for = _build_cell_policy(cfg, llm)
-    attempt = 0
-    while True:
-        decision_seed = derive_seed(cfg.master_seed, "decide", rep, cell.news.news_id, attempt)
-        labels = {**cell.labels, "replicate": rep, "news_id": cell.news.news_id,
-                  "attempt": attempt, "net_seed": net_seed, "persona_seed": persona_seed,
-                  "decision_seed": decision_seed}
-        record = engine.run(cfg, net, personas, cell.news, policy_for(decision_seed),
-                            meta={"config_sha": cell.config_sha, "labels": labels})
-        if record.effective or attempt >= budget:
-            return record
-        attempt += 1
+
+def _execute_group(cells: list[Cell], decider) -> list:
+    """Run cells that share a network and cohort in lockstep passes, one record per cell.
+
+    Pass 0 runs attempt 0 of every cell. Each later pass runs the next
+    decision seed of only the cells whose source declined, until a cell's
+    stub retry budget is spent; LLM cells are not retried.
+    """
+    kind, params, net_seed, persona_seed, pin = _inputs(cells[0])
+    with _replicate_lock:
+        net = _cached_network(kind, params, net_seed)
+        personas = _cached_cohort(net.n, persona_seed, *pin)
+    records = [None] * len(cells)
+    todo, attempt = list(range(len(cells))), 0
+    while todo:
+        specs = []
+        for i in todo:
+            cell = cells[i]
+            decision_seed = derive_seed(cell.cfg.master_seed, "decide", cell.replicate,
+                                        cell.news.news_id, attempt)
+            labels = {**cell.labels, "replicate": cell.replicate,
+                      "news_id": cell.news.news_id, "attempt": attempt, "net_seed": net_seed,
+                      "persona_seed": persona_seed, "decision_seed": decision_seed}
+            specs.append(engine.RunSpec(cell.cfg, cell.news, decision_seed,
+                                        {"config_sha": cell.config_sha, "labels": labels}))
+        retry = []
+        for i, record in zip(todo, engine.run_many(specs, net, personas, decider)):
+            cfg = cells[i].cfg
+            budget = cfg.effective_retry_budget if cfg.policy_kind == "stub" else 0
+            if record.effective or attempt >= budget:
+                records[i] = record
+            else:
+                retry.append(i)
+        todo, attempt = retry, attempt + 1
+    return records
+
+
+def _execute_cell(cell: Cell, decider=None):
+    """Run one plan cell as a group of one, with the plan's policy `decider`
+    (default: the cell config's stub)."""
+    return _execute_group([cell], decider or _open_policy(cell.cfg))[0]
 
 
 def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, parallel: int = 1):
-    """Execute cells in order, writing each record to out_dir/runs/<cell.file>.
+    """Execute cells group by group, writing each record to out_dir/runs/<cell.file>.
 
     An INCOMPLETE sentinel exists in out_dir while cells are executing; an
     interrupted plan leaves it behind along with the partial runs directory.
-    An LLM plan's cells share one LlmPolicy over `cache`, so requests in
-    flight stay within `llm.concurrency` at any `parallel`; the policy's pool
-    and the cache's append handle are closed once the cells are done.
+    `parallel` threads execute groups. An LLM plan's groups share one
+    LlmPolicy over `cache`, so requests in flight stay within
+    `llm.concurrency` at any `parallel`; the policy's pool and the cache's
+    append handle are closed once the cells are done.
     """
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     sentinel = out_dir / "INCOMPLETE"
     _write_text(sentinel, "plan execution in progress or interrupted\n")
-    llm = _open_llm(cells[0].cfg, cache, transport) if cells else None
+    decider = _open_policy(cells[0].cfg, cache, transport) if cells else None
+    groups: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(_inputs(cell), []).append(i)
+    records = [None] * len(cells)
 
-    def _one(cell):
-        record = _execute_cell(cell, llm)
-        _write_text(runs_dir / cell.file, record.to_json())
-        return record
+    def _one(members):
+        for i, record in zip(members, _execute_group([cells[i] for i in members], decider)):
+            _write_text(runs_dir / cells[i].file, record.to_json())
+            records[i] = record
 
     try:
         if parallel > 1:
             with ThreadPoolExecutor(max_workers=parallel) as pool:
-                records = list(pool.map(_one, cells))
+                list(pool.map(_one, groups.values()))
         else:
-            records = [_one(c) for c in cells]
+            for members in groups.values():
+                _one(members)
     finally:
-        if llm is not None:
-            llm.close()
+        if isinstance(decider, policy.LlmPolicy):
+            decider.close()
         if cache is not None:
             cache.close()  # the plan's appends are done
     sentinel.unlink()
@@ -183,9 +207,13 @@ def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, para
 
 
 def _open_cache(cfg) -> policy.DecisionCache | None:
+    """The LLM plan's cache, bound to its settings before anything is written."""
     if cfg.policy_kind != "llm":
         return None
-    return policy.DecisionCache(cfg.llm_params.get("cache_path"))
+    settings = policy.LlmSettings.from_dict(cfg.llm_params)
+    cache = policy.DecisionCache(settings.cache_path)
+    cache.bind(settings)
+    return cache
 
 
 def _apply_overrides(cfg, args) -> None:

@@ -1,17 +1,19 @@
 """Decision policies: the share/ignore boundary for every agent.
 
 Two interchangeable policies implement `decide(request, persona)` for one
-agent and `decide_many(batch, personas)` for one day's deciders:
+agent and `decide_many(batch, personas)` for one day's deciders, across
+every run of a lockstep group:
 
 * StubPolicy: an offline logistic model over the agent's standardized
   extraversion and openness scores, decided for a whole batch in numpy.
-  Every (agent, news) pair draws from a counter-based stream keyed by the
-  decision seed, so outcomes are reproducible and independent of the order,
-  or the batches, in which decisions are requested.
+  Every (agent, news) pair draws from a counter-based stream keyed by its
+  run's decision seed, so outcomes are reproducible and independent of the
+  order, the batches, or the runs with which decisions are requested.
 * LlmPolicy: renders a prompt per agent from an editable text template,
   calls an OpenAI-compatible chat-completion endpoint, and parses a
   line-oriented reply (DECISION / COMMENT / REASON). Raw responses are
-  stored in an append-only cache keyed by (model, attempt, prompt); cache
+  stored in an append-only cache keyed by (model, attempt, prompt), whose
+  file names the endpoint and temperature it was recorded under; cache
   hits are decided on the calling thread, and replaying against a complete
   cache performs no network calls and starts no thread.
 """
@@ -77,25 +79,36 @@ class DecisionRequest:
 
 @dataclass(frozen=True)
 class DecisionBatch:
-    """One day's deciders; they all see the same news, template and notice.
+    """One day's deciders, over one or more runs that share a cohort.
 
-    `agents` is an array of agent ids (ascending, as the engine builds it);
-    a policy's decision for one agent must not depend on the others. Under
-    the commenting template, `peer_comments(agent)` returns the comments
+    Decider i is agent `agents[i]` of run `runs[i]`, in (run, agent) order
+    as the engine builds them. Run r decides on `news[r]` under template
+    `template_id[r]`, sees the accuracy notice when `accuracy_notice[r]`,
+    and draws with decision seed `seed[r]` (None: the policy's own). A
+    policy's decision for one decider must not depend on the others. Under
+    the commenting template, `peer_comments(run, agent)` returns the comments
     delivered to that agent so far, oldest first.
     """
 
-    news: NewsItem
     day: int
     agents: np.ndarray
-    template_id: str = "none"
-    accuracy_notice: bool = False
-    peer_comments: Callable[[int], tuple[str, ...]] | None = None
+    runs: np.ndarray
+    news: tuple[NewsItem, ...]
+    template_id: tuple[str, ...]
+    accuracy_notice: tuple[bool, ...]
+    seed: tuple[int | None, ...]
+    peer_comments: Callable[[int, int], tuple[str, ...]] | None = None
 
-    def request(self, agent: int) -> DecisionRequest:
-        comments = self.peer_comments(agent) if self.template_id == "commenting" else None
-        return DecisionRequest(news=self.news, day=self.day, template_id=self.template_id,
-                               peer_comments=comments, accuracy_notice=self.accuracy_notice)
+    def deciders(self):
+        """(run, agent) of each decider, in order."""
+        return zip(self.runs.tolist(), self.agents.tolist())
+
+    def request(self, agent: int, run: int = 0) -> DecisionRequest:
+        template_id = self.template_id[run]
+        comments = self.peer_comments(run, agent) if template_id == "commenting" else None
+        return DecisionRequest(news=self.news[run], day=self.day, template_id=template_id,
+                               peer_comments=comments,
+                               accuracy_notice=self.accuracy_notice[run])
 
 
 @dataclass(frozen=True)
@@ -146,9 +159,9 @@ def decide_each(policy, batch: DecisionBatch, personas) -> Decisions:
     A PolicyError is re-raised naming the day and agent.
     """
     outcomes = []
-    for agent in batch.agents.tolist():
+    for run, agent in batch.deciders():
         try:
-            outcomes.append(policy.decide(batch.request(agent), personas[agent]))
+            outcomes.append(policy.decide(batch.request(agent, run), personas[agent]))
         except PolicyError as exc:
             raise _located(exc, batch.day, agent) from exc
     return Decisions.from_outcomes(outcomes)
@@ -200,16 +213,15 @@ def share_probability(
     accuracy_notice: bool = False,
     commenting: bool = False,
 ):
-    """Closed-form logistic share probability for the stub, elementwise over arrays."""
+    """Closed-form logistic share probability for the stub, elementwise over
+    arrays; `accuracy_notice` and `commenting` may be arrays too."""
     logit = (
         params.intercept
         + params.weight_e * np.asarray(z_extraversion, dtype=float)
         + params.weight_o * np.asarray(z_openness, dtype=float)
     )
-    if accuracy_notice:
-        logit = logit + params.accuracy_penalty
-    if commenting:
-        logit = logit + params.comment_shift
+    logit = np.where(accuracy_notice, logit + params.accuracy_penalty, logit)
+    logit = np.where(commenting, logit + params.comment_shift, logit)
     return 1.0 / (1.0 + np.exp(-logit))
 
 
@@ -226,33 +238,41 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
+@functools.lru_cache(maxsize=4096)  # a run asks for its key on every day it steps
+def _stub_key(rng_seed: int, news_id: str) -> int:
+    return derive_seed(rng_seed, "stub", news_id) & 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _splitmix(agents, keys) -> np.ndarray:
+    """Output agent + 1 of the SplitMix64 stream seeded with each agent's key."""
+    z = (np.asarray(agents, dtype=np.uint64) + np.uint64(1)) * _GOLDEN_GAMMA + keys
+    z = (z ^ (z >> np.uint64(30))) * _MIX_1
+    z = (z ^ (z >> np.uint64(27))) * _MIX_2
+    return z ^ (z >> np.uint64(31))
+
+
 def stub_bits(rng_seed: int, news_id: str, agents) -> np.ndarray:
     """64 random bits per agent for the stub's decision on `news_id`.
 
     Counter-based: the bits for agent a are output a + 1 of a SplitMix64
     stream seeded with derive_seed(rng_seed, "stub", news_id) truncated to
     64 bits. They depend only on (rng_seed, news_id, a), never on which other
-    agents are drawn with a or in what order. The top 53 bits are the share
-    uniform; the low 11 bits pick the comment.
+    agents, or runs, are drawn with a or in what order. The top 53 bits are
+    the share uniform; the low 11 bits pick the comment.
     """
-    key = np.uint64(derive_seed(rng_seed, "stub", news_id) & 0xFFFF_FFFF_FFFF_FFFF)
-    z = (np.asarray(agents, dtype=np.uint64) + np.uint64(1)) * _GOLDEN_GAMMA + key
-    z = (z ^ (z >> np.uint64(30))) * _MIX_1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_2
-    return z ^ (z >> np.uint64(31))
+    return _splitmix(agents, np.uint64(_stub_key(rng_seed, news_id)))
 
 
-def _decide_stub_columns(z_e, z_o, agents, news_id, template_id, accuracy_notice,
-                         params: StubParams, rng_seed: int) -> Decisions:
-    commenting = template_id == "commenting"
+def _decide_stub_columns(z_e, z_o, bits, commenting, accuracy_notice,
+                         params: StubParams) -> Decisions:
+    """Stub decisions from each decider's z-scores and bits; `commenting` and
+    `accuracy_notice` are per decider, or one bool for all."""
     prob = share_probability(z_e, z_o, params, accuracy_notice, commenting)
-    bits = stub_bits(rng_seed, news_id, agents)
     share = (bits >> np.uint64(11)) * 2.0**-53 < prob
     comment: list[str | None] = [None] * len(share)
-    if commenting:
-        picks = (bits & np.uint64(0x7FF)) % np.uint64(len(_STUB_COMMENTS))
-        for i in np.flatnonzero(share).tolist():
-            comment[i] = _STUB_COMMENTS[int(picks[i])]
+    picks = (bits & np.uint64(0x7FF)) % np.uint64(len(_STUB_COMMENTS))
+    for i in np.flatnonzero(share & commenting).tolist():
+        comment[i] = _STUB_COMMENTS[int(picks[i])]
     return Decisions(share=share, comment=comment, transcript=[None] * len(share),
                      parse_failure=[False] * len(share))
 
@@ -266,8 +286,8 @@ def decide_stub(
 ) -> DecisionOutcome:
     """One agent's stub decision; equal to its entry in any batch holding it."""
     z_e, z_o = _zscores(np.array([persona.big_five_scores]), stats)
-    d = _decide_stub_columns(z_e, z_o, [persona.agent_id], req.news.news_id, req.template_id,
-                             req.accuracy_notice, params, rng_seed)
+    d = _decide_stub_columns(z_e, z_o, stub_bits(rng_seed, req.news.news_id, [persona.agent_id]),
+                             req.template_id == "commenting", req.accuracy_notice, params)
     share = bool(d.share[0])
     return DecisionOutcome(
         share=share,
@@ -279,7 +299,11 @@ def decide_stub(
 
 
 class StubPolicy:
-    """Deterministic offline policy; safe to call from any thread."""
+    """Deterministic offline policy; safe to call from any thread.
+
+    `rng_seed` is the decision seed of `decide` and of every batch run whose
+    own seed is None.
+    """
 
     def __init__(self, params: StubParams | None = None, rng_seed: int = 0,
                  stats: persona_mod.BigFiveStats = persona_mod.DEFAULT_TRAIT_STATS):
@@ -291,11 +315,17 @@ class StubPolicy:
         return decide_stub(req, persona, self.params, self.rng_seed, self.stats)
 
     def decide_many(self, batch: DecisionBatch, personas: persona_mod.Cohort) -> Decisions:
-        """Decide the whole batch in numpy; each agent as `decide` would."""
-        agents = batch.agents
-        z_e, z_o = _zscores(personas.scores[agents], self.stats)
-        return _decide_stub_columns(z_e, z_o, agents, batch.news.news_id, batch.template_id,
-                                    batch.accuracy_notice, self.params, self.rng_seed)
+        """Decide the whole batch in numpy, each decider as `decide` would
+        with its run's seed: every run's stream key is taken per row."""
+        runs = batch.runs
+        keys = np.array([_stub_key(self.rng_seed if seed is None else seed, news.news_id)
+                         for seed, news in zip(batch.seed, batch.news)], dtype=np.uint64)
+        commenting = np.array([t == "commenting" for t in batch.template_id])
+        z_e, z_o = _zscores(personas.scores[batch.agents], self.stats)
+        return _decide_stub_columns(z_e, z_o, _splitmix(batch.agents, keys[runs]),
+                                    commenting[runs],
+                                    np.array(batch.accuracy_notice, dtype=bool)[runs],
+                                    self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +443,12 @@ def cache_key(model: str, prompt: str, attempt: int) -> str:
 class DecisionCache:
     """Append-only JSONL store of raw LLM transcripts keyed by cache_key.
 
+    A cache file's first line names the settings its transcripts were
+    recorded under, `{"settings": {"endpoint": ..., "temperature": ...}}`;
+    bind() refuses other settings, and a file of transcripts without that
+    line (written by newssim 0.4.0 or earlier). The line is written before
+    the first transcript of a new file.
+
     A last line that has no newline and does not parse was torn by an
     interrupted append: loading drops it and truncates the file to the last
     complete line. A bad line anywhere else raises.
@@ -424,9 +460,11 @@ class DecisionCache:
 
     def __init__(self, path=None):
         self.path = path
+        self.settings: dict | None = None
         self._records: dict[str, dict] = {}
         self._lock = threading.Lock()
         self._fh = None
+        self._header_due = False
         if path is None:
             return
         try:
@@ -437,8 +475,7 @@ class DecisionCache:
         complete, _, tail = data.rpartition(b"\n")
         for line in complete.split(b"\n"):
             if line.strip():
-                rec = json.loads(line)
-                self._records[rec["key"]] = rec
+                self._load(json.loads(line))
         if tail.strip():
             try:
                 rec = json.loads(tail)
@@ -446,9 +483,32 @@ class DecisionCache:
                 with open(path, "r+b") as fh:
                     fh.truncate(len(data) - len(tail))
                 return
-            self._records[rec["key"]] = rec
+            self._load(rec)
             with open(path, "ab") as fh:  # so the next append starts a line of its own
                 fh.write(b"\n")
+
+    def _load(self, rec: dict) -> None:
+        if "settings" in rec and not self._records:  # the first line
+            self.settings = rec["settings"]
+        else:
+            self._records[rec["key"]] = rec
+
+    def bind(self, settings: LlmSettings) -> None:
+        """Check that this cache's transcripts were recorded under the
+        endpoint and temperature of `settings`, which cache_key leaves out,
+        or make it record them; a ValueError names a mismatch."""
+        wanted = {"endpoint": settings.endpoint, "temperature": settings.temperature}
+        with self._lock:
+            if self.settings is None and self._records:
+                raise ValueError(
+                    f"LLM cache {self.path} does not name the settings it was recorded "
+                    "under (newssim 0.4.0 or earlier); move it aside to record a new one")
+            if self.settings is None:
+                self.settings, self._header_due = wanted, self.path is not None
+            elif self.settings != wanted:
+                raise ValueError(
+                    f"LLM cache {self.path} was recorded under {self.settings}, not "
+                    f"{wanted}; point policy.llm.cache_path at another file")
 
     def __len__(self):
         return len(self._records)
@@ -470,6 +530,10 @@ class DecisionCache:
             if self.path is not None:
                 if self._fh is None:
                     self._fh = open(self.path, "ab")
+                if self._header_due:
+                    self._fh.write((json.dumps({"settings": self.settings}, sort_keys=True)
+                                    + "\n").encode("utf-8"))
+                    self._header_due = False
                 self._fh.write(line)
                 self._fh.flush()
         return rec
@@ -531,13 +595,14 @@ class LlmPolicy:
     `transport` takes (url, headers, payload, timeout) and returns the parsed
     JSON body; tests inject fakes here. `api_key` falls back to the
     environment variable named in settings. `cache` belongs to the caller,
-    who closes it once the policy's decisions are done; close() shuts the
-    pool down.
+    who closes it once the policy's decisions are done; the policy binds it
+    to its settings (see DecisionCache.bind). close() shuts the pool down.
     """
 
     def __init__(self, settings: LlmSettings, cache: DecisionCache,
                  transport=None, api_key: str | None = None,
                  body_char_budget: int = 1200):
+        cache.bind(settings)
         self.settings = settings
         self.cache = cache
         self.transport = transport or _default_transport
@@ -654,23 +719,22 @@ class LlmPolicy:
         return self._decide_prompt(self._prompt(req, persona), req.template_id == "commenting")
 
     def decide_many(self, batch: DecisionBatch, personas: persona_mod.Cohort) -> Decisions:
-        """Decide the batch as `decide` would each agent: the cache's answers
-        here, the rest on the pool. A PolicyError is re-raised naming the day
-        and agent."""
-        want_comment = batch.template_id == "commenting"
-        agents = batch.agents.tolist()
+        """Decide the batch as `decide` would each decider: the cache's
+        answers here, and every run's misses on the pool at once. A
+        PolicyError is re-raised naming the day and agent."""
         outcomes: list[DecisionOutcome | None] = []
         pending = []
-        for i, agent in enumerate(agents):
-            prompt = self._prompt(batch.request(agent), personas[agent])
+        for i, (run, agent) in enumerate(batch.deciders()):
+            want_comment = batch.template_id[run] == "commenting"
+            prompt = self._prompt(batch.request(agent, run), personas[agent])
             found = self._decide_prompt(prompt, want_comment, cached_only=True)
             if isinstance(found, int):
-                pending.append((i, self._submit(prompt, want_comment, found)))
+                pending.append((i, agent, self._submit(prompt, want_comment, found)))
                 found = None
             outcomes.append(found)
-        for i, future in pending:
+        for i, agent, future in pending:
             try:
                 outcomes[i] = future.result()
             except PolicyError as exc:
-                raise _located(exc, batch.day, agents[i]) from exc
+                raise _located(exc, batch.day, agent) from exc
         return Decisions.from_outcomes(outcomes)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -77,7 +78,7 @@ def test_gen_network_invalid_params_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", netgen.NETWORK_KINDS)
+@pytest.mark.parametrize("kind", ingest.NETWORK_KINDS)
 @pytest.mark.parametrize("n", [1, 0, -3])
 def test_gen_network_refuses_fewer_than_two_nodes(tmp_path, capsys, kind, n):
     out = tmp_path / "x"
@@ -169,7 +170,7 @@ def test_perfbench_tracer_wraps_a_stub_run(tmp_path, news_path):
     )
     assert done.returncode == 0, done.stderr
     spans = json.loads(trace.read_text())["spans"]
-    assert {"engine.run", "netgen.generate", "engine.to_json"} <= spans.keys()
+    assert {"engine.step_day", "netgen.generate", "engine.to_json"} <= spans.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def test_run_parallel_matches_serial(tmp_path, small_config):
 def test_interrupted_run_leaves_incomplete_marker(tmp_path, small_config, monkeypatch):
     out = tmp_path / "out"
     calls = {"n": 0}
-    real_run = engine.run
+    real_run = engine.run_many
 
     def flaky(*args, **kwargs):
         calls["n"] += 1
@@ -272,7 +273,7 @@ def test_interrupted_run_leaves_incomplete_marker(tmp_path, small_config, monkey
             raise RuntimeError("simulated crash")
         return real_run(*args, **kwargs)
 
-    monkeypatch.setattr(plan.engine, "run", flaky)
+    monkeypatch.setattr(plan.engine, "run_many", flaky)
     with pytest.raises(RuntimeError):
         cli.main(["run", "--config", str(small_config(reps=3, news_limit=2)),
                   "--out", str(out)])
@@ -301,9 +302,49 @@ def test_run_effective_retry_rewrites_attempt(tmp_path, small_config):
                                   meta["net_seed"])
         personas = plan._cached_cohort(net.n, meta["persona_seed"])
         for seed in seeds[:-1]:  # every earlier attempt was non-effective
-            earlier = engine.run(cfg, net, personas, news[meta["news_id"]],
-                                 plan._build_cell_policy(cfg)(seed))
+            stub = policy.StubPolicy(policy.StubParams.from_dict(cfg.stub_params), rng_seed=seed)
+            earlier = engine.run(cfg, net, personas, news[meta["news_id"]], stub)
             assert not earlier.effective
+
+
+#: sha256 over the runs/ tree (relative path and bytes of each file, in path
+#: order) of PINNED_CFG's compare, as the per-cell executor wrote it before
+#: plans ran in lockstep groups. Records hold no version string.
+PINNED_RUNS_SHA256 = "ee5d2d676d88b07fb8f8f5ef903682723bc7d6963f9eb06546030b6288ef6db9"
+PINNED_CFG = """\
+network:
+  kind: random
+  n: 60
+  edge_prob: 0.12
+replications: 2
+master_seed: 7
+news:
+  path: news.jsonl
+  limit: 2
+effective_retry_budget: 3
+policy:
+  stub:
+    intercept: -0.5
+"""
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_stub_compare_runs_bytes_are_pinned(tmp_path, news_path, monkeypatch, parallel):
+    """Retries, exclusions and every record byte of a small stub compare stay as they were."""
+    monkeypatch.chdir(tmp_path)  # relative paths keep config_sha independent of the checkout
+    (tmp_path / "news.jsonl").write_bytes(news_path.read_bytes())
+    (tmp_path / "cfg.yaml").write_text(PINNED_CFG, encoding="utf-8")
+    assert cli.main(["compare", "--config", "cfg.yaml", "--out", "out",
+                     "--parallel", str(parallel)]) == 0
+    records = [engine.RunRecord.from_json(text.decode("utf-8"))
+               for text in tree_bytes(tmp_path / "out" / "runs").values()]
+    assert len(records) == 48
+    assert any(r.meta["labels"]["attempt"] >= 2 and r.effective for r in records)
+    assert any(r.meta["labels"]["attempt"] == 3 and not r.effective for r in records)
+    digest = hashlib.sha256()
+    for name, data in tree_bytes(tmp_path / "out" / "runs").items():
+        digest.update(Path(name).as_posix().encode("utf-8") + b"\0" + data + b"\0")
+    assert digest.hexdigest() == PINNED_RUNS_SHA256
 
 
 def test_plan_failures_are_one_error_line(tmp_path, small_config, monkeypatch, capsys):
@@ -375,7 +416,7 @@ def _refused(tmp_path, capsys, doc) -> str:
 
 SCHEMA_KEYS = [
     *((None, key) for key in ingest.CONFIG_KEYS),
-    *((kind, f"network.{key}") for kind in netgen.NETWORK_KINDS
+    *((kind, f"network.{key}") for kind in ingest.NETWORK_KINDS
       for key in ingest.default_network_params(kind)),
     *((None, f"policy.stub.{f.name}") for f in fields(policy.StubParams)),
     *((None, f"policy.llm.{f.name}") for f in fields(policy.LlmSettings)),
@@ -921,6 +962,46 @@ def test_llm_plan_requests_in_flight_stay_within_concurrency(tmp_path, small_con
     assert flying["calls"] > 0
     assert flying["peak"] == concurrency  # the pool is used, and never beyond its size
     assert runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("changed", ["    temperature: 0.7\n",
+                                     "    endpoint: http://127.0.0.1:9/v1/chat/completions\n"])
+def test_an_llm_cache_refuses_other_settings(tmp_path, small_config, monkeypatch, capsys,
+                                             changed):
+    """A cache recorded at one temperature and endpoint never answers a plan at another."""
+    transport = scripted_transport("DECISION: SHARE\nREASON: interesting")
+    monkeypatch.setattr(policy, "_default_transport", transport)
+    cache = tmp_path / "cache.jsonl"
+    cfg = small_config(reps=1, news_limit=1, extra=LLM_CFG.format(cache=cache))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0
+    recorded, calls = cache.read_bytes(), transport.calls
+    assert calls > 0 and json.loads(recorded.split(b"\n")[0]) == {"settings": {
+        "endpoint": policy.LlmSettings().endpoint, "temperature": 0.0}}
+    # the same settings replay from the cache
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "again")]) == 0
+    assert transport.calls == calls
+    capsys.readouterr()
+
+    other = small_config(reps=1, news_limit=1, extra=LLM_CFG.format(cache=cache) + changed)
+    out = tmp_path / "other"
+    assert cli.main(["run", "--config", str(other), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: LLM cache {cache} was recorded under {{'endpoint': ")
+    assert err.count("\n") == 1
+    assert transport.calls == calls and cache.read_bytes() == recorded
+    assert not out.exists()
+
+
+def test_an_llm_cache_without_settings_is_refused(tmp_path, small_config, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps({"key": "k", "model": "m", "attempt": 0, "prompt_sha": "p",
+                                 "response": "DECISION: SHARE"}) + "\n", encoding="utf-8")
+    cfg = small_config(reps=1, news_limit=1, extra=LLM_CFG.format(cache=cache))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: LLM cache {cache} does not name the settings it was recorded under "
+        "(newssim 0.4.0 or earlier); move it aside to record a new one\n")
+    assert not (tmp_path / "out").exists()
 
 
 LLM_CFG = "policy:\n  kind: llm\n  llm:\n    cache_path: {cache}\n"

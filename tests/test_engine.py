@@ -11,6 +11,7 @@ from newssim import persona as persona_mod
 from newssim.engine import (
     DiffusionState,
     RunRecord,
+    RunSpec,
     apply_accuracy_intervention,
     apply_blocking_intervention,
     blocking_candidates,
@@ -254,20 +255,23 @@ def test_skipping_idle_days_matches_stepping_every_day(net, seed, intercept, int
     rec = run(cfg, net, personas, NEWS, policy)
 
     # reference: step all cfg.days days, idle ones included
+    specs = [RunSpec(cfg, NEWS)]
     state = initial_state(net, select_source(net))
-    events = [{"type": "seed", "day": 0, "agent": rec.events[0]["agent"]}]
-    taints = []
-    reached, forwarded = [state.reached_prop()], [state.forwarded_prop()]
-    engine_mod._evaluate_triggers(state, net, personas, cfg, events)
+    events = state.events[0]
+    assert events == [{"type": "seed", "day": 0, "agent": rec.events[0]["agent"]}]
+    taints = state.taints[0]
+    reached, forwarded = [state.reached_prop()[0]], [state.forwarded_prop()[0]]
+    engine_mod._evaluate_triggers(state, net, personas, specs, [0])
     for _ in range(cfg.days):
-        step_day(state, net, personas, NEWS, policy, cfg, taints)
-        reached.append(state.reached_prop())
-        forwarded.append(state.forwarded_prop())
-        engine_mod._evaluate_triggers(state, net, personas, cfg, events)
+        step_day(state, net, personas, specs, policy)
+        reached.append(state.reached_prop()[0])
+        forwarded.append(state.forwarded_prop()[0])
+        engine_mod._evaluate_triggers(state, net, personas, specs, [0])
 
     assert (rec.reached_prop, rec.forwarded_prop) == (reached, forwarded)
     assert (rec.events, rec.taints) == (events, taints)
-    assert (rec.reach_day, rec.reached_by) == (state.reach_day, state.reached_by)
+    assert (rec.reach_day, rec.reached_by) == (state.day_reached.tolist(),
+                                               state.sender.tolist())
     assert (rec.decision, rec.comments) == (state.decision.tolist(), state.comments)
 
 
@@ -542,7 +546,7 @@ def test_blocking_drops_pending_and_inbox():
             asked.append(persona.agent_id)
             return super().decide(req, persona)
 
-    step_day(state, net, personas, NEWS, Spy({}), config(intervention="commenting"), [])
+    step_day(state, net, personas, [RunSpec(config(intervention="commenting"), NEWS)], Spy({}))
     assert asked == []
     assert state.blocking_applied
 
@@ -552,7 +556,7 @@ def test_conservation_each_day():
     personas = persona_mod.sample_personas(150, rng_seed=11)
     cfg = config(days=7, intervention="blocking")
     state = initial_state(net, select_source(net))
-    events, taints = [], []
+    events = []
     # the first decision seed from 14 on whose run applies the block (any
     # stream has one), so the block checks below are not vacuous
     policy = next(
@@ -564,7 +568,7 @@ def test_conservation_each_day():
     for _ in range(7):
         reached_before = state.day_reached >= 0
         days_after_block += bool(state.blocked.any())
-        step_day(state, net, personas, NEWS, policy, cfg, taints)
+        step_day(state, net, personas, [RunSpec(cfg, NEWS)], policy)
         reached = state.day_reached >= 0
         # no blocked agent entered the reached set after blocking was applied
         assert not (reached & ~reached_before & state.blocked).any()
@@ -572,7 +576,7 @@ def test_conservation_each_day():
                                     cfg.block_fraction, events)
         # blocked agents decide nothing, from the block day on
         assert not state.blocked[state.frontier()].any()
-        assert np.count_nonzero(reached) == round(state.reached_prop() * 150)
+        assert np.count_nonzero(reached) == round(state.reached_prop()[0] * 150)
         # every decider was reached, and exactly the sharers have a share day
         assert reached[state.decision >= 0].all()
         assert np.array_equal(state.decision == 1, state.day_shared >= 0)
@@ -586,7 +590,7 @@ def test_status_union_matches_reached_without_blocking():
     state = initial_state(net, select_source(net))
     policy = StubPolicy(rng_seed=20)
     for _ in range(7):
-        step_day(state, net, personas, NEWS, policy, cfg, [])
+        step_day(state, net, personas, [RunSpec(cfg, NEWS)], policy)
         union = set(state.pending) | set(np.flatnonzero(state.decision >= 0).tolist())
         assert union == set(np.flatnonzero(state.day_reached >= 0).tolist())
 

@@ -8,21 +8,29 @@ write byte-identical records and ask the policy the same requests. The
 oracle logs one event per decision, as the 0.2.0 records did, and its
 record assembly turns them into the format-4 columns, storing the meta it is
 given as the engine does.
+
+`run_many` steps a group of runs in lockstep; each of its records must equal
+the record of the same run executed alone.
 """
 
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newssim import engine, ingest, persona
 from newssim.plan import connected_network
-from newssim.engine import RunRecord, blocking_candidates
+from newssim.engine import RunRecord, RunSpec, blocking_candidates
 from newssim.ingest import NewsItem
+from newssim.netgen import Network
 from newssim.policy import (
     _STUB_COMMENTS,
     DecisionOutcome,
     DecisionRequest,
     StubParams,
+    StubPolicy,
     decide_each,
 )
 from newssim.seeding import derive_seed
@@ -180,3 +188,86 @@ def test_array_engine_matches_set_engine_under_old_draws(cohorts, kind, interven
         record = engine.run(cfg, net, personas, NEWS, new, meta=META)
         assert record.to_json() == oracle_run(cfg, net, personas, old, META).to_json()
         assert new.requests == old.requests
+
+
+# ---------------------------------------------------------------------------
+# lockstep groups against runs executed one at a time
+# ---------------------------------------------------------------------------
+
+class ScriptedHashPolicy:
+    """Decides each (agent, news, template) by a hash, one agent at a time.
+
+    Sharers under the commenting template leave a comment; every decision
+    gets a transcript key, and a few are parse failures. The requests are
+    logged by news id, so the runs of a group (one news item each) can be
+    told apart.
+    """
+
+    decide_many = decide_each
+
+    def __init__(self, share_below):
+        self.share_below = share_below
+        self.requests = {}
+
+    def decide(self, req, p):
+        self.requests.setdefault(req.news.news_id, []).append((p.agent_id, req))
+        digest = hashlib.sha256(
+            f"{p.agent_id}|{req.news.news_id}|{req.template_id}".encode()).digest()
+        share = digest[0] < self.share_below
+        comment = f"c{p.agent_id}" if share and req.template_id == "commenting" else None
+        return DecisionOutcome(share=share, comment=comment, rationale=None, raw_response="",
+                               source="llm_live", parse_failure=digest[1] < 8,
+                               transcript_key=None if digest[2] < 64 else digest.hex())
+
+
+@st.composite
+def lockstep_groups(draw):
+    """A random graph, a cohort, and R random run specs over them."""
+    n = draw(st.integers(2, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True))
+    net = Network(n=n, edges=tuple(sorted(edges)), kind="random", gen_seed=0)
+    personas = persona.sample_personas(n, rng_seed=draw(st.integers(0, 999)))
+    if draw(st.booleans()):  # many blocking candidates, tied on degree
+        personas = persona.pin_trait(personas, "openness", "high")
+    specs = []
+    for r in range(draw(st.integers(1, 6))):
+        cfg = ingest.ExperimentConfig(
+            intervention_kind=draw(st.sampled_from(["none", "commenting", "accuracy",
+                                                    "blocking"])),
+            trigger_threshold=draw(st.floats(0.01, 1.0)),
+            block_fraction=draw(st.sampled_from([0.0, 0.2, 0.5])),
+            block_denominator=draw(st.sampled_from(["all_agents", "candidates"])),
+        )
+        cfg.days = draw(st.integers(0, 8))
+        news = NewsItem(news_id=f"n-{r}", title="headline", body="body", veracity="fake")
+        specs.append(RunSpec(cfg, news, seed=draw(st.integers(0, 2**64)),
+                             meta={"config_sha": f"{r:016x}", "labels": {"run": r}}))
+    return net, personas, specs
+
+
+@settings(max_examples=120, deadline=None)
+@given(group=lockstep_groups(), intercept=st.floats(-2.0, 3.0))
+def test_run_many_equals_one_run_per_spec_under_the_stub(group, intercept):
+    net, personas, specs = group
+    params = StubParams(intercept=intercept, comment_shift=0.5, accuracy_penalty=-1.5)
+    records = engine.run_many(specs, net, personas, StubPolicy(params))
+    assert len(records) == len(specs)
+    for spec, record in zip(specs, records):
+        alone = engine.run(spec.config, net, personas, spec.news,
+                           StubPolicy(params, rng_seed=spec.seed), meta=spec.meta)
+        assert record.to_json() == alone.to_json()
+
+
+@settings(max_examples=120, deadline=None)
+@given(group=lockstep_groups(), share_below=st.integers(0, 256))
+def test_run_many_asks_a_scripted_policy_what_single_runs_ask(group, share_below):
+    net, personas, specs = group
+    grouped = ScriptedHashPolicy(share_below)
+    records = engine.run_many(specs, net, personas, grouped)
+    for spec, record in zip(specs, records):
+        single = ScriptedHashPolicy(share_below)
+        alone = engine.run(spec.config, net, personas, spec.news, single, meta=spec.meta)
+        assert record.to_json() == alone.to_json()
+        news_id = spec.news.news_id
+        assert grouped.requests.get(news_id, []) == single.requests.get(news_id, [])

@@ -36,6 +36,16 @@ NEWS = NewsItem(news_id="n-1", title="Test headline", body="Body text of the sto
                 veracity="fake", topic="political")
 
 
+def one_run_batch(news, day, agents, template_id="none", accuracy_notice=False,
+                  peer_comments=None):
+    """The DecisionBatch of one run's deciders; `peer_comments` takes the agent alone."""
+    agents = np.asarray(agents)
+    return DecisionBatch(day=day, agents=agents, runs=np.zeros(len(agents), dtype=np.intp),
+                         news=(news,), template_id=(template_id,),
+                         accuracy_notice=(accuracy_notice,), seed=(None,),
+                         peer_comments=lambda run, agent: peer_comments(agent))
+
+
 def persona_at(z_e=0.0, z_o=0.0, agent_id=0):
     means = DEFAULT_TRAIT_STATS.means
     sds = DEFAULT_TRAIT_STATS.sds
@@ -196,7 +206,7 @@ def test_decide_many_is_independent_of_batch_order_and_split(template_id):
     notice = template_id == "accuracy"
 
     def decide(agents):
-        batch = DecisionBatch(news=NEWS, day=2, agents=np.asarray(agents),
+        batch = one_run_batch(news=NEWS, day=2, agents=np.asarray(agents),
                               template_id=template_id, accuracy_notice=notice,
                               peer_comments=lambda a: ())
         return _outcomes(policy.decide_many(batch, cohort), list(agents))
@@ -207,8 +217,9 @@ def test_decide_many_is_independent_of_batch_order_and_split(template_id):
     assert decide(permuted) == whole
     assert {**decide(permuted[:137]), **decide(permuted[137:])} == whole
     # decide() on each agent's persona decides as the batch over the columns does
-    batch = DecisionBatch(news=NEWS, day=2, agents=np.arange(400), template_id=template_id,
-                          accuracy_notice=notice, peer_comments=lambda a: ())
+    batch = one_run_batch(news=NEWS, day=2, agents=np.arange(400),
+                          template_id=template_id, accuracy_notice=notice,
+                          peer_comments=lambda a: ())
     for a in range(400):
         out = policy.decide(batch.request(a), cohort[a])
         assert (out.share, out.comment) == whole[a]
@@ -252,7 +263,7 @@ def test_comment_index_uses_bits_disjoint_from_the_share_uniform():
                             scores=np.tile(at_means.big_five_scores, (len(agents), 1)),
                             high=np.tile([lv == "high" for lv in at_means.big_five_labels],
                                          (len(agents), 1)))
-    batch = DecisionBatch(news=NEWS, day=1, agents=agents, template_id="commenting",
+    batch = one_run_batch(news=NEWS, day=1, agents=agents, template_id="commenting",
                           peer_comments=lambda a: ())
     out = policy.decide_many(batch, cohort)
     bits = stub_bits(5, NEWS.news_id, agents)
@@ -554,7 +565,8 @@ def test_a_waiter_asks_itself_when_the_call_in_flight_fails():
 
 def _cohort_batch(n=12, template_id="commenting"):
     cohort = persona.sample_personas(n, rng_seed=3)
-    batch = DecisionBatch(news=NEWS, day=2, agents=np.arange(n), template_id=template_id,
+    batch = one_run_batch(news=NEWS, day=2, agents=np.arange(n),
+                          template_id=template_id,
                           peer_comments=lambda agent: (f"comment for {agent}",))
     return cohort, batch
 
@@ -610,6 +622,25 @@ def test_cache_keys_distinguish_attempts_and_prompts():
     assert cache_key("m", "prompt a", 1) != k1
     assert cache_key("m", "prompt b", 0) != k1
     assert cache_key("m2", "prompt a", 0) != k1
+
+
+@pytest.mark.parametrize("changed", [{"temperature": 0.5},
+                                     {"endpoint": "http://127.0.0.1:9/v1/chat/completions"}])
+def test_a_cache_is_never_hit_under_other_settings(tmp_path, changed):
+    path = tmp_path / "cache.jsonl"
+    settings = LlmSettings(max_retries=0)
+    first = LlmPolicy(settings, DecisionCache(path), transport=make_transport(["DECISION: SHARE"]))
+    req, p = DecisionRequest(news=NEWS, day=1), persona_at()
+    assert first.decide(req, p).source == "llm_live"
+    first.cache.close()
+    with DecisionCache(path) as cache:
+        assert LlmPolicy(settings, cache).decide(req, p).source == "llm_cache"
+        with pytest.raises(ValueError, match="was recorded under"):
+            LlmPolicy(LlmSettings(max_retries=0, **changed), cache)
+    in_memory = DecisionCache()
+    LlmPolicy(settings, in_memory)
+    with pytest.raises(ValueError, match="was recorded under"):
+        LlmPolicy(LlmSettings(**changed), in_memory)
 
 
 def test_cache_file_is_append_only_jsonl(tmp_path):
