@@ -142,18 +142,30 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _read_plot_groups(path: Path) -> tuple[dict, dict]:
+    """(provenance, groups) of a summary.json; a ValueError names the file and bad key."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    summary = doc.get("summary") if isinstance(doc, dict) else None
+    groups = summary.get("groups") if isinstance(summary, dict) else None
+    if not (isinstance(groups, dict) and groups):
+        raise ValueError(f"{path}: `summary.groups` is missing, empty or not an object")
+    if not isinstance(doc.get("provenance", {}), dict):
+        raise ValueError(f"{path}: `provenance` is not an object")
+    for label, g in groups.items():
+        days = g.get("days") if isinstance(g, dict) else None
+        for key in ("reached_mean", "reached_sd", "forwarded_mean", "forwarded_sd"):
+            if not (isinstance(days, int) and isinstance(g.get(key), list) and len(g[key]) > days):
+                raise ValueError(f"{path}: group {label!r} lacks `days` or a full `{key}` list")
+    return doc.get("provenance", {}), groups
+
+
 def cmd_export_plot_data(args) -> int:
     results = Path(args.results)
     summary_path = results / "summary.json"
     if not summary_path.exists():
         print(f"error: no summary.json under {results}", file=sys.stderr)
         return 2
-    doc = json.loads(summary_path.read_text(encoding="utf-8"))
-    prov = doc.get("provenance", {})
-    groups = doc["summary"]["groups"]
-    if not groups:
-        print("error: summary contains no groups", file=sys.stderr)
-        return 2
+    prov, groups = _read_plot_groups(summary_path)
     out_dir = Path(args.out)
     for metric in ("reached", "forwarded"):
         lines = [_provenance_comment(prov)]

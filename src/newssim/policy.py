@@ -13,9 +13,11 @@ every run of a lockstep group:
   calls an OpenAI-compatible chat-completion endpoint, and parses a
   line-oriented reply (DECISION / COMMENT / REASON). Raw responses are
   stored in an append-only cache keyed by (model, attempt, prompt), whose
-  file names the endpoint and temperature it was recorded under; cache
+  file names the endpoint and temperature it was recorded under. Cache
   hits are decided on the calling thread, and replaying against a complete
-  cache performs no network calls and starts no thread.
+  cache performs no network calls and starts no thread. A prompt the cache
+  lacks is asked by one task of a pool of `concurrency` threads, shared by
+  every caller that misses on that prompt.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import re
 import threading
 import time
 import typing
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from string import Template
@@ -379,11 +382,14 @@ _COMMENT_RE = re.compile(r"^\s*\**comment\**\s*[:\-]\s*(.*)$", re.IGNORECASE | r
 _REASON_RE = re.compile(r"^\s*\**reason\**\s*[:\-]\s*(.*)$", re.IGNORECASE | re.MULTILINE)
 
 
+def _decision(text: str) -> re.Match | None:
+    """The first DECISION token of a reply; None if it has none, or is not text."""
+    return _DECISION_RE.search(text) if isinstance(text, str) else None
+
+
 def parse_response(text: str, want_comment: bool) -> tuple[bool | None, str | None, str | None]:
     """(share, comment, rationale); share is None when no DECISION token is found."""
-    if not isinstance(text, str):
-        return None, None, None
-    m = _DECISION_RE.search(text)
+    m = _decision(text)
     if m is None:
         return None, None, None
     share = m.group(1).lower() == "share"
@@ -395,6 +401,16 @@ def parse_response(text: str, want_comment: bool) -> tuple[bool | None, str | No
     rm = _REASON_RE.search(text)
     rationale = rm.group(1).strip() if rm else None
     return share, comment, rationale
+
+
+def _outcome(transcript: tuple[str, str, str] | Future, want_comment: bool) -> DecisionOutcome:
+    """The outcome of a (reply, source, cache key), or of the future that returns one."""
+    raw, source, key = transcript.result() if isinstance(transcript, Future) else transcript
+    share, comment, rationale = parse_response(raw, want_comment)
+    return DecisionOutcome(share=bool(share), comment=comment,
+                           rationale="unparseable response" if share is None else rationale,
+                           raw_response=raw, source=source, parse_failure=share is None,
+                           transcript_key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +599,23 @@ def _default_transport(url, headers, payload, timeout):
 class LlmPolicy:
     """Chat-completion decision policy with caching and bounded re-asks.
 
-    `decide_many` renders each decider's prompt on the calling thread and
-    resolves there every attempt the cache already holds. Only the prompts
-    that need the endpoint go to the policy's one pool of
+    `decide` and `decide_many` render each prompt on the calling thread and
+    answer there every prompt whose attempts the cache already holds. A
+    prompt the cache lacks goes to the policy's one pool of
     `settings.concurrency` threads, started at the first such prompt, so all
     the batches and plan cells that share the policy share that bound on
-    requests in flight. Two threads that miss on the same cache key make one
-    call: the second waits for the first and reads its transcript from the
-    cache, or asks itself if that call failed.
+    requests in flight. Each distinct prompt has at most one pool task,
+    which asks the endpoint from the first attempt the cache lacks onward:
+    every caller that misses on that prompt waits for the same task, and
+    gets its transcript, or its PolicyError if the ask failed. A finished
+    ask is kept as its transcript alone, until close().
 
     `transport` takes (url, headers, payload, timeout) and returns the parsed
     JSON body; tests inject fakes here. `api_key` falls back to the
     environment variable named in settings. `cache` belongs to the caller,
     who closes it once the policy's decisions are done; the policy binds it
-    to its settings (see DecisionCache.bind). close() shuts the pool down.
+    to its settings (see DecisionCache.bind). close() shuts the pool down
+    and forgets its tasks.
     """
 
     def __init__(self, settings: LlmSettings, cache: DecisionCache,
@@ -609,21 +628,19 @@ class LlmPolicy:
         self.api_key = api_key
         self.body_char_budget = body_char_budget
         self.network_calls = 0
-        self._lock = threading.Lock()  # guards network_calls, _in_flight and _pool
-        self._in_flight: dict[str, threading.Event] = {}
+        self._lock = threading.Lock()  # guards network_calls, _asks and _pool
+        self._asks: dict[str, Future | tuple] = {}  # attempt-0 key: its task, then transcript
         self._pool: ThreadPoolExecutor | None = None
 
     def close(self) -> None:
         """Drop the prompts a failed batch left queued, wait for those in
-        flight, then stop the pool's threads."""
+        flight, then stop the pool's threads; a later miss asks anew."""
         with self._lock:
-            pool, self._pool = self._pool, None
+            pool, self._pool, self._asks = self._pool, None, {}
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
     def _headers(self) -> dict:
-        import os
-
         key = self.api_key or os.environ.get(self.settings.api_key_env, "")
         headers = {"Content-Type": "application/json"}
         if key:
@@ -653,88 +670,57 @@ class LlmPolicy:
             f"chat completion failed after {self.settings.max_retries + 1} tries: {last_exc}"
         )
 
-    def _complete(self, prompt: str, attempt: int) -> tuple[str, str, str]:
-        """Return (raw_text, source, key) for one prompt attempt, via cache or wire.
+    def _transcript(self, prompt: str) -> tuple[str, str, str] | Future:
+        """The (reply, source, cache key) that decides `prompt`, from the cache or
+        a finished ask, or else the future of the one pool task asking for it."""
+        last = self.settings.reask_limit
+        for attempt in range(last + 1):
+            key = cache_key(self.settings.model, prompt, attempt)
+            cached = self.cache.get(key)
+            if cached is None:
+                ask_id = cache_key(self.settings.model, prompt, 0)
+                with self._lock:
+                    if ask_id not in self._asks:
+                        self._pool = self._pool or ThreadPoolExecutor(
+                            self.settings.concurrency, thread_name_prefix="newssim-llm")
+                        self._asks[ask_id] = self._pool.submit(self._ask, prompt, attempt, ask_id)
+                    return self._asks[ask_id]
+            if attempt == last or _decision(cached["response"]):
+                return cached["response"], "llm_cache", key
 
-        One request per key is in flight at a time: a thread that finds its
-        key in flight waits for that request, then looks again.
-        """
-        key = cache_key(self.settings.model, prompt, attempt)
-        while True:
-            with self._lock:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    return cached["response"], "llm_cache", key
-                flight = self._in_flight.get(key)
-                if flight is None:
-                    flight = self._in_flight[key] = threading.Event()
-                    break
-            flight.wait()
-        try:
-            text = self._request(prompt)
-            self.cache.put(key, self.settings.model, prompt, attempt, text)
-        finally:
-            with self._lock:
-                del self._in_flight[key]
-            flight.set()
-        return text, "llm_live", key
-
-    def _prompt(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> str:
-        return render_prompt(req, persona_mod.render_persona_text(persona),
-                             self.body_char_budget)
-
-    def _decide_prompt(self, prompt: str, want_comment: bool, start: int = 0,
-                       cached_only: bool = False) -> DecisionOutcome | int:
-        """Ask `prompt` from attempt `start` on until a reply parses or the re-asks run out.
-
-        Replies come from the cache, or from the endpoint unless `cached_only`:
-        then the first attempt the cache lacks is returned instead of an outcome.
-        """
+    def _ask(self, prompt: str, start: int, ask_id: str) -> tuple[str, str, str]:
+        """Ask the endpoint `prompt` from attempt `start` on, caching each
+        reply, until one parses or the re-asks run out."""
         for attempt in range(start, self.settings.reask_limit + 1):
-            if cached_only:
-                key = cache_key(self.settings.model, prompt, attempt)
-                cached = self.cache.get(key)
-                if cached is None:
-                    return attempt
-                raw, source = cached["response"], "llm_cache"
-            else:
-                raw, source, key = self._complete(prompt, attempt)
-            share, comment, rationale = parse_response(raw, want_comment)
-            if share is not None:
-                return DecisionOutcome(share=share, comment=comment, rationale=rationale,
-                                       raw_response=raw, source=source, transcript_key=key)
-        return DecisionOutcome(share=False, comment=None, rationale="unparseable response",
-                               raw_response=raw, source=source, parse_failure=True,
-                               transcript_key=key)
-
-    def _submit(self, prompt: str, want_comment: bool, start: int):
+            key = cache_key(self.settings.model, prompt, attempt)
+            raw = self._request(prompt)
+            self.cache.put(key, self.settings.model, prompt, attempt, raw)
+            if _decision(raw):
+                break
         with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.settings.concurrency,
-                                                thread_name_prefix="newssim-llm")
-            pool = self._pool
-        return pool.submit(self._decide_prompt, prompt, want_comment, start)
+            transcript = self._asks[ask_id] = raw, "llm_live", key
+        return transcript
 
     def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
-        return self._decide_prompt(self._prompt(req, persona), req.template_id == "commenting")
+        prompt = render_prompt(req, persona_mod.render_persona_text(persona),
+                               self.body_char_budget)
+        return _outcome(self._transcript(prompt), req.template_id == "commenting")
 
     def decide_many(self, batch: DecisionBatch, personas: persona_mod.Cohort) -> Decisions:
         """Decide the batch as `decide` would each decider: the cache's
         answers here, and every run's misses on the pool at once. A
         PolicyError is re-raised naming the day and agent."""
-        outcomes: list[DecisionOutcome | None] = []
-        pending = []
-        for i, (run, agent) in enumerate(batch.deciders()):
-            want_comment = batch.template_id[run] == "commenting"
-            prompt = self._prompt(batch.request(agent, run), personas[agent])
-            found = self._decide_prompt(prompt, want_comment, cached_only=True)
-            if isinstance(found, int):
-                pending.append((i, agent, self._submit(prompt, want_comment, found)))
-                found = None
-            outcomes.append(found)
-        for i, agent, future in pending:
+        asked = []
+        for run, agent in batch.deciders():
+            prompt = render_prompt(batch.request(agent, run),
+                                   persona_mod.render_persona_text(personas[agent]),
+                                   self.body_char_budget)
+            asked.append((agent, batch.template_id[run] == "commenting",
+                          self._transcript(prompt)))
+        outcomes = []
+        for agent, want_comment, transcript in asked:
             try:
-                outcomes[i] = future.result()
+                outcomes.append(_outcome(transcript, want_comment))
             except PolicyError as exc:
                 raise _located(exc, batch.day, agent) from exc
         return Decisions.from_outcomes(outcomes)

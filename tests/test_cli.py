@@ -858,6 +858,31 @@ def test_export_plot_data_empty_dir(tmp_path, capsys):
     assert rc == 2
 
 
+_SERIES = {"reached_mean": [0.1, 0.2], "reached_sd": [0.0, 0.1],
+           "forwarded_mean": [0.0, 0.1], "forwarded_sd": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"provenance": {}}, "summary.groups"),
+    ({"summary": {"groups": []}}, "summary.groups"),
+    ({"summary": {"groups": {}}}, "summary.groups"),
+    ({"provenance": [], "summary": {"groups": {"g": {"days": 1, **_SERIES}}}}, "provenance"),
+    ({"summary": {"groups": {"g": {**_SERIES}}}}, "days"),
+    ({"summary": {"groups": {"g": {"days": 1, **_SERIES, "forwarded_sd": None}}}},
+     "forwarded_sd"),
+    ({"summary": {"groups": {"g": {"days": 1, **_SERIES, "reached_sd": [0.0]}}}},
+     "reached_sd"),
+])
+def test_export_plot_data_refuses_a_malformed_summary(tmp_path, capsys, doc, key):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "plots"
+    assert cli.main(["export-plot-data", "--results", str(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and f"`{key}`" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cache_path_flag_overrides_config(tmp_path, small_config, monkeypatch):
     seen = {}
     real = plan._open_cache

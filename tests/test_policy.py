@@ -3,6 +3,7 @@ import math
 import string
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -469,14 +470,48 @@ def test_llm_retries_transient_then_succeeds():
     assert len(transport.calls) == 2
 
 
+class RecordingCache(DecisionCache):
+    """An in-memory DecisionCache that records, with the calling thread's
+    name, each lookup as (thread, key, hit) and each put as (thread, prompt,
+    attempt). `on_get` is called after each lookup is recorded."""
+
+    def __init__(self, on_get=None):
+        super().__init__()
+        self.gets, self.puts, self.on_get = [], [], on_get
+        self._seen = threading.Lock()
+
+    def get(self, key):
+        rec = super().get(key)
+        with self._seen:
+            self.gets.append((threading.current_thread().name, key, rec is not None))
+        if self.on_get is not None:
+            self.on_get(self)
+        return rec
+
+    def put(self, key, model, prompt, attempt, response):
+        with self._seen:
+            self.puts.append((threading.current_thread().name, prompt, attempt))
+        return super().put(key, model, prompt, attempt, response)
+
+    def lookups(self, key) -> int:
+        return sum(1 for _, k, _ in self.gets if k == key)
+
+
+def headline_request(title):
+    """A request whose prompt differs with `title`."""
+    return DecisionRequest(news=NewsItem(news_id="n", title=title, body="b", veracity="fake",
+                                         topic="political"), day=1)
+
+
 def test_network_calls_counted_across_threads():
-    policy = LlmPolicy(LlmSettings(), DecisionCache(),
-                       transport=make_transport(["DECISION: SHARE"]))
+    transport = make_transport(["DECISION: SHARE"])
     threads, per_thread = 8, 500
+    cache = RecordingCache()
+    policy = LlmPolicy(LlmSettings(concurrency=threads), cache, transport=transport)
 
     def work(t):
         for i in range(per_thread):
-            policy._complete(f"prompt {t} {i}", 0)
+            policy.decide(headline_request(f"{t} {i}"), persona_at())
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -488,38 +523,10 @@ def test_network_calls_counted_across_threads():
             w.join(timeout=30)
     finally:
         sys.setswitchinterval(old)
+        policy.close()
     assert not any(w.is_alive() for w in workers)
-    assert policy.network_calls == threads * per_thread
-
-
-def _hold_until_found_in_flight(policy, first_reply):
-    """A transport whose first call waits until another thread finds its key in
-    flight, then returns `first_reply` (or raises it); later calls share. The
-    returned event is set once the first call is out."""
-    entered, found = threading.Event(), threading.Event()
-
-    class InFlight(dict):
-        def get(self, key, default=None):
-            flight = super().get(key, default)
-            if flight is not None:
-                found.set()
-            return flight
-
-    policy._in_flight = InFlight()
-    calls = []
-
-    def transport(url, headers, payload, timeout):
-        calls.append(payload)
-        if len(calls) == 1:
-            entered.set()
-            assert found.wait(timeout=5), "no second caller found the key in flight"
-            if isinstance(first_reply, Exception):
-                raise first_reply
-            return {"choices": [{"message": {"content": first_reply}}]}
-        return {"choices": [{"message": {"content": "DECISION: IGNORE\nREASON: second"}}]}
-
-    policy.transport = transport
-    return calls, entered
+    assert len({thread for thread, _, _ in cache.puts}) > 1  # counted on several threads
+    assert policy.network_calls == len(transport.calls) == len(cache) == threads * per_thread
 
 
 def _decide_on_two_threads(policy, entered):
@@ -542,25 +549,109 @@ def _decide_on_two_threads(policy, entered):
     return results
 
 
+def _held_until_both_missed(first_reply):
+    """A policy whose first endpoint call waits until both callers have
+    missed the key in the cache, then returns `first_reply` (or raises it);
+    the event is set once that call is out."""
+    entered, both_missed = threading.Event(), threading.Event()
+
+    def on_get(cache):
+        if sum(not hit for _, _, hit in cache.gets) >= 2:
+            both_missed.set()
+
+    def transport(url, headers, payload, timeout):
+        calls.append(payload)
+        entered.set()
+        assert both_missed.wait(timeout=5), "the second caller never missed the key"
+        if isinstance(first_reply, Exception):
+            raise first_reply
+        return {"choices": [{"message": {"content": first_reply}}]}
+
+    calls = []
+    cache = RecordingCache(on_get)
+    return LlmPolicy(LlmSettings(max_retries=0), cache, transport=transport), calls, entered
+
+
 def test_two_threads_missing_one_key_make_one_call():
-    policy = LlmPolicy(LlmSettings(max_retries=0), DecisionCache())
-    calls, entered = _hold_until_found_in_flight(policy, "DECISION: SHARE\nREASON: first")
+    policy, calls, entered = _held_until_both_missed("DECISION: SHARE\nREASON: first")
     first, second = _decide_on_two_threads(policy, entered)
-    assert len(calls) == 1 and policy.network_calls == 1
-    assert (first.source, second.source) == ("llm_live", "llm_cache")
+    policy.close()
+    assert len(calls) == 1 and policy.network_calls == 1 and len(policy.cache) == 1
+    # both callers get the one request's transcript
+    assert (first.source, second.source) == ("llm_live", "llm_live")
     assert second.raw_response == first.raw_response == "DECISION: SHARE\nREASON: first"
     assert second.transcript_key == first.transcript_key
-    assert not policy._in_flight
+    assert policy.cache.lookups(first.transcript_key) == 2  # once by each caller
 
 
-def test_a_waiter_asks_itself_when_the_call_in_flight_fails():
-    policy = LlmPolicy(LlmSettings(max_retries=0), DecisionCache())
-    calls, entered = _hold_until_found_in_flight(policy, RuntimeError("connection reset"))
+def test_every_waiter_gets_the_failure_of_the_call_in_flight():
+    policy, calls, entered = _held_until_both_missed(RuntimeError("connection reset"))
     first, second = _decide_on_two_threads(policy, entered)
-    assert isinstance(first, PolicyError) and "connection reset" in str(first)
-    assert second.source == "llm_live" and second.share is False
-    assert len(calls) == 2 and len(policy.cache) == 1
-    assert not policy._in_flight
+    policy.close()
+    for result in (first, second):
+        assert isinstance(result, PolicyError) and "connection reset" in str(result)
+    assert len(calls) == 1 and len(policy.cache) == 0
+
+
+def test_a_lookup_that_missed_before_the_ask_finished_gets_its_transcript():
+    """A caller whose lookup ran before the ask cached its reply makes no second request."""
+    transport = make_transport(["DECISION: SHARE\nREASON: once"])
+    cache = RecordingCache()
+    policy = LlmPolicy(LlmSettings(max_retries=0), cache, transport=transport)
+    first = policy.decide(request(), persona_at())
+    cache.get = lambda key: None  # as if this lookup ran before the put
+    late = policy.decide(request(), persona_at())
+    policy.close()
+    assert len(transport.calls) == policy.network_calls == 1
+    assert (late.source, late.raw_response, late.transcript_key) == (
+        "llm_live", first.raw_response, first.transcript_key)
+
+
+def test_a_missed_attempt_is_looked_up_once():
+    transport = make_transport(["garbled", "DECISION: SHARE"])
+    cache = RecordingCache()
+    policy = LlmPolicy(LlmSettings(reask_limit=2, max_retries=0), cache, transport=transport)
+    first = policy.decide(request(), persona_at())
+    prompt = transport.calls[0]["payload"]["messages"][0]["content"]
+    keys = [cache_key(policy.settings.model, prompt, attempt) for attempt in range(3)]
+    assert first.source == "llm_live" and first.transcript_key == keys[1]
+    # attempt 0 missed once on the caller; the pool task asked 0 and 1 without looking
+    assert [(k, hit) for _, k, hit in cache.gets] == [(keys[0], False)]
+    assert [attempt for _, _, attempt in cache.puts] == [0, 1]
+    again = policy.decide(request(), persona_at())
+    policy.close()
+    assert (again.source, again.raw_response) == ("llm_cache", first.raw_response)
+    assert [(k, hit) for _, k, hit in cache.gets[1:]] == [(keys[0], True), (keys[1], True)]
+    assert len(transport.calls) == 2
+
+
+def test_decide_keeps_requests_in_flight_within_concurrency():
+    concurrency, threads, per_thread = 2, 8, 5
+    lock = threading.Lock()
+    flying = {"now": 0, "peak": 0}
+
+    def overlapping(url, headers, payload, timeout):
+        with lock:
+            flying["now"] += 1
+            flying["peak"] = max(flying["peak"], flying["now"])
+        time.sleep(0.005)
+        with lock:
+            flying["now"] -= 1
+        return {"choices": [{"message": {"content": "DECISION: SHARE"}}]}
+
+    policy = LlmPolicy(LlmSettings(concurrency=concurrency, max_retries=0), DecisionCache(),
+                       transport=overlapping)
+    workers = [threading.Thread(target=lambda t=t: [
+        policy.decide(headline_request(f"{t} {i}"), persona_at())
+        for i in range(per_thread)]) for t in range(threads)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=30)
+    policy.close()
+    assert not any(w.is_alive() for w in workers)
+    assert policy.network_calls == len(policy.cache) == threads * per_thread
+    assert flying["peak"] == concurrency  # the pool is used, and never beyond its size
 
 
 def _cohort_batch(n=12, template_id="commenting"):
@@ -571,12 +662,12 @@ def _cohort_batch(n=12, template_id="commenting"):
     return cohort, batch
 
 
-def test_llm_decide_many_answers_hits_inline_and_misses_on_the_pool(monkeypatch):
+def test_llm_decide_many_answers_hits_inline_and_misses_on_the_pool():
     cohort, batch = _cohort_batch()
     calls = []
 
     def reply(url, headers, payload, timeout):
-        calls.append(payload)
+        calls.append(threading.current_thread().name)
         prompt = payload["messages"][0]["content"]
         text = "DECISION: SHARE\nCOMMENT: yes" if len(prompt) % 2 else "no decision here"
         return {"choices": [{"message": {"content": text}}]}
@@ -586,15 +677,14 @@ def test_llm_decide_many_answers_hits_inline_and_misses_on_the_pool(monkeypatch)
     expected = [LlmPolicy(settings, DecisionCache(), transport=reply).decide(
         batch.request(a), cohort[a]) for a in everyone]
     # a cache that holds the even agents' transcripts
-    cache = DecisionCache()
+    cache = RecordingCache()
     warm = LlmPolicy(settings, cache, transport=reply)
     for a in everyone[::2]:
         warm.decide(batch.request(a), cohort[a])
+    warm.close()
     calls.clear()
+    warm_puts, cache.gets[:] = len(cache.puts), []
     policy = LlmPolicy(settings, cache, transport=reply)
-    sent = []
-    submit = policy._submit
-    monkeypatch.setattr(policy, "_submit", lambda *args: sent.append(args) or submit(*args))
     got = policy.decide_many(batch, cohort)
     policy.close()
     assert got.share.tolist() == [o.share for o in expected]
@@ -602,10 +692,51 @@ def test_llm_decide_many_answers_hits_inline_and_misses_on_the_pool(monkeypatch)
     assert got.transcript == [o.transcript_key for o in expected]
     assert got.parse_failure == [o.parse_failure for o in expected]
     assert any(got.parse_failure) and not all(got.parse_failure)
+    # every lookup is made on the calling thread, every request on the pool
+    caller = threading.current_thread().name
+    assert {thread for thread, _, _ in cache.gets} == {caller}
+    assert calls and all(thread.startswith("newssim-llm") for thread in calls)
     # only the odd agents' prompts went to the pool, each from attempt 0
-    assert [args[2] for args in sent] == [0] * len(everyone[1::2])
-    assert len(calls) == policy.network_calls == sum(
+    new_puts = cache.puts[warm_puts:]
+    assert len(calls) == policy.network_calls == len(new_puts) == sum(
         1 + o.parse_failure for o in expected[1::2])
+    assert sorted(a for _, _, a in new_puts if a == 0) == [0] * len(everyone[1::2])
+    odd_keys = {o.transcript_key for o in expected[1::2]}
+    assert {cache_key(settings.model, p, a) for _, p, a in new_puts} >= odd_keys
+
+
+def test_a_lockstep_batch_asks_each_prompt_attempt_once():
+    """The none and blocking runs of one group decide on the same prompts."""
+    cohort = persona.sample_personas(10, rng_seed=5)
+    n = len(cohort)
+    batch = DecisionBatch(day=1, agents=np.tile(np.arange(n), 2),
+                          runs=np.repeat(np.arange(2), n), news=(NEWS, NEWS),
+                          template_id=("none", "none"), accuracy_notice=(False, False),
+                          seed=(None, None))
+    lock, asked = threading.Lock(), []
+
+    def reply(url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        with lock:
+            attempt = sum(p == prompt for p in asked)
+            asked.append(prompt)
+        time.sleep(0.001)
+        garbled = attempt == 0 and len(prompt) % 2
+        return {"choices": [{"message": {"content": "huh" if garbled else "DECISION: SHARE"}}]}
+
+    cache = RecordingCache()
+    policy = LlmPolicy(LlmSettings(max_retries=0, reask_limit=2, concurrency=3), cache,
+                       transport=reply)
+    got = policy.decide_many(batch, cohort)
+    policy.close()
+    assert got.transcript[:n] == got.transcript[n:] and got.share.all()
+    # the two runs share every prompt (agents whose personas read alike share one too)
+    assert {p for _, p, _ in cache.puts} == {
+        render_prompt(batch.request(a, 0), persona.render_persona_text(cohort[a]))
+        for a in range(n)}
+    puts = [(p, a) for _, p, a in cache.puts]
+    assert len(puts) == len(set(puts)) == len(asked) == policy.network_calls
+    assert len(asked) > n  # some prompts were re-asked: not vacuous
 
 
 def test_llm_decide_many_names_the_day_and_agent_of_a_failure():
