@@ -91,9 +91,10 @@ def _write_comparisons_tsv(path: Path, summary: stats.ExperimentSummary, prov: d
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _read_record(path: Path) -> RunRecord:
+def _read_json(path: Path, parse=json.loads):
+    """parse(path's text); a ValueError, invalid JSON included, names the file."""
     try:
-        return RunRecord.from_json(path.read_text(encoding="utf-8"))
+        return parse(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -109,7 +110,7 @@ def cmd_stats(args) -> int:
     if not plan_path.exists():
         print(f"error: no plan.json under {results}", file=sys.stderr)
         return 2
-    plan = json.loads(plan_path.read_text(encoding="utf-8"))
+    plan = _read_json(plan_path)
     cells = plan.get("cells") if isinstance(plan, dict) else None
     if not (isinstance(cells, list)
             and all(isinstance(c, dict) and isinstance(c.get("file"), str) for c in cells)
@@ -123,7 +124,7 @@ def cmd_stats(args) -> int:
         print(f"error: {results / 'runs'} holds records plan.json does not list: "
               f"{', '.join(p.name for p in stray)}", file=sys.stderr)
         return 2
-    records = [_read_record(p) for p in paths]
+    records = [_read_json(p, RunRecord.from_json) for p in paths]
     configs = plan.get("configs", {})
     for path, rec in zip(paths, records):
         if rec.meta["config_sha"] not in configs:
@@ -144,7 +145,7 @@ def cmd_stats(args) -> int:
 
 def _read_plot_groups(path: Path) -> tuple[dict, dict]:
     """(provenance, groups) of a summary.json; a ValueError names the file and bad key."""
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = _read_json(path)
     summary = doc.get("summary") if isinstance(doc, dict) else None
     groups = summary.get("groups") if isinstance(summary, dict) else None
     if not (isinstance(groups, dict) and groups):

@@ -65,12 +65,12 @@ class DiffusionState:
     decision[s]     -1 undecided, 0 ignored, 1 shared
     day_shared[s]   day it shared, -1 if it has not
     blocked[s]      removed by its run's blocking intervention
-    comments        the comment of each sharer's slot that left one
-    transcripts     the LLM transcript cache key of each decider's slot that has one
 
     Per run: the accuracy_triggered and blocking_applied latches, `active`
     (cleared once the run has stepped all its days), its events, which start
-    with the seed, and its taints. `day` is the group's: its runs start
+    with the seed, its taints, and two dicts keyed by agent id: comments
+    (of each sharer that left one) and transcripts (the LLM transcript cache
+    key of each decider that has one). `day` is the group's: its runs start
     together on day 0.
     """
 
@@ -82,13 +82,13 @@ class DiffusionState:
     decision: np.ndarray = field(init=False)
     day_shared: np.ndarray = field(init=False)
     blocked: np.ndarray = field(init=False)
-    comments: dict[int, str] = field(init=False, default_factory=dict)
-    transcripts: dict[int, str] = field(init=False, default_factory=dict)
     accuracy_triggered: np.ndarray = field(init=False)
     blocking_applied: np.ndarray = field(init=False)
     active: np.ndarray = field(init=False)
     events: list[list[dict]] = field(init=False)
     taints: list[list[str]] = field(init=False)
+    comments: list[dict[int, str]] = field(init=False)
+    transcripts: list[dict[int, str]] = field(init=False)
 
     def __post_init__(self):
         slots = self.runs * self.n
@@ -102,25 +102,20 @@ class DiffusionState:
         self.active = np.ones(self.runs, dtype=bool)
         self.events = [[] for _ in range(self.runs)]
         self.taints = [[] for _ in range(self.runs)]
+        self.comments = [{} for _ in range(self.runs)]
+        self.transcripts = [{} for _ in range(self.runs)]
 
     def grid(self, column: np.ndarray) -> np.ndarray:
         """The (runs, n) view of a per-slot column."""
         return column.reshape(self.runs, self.n)
 
-    def _due(self) -> np.ndarray:
-        due = (self.day_reached == self.day) & ~self.blocked
-        if not self.active.all():
-            self.grid(due)[~self.active] = False
-        return due
-
     def frontier(self) -> np.ndarray:
         """Ascending slots of the agents that decide next: reached on the
         current day, not blocked, in a run that is still active."""
-        return np.flatnonzero(self._due())
-
-    def busy_runs(self) -> np.ndarray:
-        """Ascending ids of the runs whose frontier is not empty."""
-        return np.flatnonzero(self.grid(self._due()).any(axis=1))
+        due = (self.day_reached == self.day) & ~self.blocked
+        if not self.active.all():
+            self.grid(due)[~self.active] = False
+        return np.flatnonzero(due)
 
     @property
     def pending(self) -> list[int]:
@@ -155,12 +150,11 @@ def _peer_comments(state: DiffusionState, net: Network, run: int,
     by (day, sender)."""
     indptr, indices = net.csr()
     nbrs = indices[indptr[agent]:indptr[agent + 1]]
-    base = run * state.n
-    days = state.day_shared[base + nbrs]
+    days = state.grid(state.day_shared)[run, nbrs]
     shared = days >= 0
     senders = nbrs[shared][np.argsort(days[shared], kind="stable")]
-    comments = state.comments
-    return tuple(comments[base + u] for u in senders.tolist() if base + u in comments)
+    comments = state.comments[run]
+    return tuple(comments[u] for u in senders.tolist() if u in comments)
 
 
 def _template(kind: str, notice: bool) -> str:
@@ -222,14 +216,15 @@ def step_day(
     if slots.size:
         batch = _batch(state, net, specs, slots)
         out = policy.decide_many(batch, personas)
-        ids = slots.tolist()
-        for i in np.flatnonzero(out.share).tolist():
-            if out.comment[i] is not None:
-                state.comments[ids[i]] = out.comment[i]
-        state.transcripts.update((s, k) for s, k in zip(ids, out.transcript) if k is not None)
-        for i in np.flatnonzero(out.parse_failure).tolist():
-            run, agent = divmod(ids[i], state.n)
-            state.taints[run].append(f"parse_failure day={day} agent={agent}")
+        for (run, agent), share, comment, key, failed in zip(
+                batch.deciders(), out.share.tolist(), out.comment, out.transcript,
+                out.parse_failure):
+            if share and comment is not None:
+                state.comments[run][agent] = comment
+            if key is not None:
+                state.transcripts[run][agent] = key
+            if failed:
+                state.taints[run].append(f"parse_failure day={day} agent={agent}")
         state.decision[slots] = out.share
         sharers = slots[out.share]
         state.day_shared[sharers] = day
@@ -243,15 +238,13 @@ def _reached_fraction(state: DiffusionState, run: int) -> float:
 
 
 def apply_accuracy_intervention(
-    state: DiffusionState, trigger_threshold: float, events: list[dict] | None = None,
-    run: int = 0,
+    state: DiffusionState, trigger_threshold: float, run: int = 0,
 ) -> DiffusionState:
     """Latch run `run`'s accuracy notice once its reached fraction crosses the threshold."""
     if (not state.accuracy_triggered[run]
             and _reached_fraction(state, run) >= trigger_threshold):
         state.accuracy_triggered[run] = True
-        if events is not None:
-            events.append({"type": "accuracy_triggered", "day": state.day})
+        state.events[run].append({"type": "accuracy_triggered", "day": state.day})
     return state
 
 
@@ -269,7 +262,6 @@ def apply_blocking_intervention(
     personas: persona_mod.Cohort,
     trigger_threshold: float,
     block_fraction: float,
-    events: list[dict] | None = None,
     block_denominator: str = "all_agents",
     run: int = 0,
 ) -> DiffusionState:
@@ -289,8 +281,7 @@ def apply_blocking_intervention(
     quota = math.ceil(block_fraction * base)
     to_block = candidates[:quota]
     state.grid(state.blocked)[run, to_block] = True
-    if events is not None:
-        events.append({"type": "blocking_applied", "day": state.day, "blocked": to_block})
+    state.events[run].append({"type": "blocking_applied", "day": state.day, "blocked": to_block})
     return state
 
 
@@ -299,21 +290,12 @@ def _evaluate_triggers(state, net, personas, specs: Sequence[RunSpec], runs) -> 
     for run in runs:
         config = specs[run].config
         if config.intervention_kind == "accuracy":
-            apply_accuracy_intervention(state, config.trigger_threshold, state.events[run], run)
+            apply_accuracy_intervention(state, config.trigger_threshold, run)
         elif config.intervention_kind == "blocking":
             apply_blocking_intervention(
                 state, net, personas, config.trigger_threshold, config.block_fraction,
-                state.events[run], block_denominator=config.block_denominator, run=run,
+                block_denominator=config.block_denominator, run=run,
             )
-
-
-def _split(by_slot: dict, n: int, runs: int) -> list[dict]:
-    """Per-run dicts keyed by agent id from one dict keyed by slot."""
-    out = [{} for _ in range(runs)]
-    for slot, value in by_slot.items():
-        run, agent = divmod(slot, n)
-        out[run][agent] = value
-    return out
 
 
 def run_many(
@@ -325,47 +307,43 @@ def run_many(
     """Execute the seeded runs `specs` over one network and cohort in
     lockstep, each for its config's days; one record per spec, in order.
 
-    A run that has gone idle (no frontier) is no longer stepped and its
-    series repeat their last point: idle days change nothing and cannot
-    newly fire a trigger. The group stops stepping once every run is idle.
+    Each lockstep day adds one row of every run's reached and forwarded
+    fractions, and evaluates the triggers of every active run: a run with no
+    frontier changes nothing that day, so it cannot newly fire a trigger.
+    The group stops stepping once no run has a frontier; its last row then
+    stands for the days left. A run's series are the first `days + 1` rows.
     """
     if len(personas) != net.n:
         raise ValueError(f"cohort size {len(personas)} != network size {net.n}")
-    n, runs = net.n, len(specs)
+    n = net.n
     source = select_source(net)
-    state = initial_state(net, source, runs)
-    reached = [[p] for p in state.reached_prop().tolist()]
-    forwarded = [[p] for p in state.forwarded_prop().tolist()]
-    _evaluate_triggers(state, net, personas, specs, range(runs))
-
+    state = initial_state(net, source, len(specs))
     days = np.array([spec.config.days for spec in specs], dtype=np.int64)
-    for _ in range(int(days.max(initial=0))):
+    reached, forwarded = [], []
+    while True:
+        reached.append(state.reached_prop())
+        forwarded.append(state.forwarded_prop())
+        _evaluate_triggers(state, net, personas, specs, np.flatnonzero(state.active).tolist())
         state.active &= days > state.day
-        stepping = state.busy_runs().tolist()
-        if not stepping:
+        if not state.frontier().size:
             break
         step_day(state, net, personas, specs, policy)
-        day_reached, day_forwarded = state.reached_prop().tolist(), state.forwarded_prop().tolist()
-        for run in stepping:
-            reached[run].append(day_reached[run])
-            forwarded[run].append(day_forwarded[run])
-        _evaluate_triggers(state, net, personas, specs, stepping)
+    idle = int(days.max(initial=0)) + 1 - len(reached)
+    reached = np.array(reached + reached[-1:] * idle).T.tolist()
+    forwarded = np.array(forwarded + forwarded[-1:] * idle).T.tolist()
 
-    comments = _split(state.comments, n, runs)
-    transcripts = _split(state.transcripts, n, runs)
     records = []
     for run, spec in enumerate(specs):
-        idle = spec.config.days + 1 - len(reached[run])
         rows = slice(run * n, (run + 1) * n)
         records.append(RunRecord(
             meta={} if spec.meta is None else spec.meta,
-            reached_prop=reached[run] + reached[run][-1:] * idle,
-            forwarded_prop=forwarded[run] + forwarded[run][-1:] * idle,
+            reached_prop=reached[run][:spec.config.days + 1],
+            forwarded_prop=forwarded[run][:spec.config.days + 1],
             reach_day=state.day_reached[rows].tolist(),
             reached_by=state.sender[rows].tolist(),
             decision=state.decision[rows].tolist(),
-            comments=comments[run],
-            transcripts=transcripts[run],
+            comments=state.comments[run],
+            transcripts=state.transcripts[run],
             events=state.events[run],
             effective=bool(state.decision[run * n + source] == 1),
             taints=state.taints[run],

@@ -157,7 +157,6 @@ def pin_trait(
     trait: str,
     level: str,
     offset: float = 1.0,
-    stats: BigFiveStats = DEFAULT_TRAIT_STATS,
 ) -> Cohort:
     """Force one trait to mean +/- offset*sd for every persona; other traits untouched.
 
@@ -173,6 +172,7 @@ def pin_trait(
     idx = TRAITS.index(trait)
     sign = 1.0 if level == "high" else -1.0
     scores, high = cohort.scores.copy(), cohort.high.copy()
+    stats = DEFAULT_TRAIT_STATS
     scores[:, idx] = stats.means[idx] + sign * offset * stats.sds[idx]
     high[:, idx] = level == "high"
     return Cohort(cohort.female, cohort.age, scores, high, {**(cohort.pinned or {}), trait: level})

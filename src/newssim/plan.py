@@ -24,6 +24,9 @@ from .seeding import derive_seed
 #: ValueErrors and OSErrors every command reports so
 ERRORS = (netgen.NetworkGenerationError, policy.PolicyError)
 
+#: Seeds a cell's network tries, from its net_seed up, before it is refused as disconnected
+NETWORK_TRIES = 5
+
 
 def _config_hash(snapshot: dict) -> str:
     """The 16-hex `config_sha` of an ingest.config_snapshot."""
@@ -42,14 +45,14 @@ def _provenance(cfg: ingest.ExperimentConfig, cache: policy.DecisionCache | None
     }
 
 
-def connected_network(kind: str, params: dict, seed: int, retries: int = 5) -> netgen.Network:
+def connected_network(kind: str, params: dict, seed: int) -> netgen.Network:
     """Generate a network, regenerating with seed+offset if disconnected."""
-    for attempt in range(retries):
+    for attempt in range(NETWORK_TRIES):
         net = netgen.generate(kind, params, seed + attempt)
         if netgen.is_connected(net):
             return net
     raise netgen.NetworkGenerationError(
-        f"could not generate a connected {kind} network in {retries} tries from seed {seed}")
+        f"could not generate a connected {kind} network in {NETWORK_TRIES} tries from seed {seed}")
 
 
 # lru_cache does not hold its lock while it builds a value: without this one,

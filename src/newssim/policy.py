@@ -228,8 +228,9 @@ def share_probability(
     return 1.0 / (1.0 + np.exp(-logit))
 
 
-def _zscores(scores: np.ndarray, stats: persona_mod.BigFiveStats) -> tuple[np.ndarray, np.ndarray]:
+def _zscores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standardized extraversion and openness of each row of an agents x traits matrix."""
+    stats = persona_mod.DEFAULT_TRAIT_STATS
     cols = [persona_mod.TRAITS.index("extraversion"), persona_mod.TRAITS.index("openness")]
     z = (scores[:, cols] - np.asarray(stats.means)[cols]) / np.asarray(stats.sds)[cols]
     return z[:, 0], z[:, 1]
@@ -285,10 +286,9 @@ def decide_stub(
     persona: persona_mod.AgentPersona,
     params: StubParams,
     rng_seed: int,
-    stats: persona_mod.BigFiveStats = persona_mod.DEFAULT_TRAIT_STATS,
 ) -> DecisionOutcome:
     """One agent's stub decision; equal to its entry in any batch holding it."""
-    z_e, z_o = _zscores(np.array([persona.big_five_scores]), stats)
+    z_e, z_o = _zscores(np.array([persona.big_five_scores]))
     d = _decide_stub_columns(z_e, z_o, stub_bits(rng_seed, req.news.news_id, [persona.agent_id]),
                              req.template_id == "commenting", req.accuracy_notice, params)
     share = bool(d.share[0])
@@ -308,14 +308,12 @@ class StubPolicy:
     own seed is None.
     """
 
-    def __init__(self, params: StubParams | None = None, rng_seed: int = 0,
-                 stats: persona_mod.BigFiveStats = persona_mod.DEFAULT_TRAIT_STATS):
+    def __init__(self, params: StubParams | None = None, rng_seed: int = 0):
         self.params = params or StubParams()
         self.rng_seed = rng_seed
-        self.stats = stats
 
     def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
-        return decide_stub(req, persona, self.params, self.rng_seed, self.stats)
+        return decide_stub(req, persona, self.params, self.rng_seed)
 
     def decide_many(self, batch: DecisionBatch, personas: persona_mod.Cohort) -> Decisions:
         """Decide the whole batch in numpy, each decider as `decide` would
@@ -324,7 +322,7 @@ class StubPolicy:
         keys = np.array([_stub_key(self.rng_seed if seed is None else seed, news.news_id)
                          for seed, news in zip(batch.seed, batch.news)], dtype=np.uint64)
         commenting = np.array([t == "commenting" for t in batch.template_id])
-        z_e, z_o = _zscores(personas.scores[batch.agents], self.stats)
+        z_e, z_o = _zscores(personas.scores[batch.agents])
         return _decide_stub_columns(z_e, z_o, _splitmix(batch.agents, keys[runs]),
                                     commenting[runs],
                                     np.array(batch.accuracy_notice, dtype=bool)[runs],
@@ -353,8 +351,6 @@ def render_prompt(
     req: DecisionRequest,
     persona_text: str,
     body_char_budget: int = 1200,
-    refutation: str = REFUTATION_SENTENCE,
-    max_peer_comments: int = MAX_PEER_COMMENTS,
 ) -> str:
     """Deterministic template instantiation for a decision request."""
     mapping = {
@@ -363,13 +359,13 @@ def render_prompt(
         "news_body": truncate_body(req.news.body, body_char_budget),
     }
     if req.template_id == "commenting":
-        comments = list(req.peer_comments or ())[-max_peer_comments:]
+        comments = list(req.peer_comments or ())[-MAX_PEER_COMMENTS:]
         if comments:
             mapping["peer_comments"] = "\n".join(f"- {c}" for c in comments)
         else:
             mapping["peer_comments"] = "(no comments yet)"
     if req.template_id == "accuracy":
-        mapping["refutation"] = refutation if req.accuracy_notice else ""
+        mapping["refutation"] = REFUTATION_SENTENCE if req.accuracy_notice else ""
     return Template(_load_template(req.template_id)).substitute(mapping)
 
 

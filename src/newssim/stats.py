@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 ALPHA = 0.05
+RATE_THRESHOLD = 0.5
 EXACT_LIMIT = 12
 
 
@@ -38,7 +39,7 @@ class ComparisonResult:
     method: str  # "exact" | "normal"
 
 
-def diffusion_rate(record, threshold: float = 0.5) -> DiffusionRate:
+def diffusion_rate(record, threshold: float = RATE_THRESHOLD) -> DiffusionRate:
     """First day (series index) with reached_prop >= threshold; censored if never."""
     for day, prop in enumerate(record.reached_prop):
         if prop >= threshold:
@@ -97,7 +98,6 @@ def rank_sum_test(
     sample_b,
     group_a: str = "a",
     group_b: str = "b",
-    alpha: float = ALPHA,
 ) -> ComparisonResult:
     """Two-sided Mann-Whitney U test; U is reported for sample_a."""
     a = [float(x) for x in sample_a]
@@ -125,7 +125,7 @@ def rank_sum_test(
         n_b=n2,
         u_statistic=u1,
         p_value=p,
-        significant=p < alpha,
+        significant=p < ALPHA,
         method=method,
     )
 
@@ -195,9 +195,7 @@ def _mean_sd(rows: list[list[float]]) -> tuple[list[float], list[float]]:
 def aggregate_experiment(
     records,
     group_by,
-    rate_threshold: float = 0.5,
     include_non_effective: bool = False,
-    alpha: float = ALPHA,
 ) -> ExperimentSummary:
     """Group run records by meta labels and compare groups pairwise.
 
@@ -231,7 +229,7 @@ def aggregate_experiment(
         rates = []
         censored = 0
         for r in recs:
-            dr = diffusion_rate(r, rate_threshold)
+            dr = diffusion_rate(r)
             if dr.censored:
                 censored += 1
                 rates.append(days + 1)
@@ -265,7 +263,7 @@ def aggregate_experiment(
             continue
         for metric, getter in metrics.items():
             comparisons[metric].append(
-                rank_sum_test(getter(ga), getter(gb), group_a=la, group_b=lb, alpha=alpha)
+                rank_sum_test(getter(ga), getter(gb), group_a=la, group_b=lb)
             )
 
     return ExperimentSummary(

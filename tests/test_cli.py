@@ -347,6 +347,59 @@ def test_stub_compare_runs_bytes_are_pinned(tmp_path, news_path, monkeypatch, pa
     assert digest.hexdigest() == PINNED_RUNS_SHA256
 
 
+#: sha256 over the runs/ tree, as for PINNED_RUNS_SHA256, of PINNED_LLM_CFG's
+#: compare answered by `_pinned_llm_transport`, as the engine wrote it when
+#: comments and transcript keys were kept by slot and split per run at the end
+PINNED_LLM_RUNS_SHA256 = "40d5b304008b94bf0472dc4dea9ac39b860a55e4c3a8c11c08833b4456214432"
+PINNED_LLM_CFG = """\
+network:
+  kind: random
+  n: 40
+  edge_prob: 0.15
+replications: 1
+master_seed: 11
+news:
+  path: news.jsonl
+  limit: 1
+policy:
+  kind: llm
+  llm:
+    cache_path: cache.jsonl
+    reask_limit: 1
+"""
+
+
+def _pinned_llm_transport(url, headers, payload, timeout):
+    """A reply fixed by the prompt: a commented share, a bare share, an
+    ignore, or (one prompt in seven) no DECISION line at all."""
+    prompt = payload["messages"][0]["content"]
+    h = int.from_bytes(hashlib.sha256(prompt.encode("utf-8")).digest()[:4], "big")
+    text = ["REASON: no idea", f"DECISION: SHARE\nCOMMENT: see {h % 97}\nREASON: new",
+            "DECISION: SHARE\nREASON: new", "DECISION: IGNORE\nREASON: old"][
+        0 if h % 7 == 0 else 1 + h % 3]
+    return {"choices": [{"message": {"content": text}}]}
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_llm_compare_runs_bytes_are_pinned(tmp_path, news_path, monkeypatch, parallel):
+    """Comments, transcript keys, parse-failure taints and every record byte
+    of a small LLM compare stay as they were."""
+    monkeypatch.chdir(tmp_path)  # relative paths keep config_sha independent of the checkout
+    monkeypatch.setattr(policy, "_default_transport", _pinned_llm_transport)
+    (tmp_path / "news.jsonl").write_bytes(news_path.read_bytes())
+    (tmp_path / "cfg.yaml").write_text(PINNED_LLM_CFG, encoding="utf-8")
+    assert cli.main(["compare", "--config", "cfg.yaml", "--out", "out",
+                     "--parallel", str(parallel)]) == 0
+    runs = tree_bytes(tmp_path / "out" / "runs")
+    records = [engine.RunRecord.from_json(text.decode("utf-8")) for text in runs.values()]
+    assert len(records) == 12 and all(r.transcripts for r in records)
+    assert any(r.comments for r in records) and any(r.taints for r in records)
+    digest = hashlib.sha256()
+    for name, data in runs.items():
+        digest.update(Path(name).as_posix().encode("utf-8") + b"\0" + data + b"\0")
+    assert digest.hexdigest() == PINNED_LLM_RUNS_SHA256
+
+
 def test_plan_failures_are_one_error_line(tmp_path, small_config, monkeypatch, capsys):
     def refuse(*args):
         raise OSError("connection refused")
@@ -797,6 +850,25 @@ def test_stats_refuses_a_malformed_plan_json(tmp_path, small_config, capsys, doc
     assert cli.main(["stats", "--results", str(out), "--out", str(tmp_path / "again")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {out / 'plan.json'}: ")
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("command, pattern", [
+    ("stats", "plan.json"),
+    ("stats", "runs/*.json"),
+    ("export-plot-data", "summary.json"),
+], ids=["plan", "record", "summary"])
+def test_a_file_that_is_not_json_is_named_in_one_error_line(tmp_path, small_config, capsys,
+                                                            command, pattern):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=1)),
+                     "--out", str(out)]) == 0
+    path = next(out.glob(pattern))
+    path.write_text('{"cells": ', encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([command, "--results", str(out), "--out", str(tmp_path / "again")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: Expecting value")
     assert not (tmp_path / "again").exists()
 
 

@@ -272,7 +272,7 @@ def test_skipping_idle_days_matches_stepping_every_day(net, seed, intercept, int
     assert (rec.events, rec.taints) == (events, taints)
     assert (rec.reach_day, rec.reached_by) == (state.day_reached.tolist(),
                                                state.sender.tolist())
-    assert (rec.decision, rec.comments) == (state.decision.tolist(), state.comments)
+    assert (rec.decision, rec.comments) == (state.decision.tolist(), state.comments[0])
 
 
 def test_series_monotone_and_ordered():
@@ -477,11 +477,10 @@ def test_blocking_candidates_match_the_per_persona_ranking(net, seed, pins, frac
     cands = blocking_candidates(net, personas)
     assert cands == oracle and all(type(a) is int for a in cands)
     state = initial_state(net, 0)
-    events = []
-    apply_blocking_intervention(state, net, personas, 0.0, fraction, events,
+    apply_blocking_intervention(state, net, personas, 0.0, fraction,
                                 block_denominator=denominator)
     quota = math.ceil(fraction * (net.n if denominator == "all_agents" else len(oracle)))
-    assert events[0]["blocked"] == oracle[:quota]
+    assert state.events[0][-1]["blocked"] == oracle[:quota]
     assert np.flatnonzero(state.blocked).tolist() == sorted(oracle[:quota])
 
 
@@ -532,7 +531,7 @@ def test_blocking_drops_pending_and_inbox():
     # day 1: the hub shared, reaching leaf 1, which would decide on day 2
     state.day = 1
     state.decision[0], state.day_shared[0] = 1, 1
-    state.comments[0] = "a comment"
+    state.comments[0][0] = "a comment"
     state.day_reached[1], state.sender[1] = 1, 0
     assert state.pending == [1]
     apply_blocking_intervention(state, net, personas, 0.10, 0.20)
@@ -556,7 +555,6 @@ def test_conservation_each_day():
     personas = persona_mod.sample_personas(150, rng_seed=11)
     cfg = config(days=7, intervention="blocking")
     state = initial_state(net, select_source(net))
-    events = []
     # the first decision seed from 14 on whose run applies the block (any
     # stream has one), so the block checks below are not vacuous
     policy = next(
@@ -573,7 +571,7 @@ def test_conservation_each_day():
         # no blocked agent entered the reached set after blocking was applied
         assert not (reached & ~reached_before & state.blocked).any()
         apply_blocking_intervention(state, net, personas, cfg.trigger_threshold,
-                                    cfg.block_fraction, events)
+                                    cfg.block_fraction)
         # blocked agents decide nothing, from the block day on
         assert not state.blocked[state.frontier()].any()
         assert np.count_nonzero(reached) == round(state.reached_prop()[0] * 150)

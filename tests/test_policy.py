@@ -314,8 +314,7 @@ def test_render_commenting_newest_last():
 
 def test_render_commenting_caps_to_most_recent():
     comments = tuple(f"comment {i}" for i in range(6))
-    text = render_prompt(request("commenting", peer_comments=comments), PERSONA_TEXT,
-                         max_peer_comments=3)
+    text = render_prompt(request("commenting", peer_comments=comments), PERSONA_TEXT)
     assert "comment 5" in text and "comment 3" in text
     assert "comment 2" not in text
 
