@@ -10,17 +10,18 @@ no matter how many repeat deliveries they receive.
 
 Intervention triggers are evaluated at day end and affect the next day's
 decisions: the accuracy notice latches once the reached fraction crosses the
-trigger threshold, and blocking removes the top slice of high-openness /
+trigger threshold, and from then on the run decides under the accuracy
+template; blocking removes the top slice of high-openness /
 high-extraversion agents by degree at the first crossing.
 
-The runs of one lockstep group share a network and a cohort and advance
-together: their state is one set of (runs x agents) numpy columns (see
-DiffusionState), a day's frontier is one flatnonzero over all of them, every
-run's deciders go to the policy as one batch, and the sharers of every run
-deliver over the network's CSR adjacency at once. A run reads and writes
-only its own slots, and same-day decisions depend only on start-of-day
-state, so a run's record does not depend on the runs grouped with it. `run`
-is a group of one.
+The runs of one lockstep group share a network, a cohort and their number
+of days, and advance together: their state is one set of (runs x agents)
+numpy columns (see DiffusionState), a day's frontier is one flatnonzero
+over all of them, every run's deciders go to the policy as one batch, and
+the sharers of every run deliver over the network's CSR adjacency at once.
+A run reads and writes only its own slots, and same-day decisions depend
+only on start-of-day state, so a run's record does not depend on the runs
+grouped with it. `run` is a group of one.
 """
 
 from __future__ import annotations
@@ -66,12 +67,11 @@ class DiffusionState:
     day_shared[s]   day it shared, -1 if it has not
     blocked[s]      removed by its run's blocking intervention
 
-    Per run: the accuracy_triggered and blocking_applied latches, `active`
-    (cleared once the run has stepped all its days), its events, which start
-    with the seed, its taints, and two dicts keyed by agent id: comments
-    (of each sharer that left one) and transcripts (the LLM transcript cache
-    key of each decider that has one). `day` is the group's: its runs start
-    together on day 0.
+    Per run: the accuracy_triggered and blocking_applied latches, its
+    events, which start with the seed, its taints, and two dicts keyed by
+    agent id: comments (of each sharer that left one) and transcripts (the
+    LLM transcript cache key of each decider that has one). `day` is the
+    group's: its runs start together on day 0.
     """
 
     n: int
@@ -84,7 +84,6 @@ class DiffusionState:
     blocked: np.ndarray = field(init=False)
     accuracy_triggered: np.ndarray = field(init=False)
     blocking_applied: np.ndarray = field(init=False)
-    active: np.ndarray = field(init=False)
     events: list[list[dict]] = field(init=False)
     taints: list[list[str]] = field(init=False)
     comments: list[dict[int, str]] = field(init=False)
@@ -99,7 +98,6 @@ class DiffusionState:
         self.blocked = np.zeros(slots, dtype=bool)
         self.accuracy_triggered = np.zeros(self.runs, dtype=bool)
         self.blocking_applied = np.zeros(self.runs, dtype=bool)
-        self.active = np.ones(self.runs, dtype=bool)
         self.events = [[] for _ in range(self.runs)]
         self.taints = [[] for _ in range(self.runs)]
         self.comments = [{} for _ in range(self.runs)]
@@ -111,11 +109,8 @@ class DiffusionState:
 
     def frontier(self) -> np.ndarray:
         """Ascending slots of the agents that decide next: reached on the
-        current day, not blocked, in a run that is still active."""
-        due = (self.day_reached == self.day) & ~self.blocked
-        if not self.active.all():
-            self.grid(due)[~self.active] = False
-        return np.flatnonzero(due)
+        current day and not blocked."""
+        return np.flatnonzero((self.day_reached == self.day) & ~self.blocked)
 
     @property
     def pending(self) -> list[int]:
@@ -157,24 +152,21 @@ def _peer_comments(state: DiffusionState, net: Network, run: int,
     return tuple(comments[u] for u in senders.tolist() if u in comments)
 
 
-def _template(kind: str, notice: bool) -> str:
-    if notice:
+def _template(kind: str, latched: bool) -> str:
+    if kind == "accuracy" and latched:
         return "accuracy"
     return "commenting" if kind == "commenting" else "none"
 
 
 def _batch(state, net, specs: Sequence[RunSpec], slots: np.ndarray) -> policy_mod.DecisionBatch:
     runs, agents = np.divmod(slots, state.n)
-    notices = tuple(spec.config.intervention_kind == "accuracy" and latched
-                    for spec, latched in zip(specs, state.accuracy_triggered.tolist()))
     return policy_mod.DecisionBatch(
         day=state.day + 1,
         agents=agents,
         runs=runs,
         news=tuple(spec.news for spec in specs),
-        template_id=tuple(_template(spec.config.intervention_kind, notice)
-                          for spec, notice in zip(specs, notices)),
-        accuracy_notice=notices,
+        template_id=tuple(_template(spec.config.intervention_kind, latched)
+                          for spec, latched in zip(specs, state.accuracy_triggered.tolist())),
         seed=tuple(spec.seed for spec in specs),
         peer_comments=partial(_peer_comments, state, net),
     )
@@ -285,10 +277,10 @@ def apply_blocking_intervention(
     return state
 
 
-def _evaluate_triggers(state, net, personas, specs: Sequence[RunSpec], runs) -> None:
-    """Evaluate the day-end triggers of each run in `runs`."""
-    for run in runs:
-        config = specs[run].config
+def _evaluate_triggers(state, net, personas, specs: Sequence[RunSpec]) -> None:
+    """Evaluate the day-end triggers of every run."""
+    for run, spec in enumerate(specs):
+        config = spec.config
         if config.intervention_kind == "accuracy":
             apply_accuracy_intervention(state, config.trigger_threshold, run)
         elif config.intervention_kind == "blocking":
@@ -305,47 +297,46 @@ def run_many(
     policy,
 ) -> list[RunRecord]:
     """Execute the seeded runs `specs` over one network and cohort in
-    lockstep, each for its config's days; one record per spec, in order.
+    lockstep for their common `config.days`; one record per spec, in order.
+    A ValueError refuses specs whose days differ.
 
     Each lockstep day adds one row of every run's reached and forwarded
-    fractions, and evaluates the triggers of every active run: a run with no
-    frontier changes nothing that day, so it cannot newly fire a trigger.
-    The group stops stepping once no run has a frontier; its last row then
-    stands for the days left. A run's series are the first `days + 1` rows.
+    fractions, and evaluates every run's triggers: a run with no frontier
+    changes nothing that day, so it cannot newly fire a trigger. The group
+    stops stepping on its last day, or once no run has a frontier; its last
+    row then stands for the days left.
     """
     if len(personas) != net.n:
         raise ValueError(f"cohort size {len(personas)} != network size {net.n}")
-    n = net.n
+    days = {spec.config.days for spec in specs}
+    if len(days) != 1:
+        raise ValueError(f"a lockstep group runs one number of days, got {sorted(days)}")
+    days = days.pop()
     source = select_source(net)
     state = initial_state(net, source, len(specs))
-    days = np.array([spec.config.days for spec in specs], dtype=np.int64)
-    reached, forwarded = [], []
+    rows = []  # per lockstep day: (reached, forwarded) of every run
     while True:
-        reached.append(state.reached_prop())
-        forwarded.append(state.forwarded_prop())
-        _evaluate_triggers(state, net, personas, specs, np.flatnonzero(state.active).tolist())
-        state.active &= days > state.day
-        if not state.frontier().size:
+        rows.append((state.reached_prop(), state.forwarded_prop()))
+        _evaluate_triggers(state, net, personas, specs)
+        if state.day == days or not state.frontier().size:
             break
         step_day(state, net, personas, specs, policy)
-    idle = int(days.max(initial=0)) + 1 - len(reached)
-    reached = np.array(reached + reached[-1:] * idle).T.tolist()
-    forwarded = np.array(forwarded + forwarded[-1:] * idle).T.tolist()
+    rows += rows[-1:] * (days + 1 - len(rows))
+    reached, forwarded = np.array(rows).transpose(1, 2, 0).tolist()
 
     records = []
     for run, spec in enumerate(specs):
-        rows = slice(run * n, (run + 1) * n)
         records.append(RunRecord(
             meta={} if spec.meta is None else spec.meta,
-            reached_prop=reached[run][:spec.config.days + 1],
-            forwarded_prop=forwarded[run][:spec.config.days + 1],
-            reach_day=state.day_reached[rows].tolist(),
-            reached_by=state.sender[rows].tolist(),
-            decision=state.decision[rows].tolist(),
+            reached_prop=reached[run],
+            forwarded_prop=forwarded[run],
+            reach_day=state.grid(state.day_reached)[run].tolist(),
+            reached_by=state.grid(state.sender)[run].tolist(),
+            decision=state.grid(state.decision)[run].tolist(),
             comments=state.comments[run],
             transcripts=state.transcripts[run],
             events=state.events[run],
-            effective=bool(state.decision[run * n + source] == 1),
+            effective=bool(state.grid(state.decision)[run, source] == 1),
             taints=state.taints[run],
         ))
     return records

@@ -62,6 +62,8 @@ def load_news(path, limit: int | None = None) -> list[NewsItem]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise NewsFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise NewsFormatError(f"{path}:{lineno}: not a JSON object")
             rec_id = rec.get("news_id", f"<line {lineno}>")
             title = rec.get("title")
             if not title:

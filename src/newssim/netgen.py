@@ -286,7 +286,7 @@ def _split_communities(n: int, community_size: int) -> list[list[int]]:
     return comms
 
 
-def _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac):
+def _build_high_brokerage(n, community_size, rewire_p, seed):
     churn_p = min(CHURN_CAP, rewire_p)
     rng = np.random.default_rng(seed)
     comms = _split_communities(n, community_size)
@@ -295,7 +295,7 @@ def _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac):
     for ci, nodes in enumerate(comms):
         for u in nodes:
             comm_of[u] = ci
-        nbrok = max(1, round(broker_frac * len(nodes)))
+        nbrok = max(1, round(BROKER_FRACTION * len(nodes)))
         brokers.update(nodes[:nbrok])
 
     edges: set[tuple[int, int]] = set()
@@ -337,27 +337,21 @@ def _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac):
     )
 
 
-def gen_high_brokerage(
-    n: int,
-    community_size: int,
-    rewire_p: float,
-    seed: int,
-    *,
-    broker_frac: float = BROKER_FRACTION,
-) -> Network:
+def gen_high_brokerage(n: int, community_size: int, rewire_p: float, seed: int) -> Network:
     """Clique communities bridged by broker nodes.
 
-    Each community is a clique; a per-community broker set (broker_frac of its
-    members, at least one) anchors the bridges: intra-community edges touching
-    a broker are rewired with probability rewire_p, keeping the broker end and
-    re-attaching the other end to a random node outside the community. The
-    remaining intra edges get a small uniform churn, min(CHURN_CAP, rewire_p),
-    so degrees are not lattice-regular. Ground-truth communities are
-    stored on the result. The result may be disconnected; callers that need
-    a connected graph retry with another seed (see plan.connected_network).
+    Each community is a clique; a per-community broker set (BROKER_FRACTION
+    of its members, at least one) anchors the bridges: intra-community edges
+    touching a broker are rewired with probability rewire_p, keeping the
+    broker end and re-attaching the other end to a random node outside the
+    community. The remaining intra edges get a small uniform churn,
+    min(CHURN_CAP, rewire_p), so degrees are not lattice-regular.
+    Ground-truth communities are stored on the result. The result may be
+    disconnected; callers that need a connected graph retry with another
+    seed (see plan.connected_network).
     """
     _check_params("high_brokerage", n=n, community_size=community_size, rewire_p=rewire_p)
-    return _build_high_brokerage(n, community_size, rewire_p, seed, broker_frac)
+    return _build_high_brokerage(n, community_size, rewire_p, seed)
 
 
 def generate(kind: str, params: dict, seed: int) -> Network:

@@ -65,19 +65,20 @@ class PolicyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecisionRequest:
+    """One agent's decision on `news` on `day`. The template is its whole
+    context: "accuracy" carries the accuracy notice, and only "commenting"
+    the `peer_comments` delivered to the agent so far, oldest first."""
+
     news: NewsItem
     day: int
     template_id: str = "none"
     peer_comments: tuple[str, ...] | None = None
-    accuracy_notice: bool = False
 
     def __post_init__(self):
         if self.template_id not in TEMPLATE_IDS:
             raise ValueError(f"unknown template id {self.template_id!r}")
         if self.peer_comments is not None and self.template_id != "commenting":
             raise ValueError("peer_comments are only valid under the commenting template")
-        if self.accuracy_notice and self.template_id != "accuracy":
-            raise ValueError("accuracy_notice requires the accuracy template")
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,11 @@ class DecisionBatch:
 
     Decider i is agent `agents[i]` of run `runs[i]`, in (run, agent) order
     as the engine builds them. Run r decides on `news[r]` under template
-    `template_id[r]`, sees the accuracy notice when `accuracy_notice[r]`,
-    and draws with decision seed `seed[r]` (None: the policy's own). A
-    policy's decision for one decider must not depend on the others. Under
-    the commenting template, `peer_comments(run, agent)` returns the comments
-    delivered to that agent so far, oldest first.
+    `template_id[r]`, which is "accuracy" exactly when the run sees the
+    accuracy notice, and draws with decision seed `seed[r]` (None: the
+    policy's own). A policy's decision for one decider must not depend on
+    the others. Under the commenting template, `peer_comments(run, agent)`
+    returns the comments delivered to that agent so far, oldest first.
     """
 
     day: int
@@ -98,7 +99,6 @@ class DecisionBatch:
     runs: np.ndarray
     news: tuple[NewsItem, ...]
     template_id: tuple[str, ...]
-    accuracy_notice: tuple[bool, ...]
     seed: tuple[int | None, ...]
     peer_comments: Callable[[int, int], tuple[str, ...]] | None = None
 
@@ -110,8 +110,7 @@ class DecisionBatch:
         template_id = self.template_id[run]
         comments = self.peer_comments(run, agent) if template_id == "commenting" else None
         return DecisionRequest(news=self.news[run], day=self.day, template_id=template_id,
-                               peer_comments=comments,
-                               accuracy_notice=self.accuracy_notice[run])
+                               peer_comments=comments)
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,8 @@ def decide_stub(
     """One agent's stub decision; equal to its entry in any batch holding it."""
     z_e, z_o = _zscores(np.array([persona.big_five_scores]))
     d = _decide_stub_columns(z_e, z_o, stub_bits(rng_seed, req.news.news_id, [persona.agent_id]),
-                             req.template_id == "commenting", req.accuracy_notice, params)
+                             req.template_id == "commenting", req.template_id == "accuracy",
+                             params)
     share = bool(d.share[0])
     return DecisionOutcome(
         share=share,
@@ -321,12 +321,11 @@ class StubPolicy:
         runs = batch.runs
         keys = np.array([_stub_key(self.rng_seed if seed is None else seed, news.news_id)
                          for seed, news in zip(batch.seed, batch.news)], dtype=np.uint64)
-        commenting = np.array([t == "commenting" for t in batch.template_id])
+        template = np.array(batch.template_id)
         z_e, z_o = _zscores(personas.scores[batch.agents])
         return _decide_stub_columns(z_e, z_o, _splitmix(batch.agents, keys[runs]),
-                                    commenting[runs],
-                                    np.array(batch.accuracy_notice, dtype=bool)[runs],
-                                    self.params)
+                                    (template == "commenting")[runs],
+                                    (template == "accuracy")[runs], self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +364,7 @@ def render_prompt(
         else:
             mapping["peer_comments"] = "(no comments yet)"
     if req.template_id == "accuracy":
-        mapping["refutation"] = REFUTATION_SENTENCE if req.accuracy_notice else ""
+        mapping["refutation"] = REFUTATION_SENTENCE
     return Template(_load_template(req.template_id)).substitute(mapping)
 
 

@@ -261,12 +261,12 @@ def test_skipping_idle_days_matches_stepping_every_day(net, seed, intercept, int
     assert events == [{"type": "seed", "day": 0, "agent": rec.events[0]["agent"]}]
     taints = state.taints[0]
     reached, forwarded = [state.reached_prop()[0]], [state.forwarded_prop()[0]]
-    engine_mod._evaluate_triggers(state, net, personas, specs, [0])
+    engine_mod._evaluate_triggers(state, net, personas, specs)
     for _ in range(cfg.days):
         step_day(state, net, personas, specs, policy)
         reached.append(state.reached_prop()[0])
         forwarded.append(state.forwarded_prop()[0])
-        engine_mod._evaluate_triggers(state, net, personas, specs, [0])
+        engine_mod._evaluate_triggers(state, net, personas, specs)
 
     assert (rec.reached_prop, rec.forwarded_prop) == (reached, forwarded)
     assert (rec.events, rec.taints) == (events, taints)
@@ -381,7 +381,7 @@ def test_accuracy_notice_reaches_requests_next_day():
 
     class Spy(ScriptedPolicy):
         def decide(self, req, persona):
-            seen.append((req.day, persona.agent_id, req.accuracy_notice, req.template_id))
+            seen.append((req.day, persona.agent_id, req.template_id == "accuracy", req.template_id))
             return super().decide(req, persona)
 
     personas = persona_mod.sample_personas(20, rng_seed=0)
@@ -629,3 +629,19 @@ def test_run_rejects_mismatched_cohort():
     personas = persona_mod.sample_personas(4, rng_seed=0)
     with pytest.raises(ValueError):
         run(config(), net, personas, NEWS, always_share())
+
+
+def test_run_many_refuses_a_group_of_mixed_days(monkeypatch):
+    stepped = []
+    real_step = engine_mod.step_day
+
+    def counting_step(state, *args):
+        stepped.append(state.day)
+        return real_step(state, *args)
+
+    monkeypatch.setattr(engine_mod, "step_day", counting_step)
+    specs = [RunSpec(config(days=3), NEWS), RunSpec(config(days=5), NEWS)]
+    personas = persona_mod.sample_personas(5, rng_seed=0)
+    with pytest.raises(ValueError, match=r"one number of days, got \[3, 5\]"):
+        engine_mod.run_many(specs, star(5), personas, always_share())
+    assert stepped == []

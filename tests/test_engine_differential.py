@@ -55,7 +55,7 @@ class OldDrawStub:
         z_e = (p.big_five_scores[e] - stats.means[e]) / stats.sds[e]
         z_o = (p.big_five_scores[o] - stats.means[o]) / stats.sds[o]
         logit = self.params.intercept + self.params.weight_e * z_e + self.params.weight_o * z_o
-        if req.accuracy_notice:
+        if req.template_id == "accuracy":
             logit += self.params.accuracy_penalty
         if req.template_id == "commenting":
             logit += self.params.comment_shift
@@ -89,11 +89,10 @@ def _oracle_request(state, agent, cfg):
         template_id = "commenting"
         peer_comments = tuple(c for (_, _, c) in sorted(state.inbox[agent], key=lambda d: d[:2])
                               if c is not None)
-    notice = cfg.intervention_kind == "accuracy" and state.accuracy_triggered
-    if notice:
+    if cfg.intervention_kind == "accuracy" and state.accuracy_triggered:
         template_id = "accuracy"
     return DecisionRequest(news=NEWS, day=state.day + 1, template_id=template_id,
-                           peer_comments=peer_comments, accuracy_notice=notice)
+                           peer_comments=peer_comments)
 
 
 def _oracle_step(state, net, personas, policy, cfg, events):
@@ -222,7 +221,7 @@ class ScriptedHashPolicy:
 
 @st.composite
 def lockstep_groups(draw):
-    """A random graph, a cohort, and R random run specs over them."""
+    """A random graph, a cohort, and R random run specs over them, of one `days`."""
     n = draw(st.integers(2, 30))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True))
@@ -230,6 +229,7 @@ def lockstep_groups(draw):
     personas = persona.sample_personas(n, rng_seed=draw(st.integers(0, 999)))
     if draw(st.booleans()):  # many blocking candidates, tied on degree
         personas = persona.pin_trait(personas, "openness", "high")
+    days = draw(st.integers(0, 8))
     specs = []
     for r in range(draw(st.integers(1, 6))):
         cfg = ingest.ExperimentConfig(
@@ -239,7 +239,7 @@ def lockstep_groups(draw):
             block_fraction=draw(st.sampled_from([0.0, 0.2, 0.5])),
             block_denominator=draw(st.sampled_from(["all_agents", "candidates"])),
         )
-        cfg.days = draw(st.integers(0, 8))
+        cfg.days = days
         news = NewsItem(news_id=f"n-{r}", title="headline", body="body", veracity="fake")
         specs.append(RunSpec(cfg, news, seed=draw(st.integers(0, 2**64)),
                              meta={"config_sha": f"{r:016x}", "labels": {"run": r}}))

@@ -68,6 +68,15 @@ def test_no_partial_result_on_error(tmp_path):
         load_news(path)
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5", "null"])
+def test_news_line_that_is_not_an_object_errors(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"news_id": "a", "title": "t", "veracity": "fake"}\n' + line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(NewsFormatError, match=r"bad\.jsonl:2: not a JSON object"):
+        load_news(path)
+
+
 def test_truncate_body_word_boundary():
     body = "alpha beta gamma delta"
     cut = truncate_body(body, 12)

@@ -396,11 +396,12 @@ def test_high_brokerage_rejects_bad_params():
         gen_high_brokerage(10, 11, 0.5, seed=0)
 
 
-def test_high_brokerage_spec_example_bands_csize25():
+def test_high_brokerage_spec_example_bands_csize25(monkeypatch):
     # 25-node communities, uniform rewiring (every node a broker), tuned rate
+    monkeypatch.setattr(netgen, "BROKER_FRACTION", 1.0)
     clusts, mods = [], []
     for seed in range(5):
-        net = gen_high_brokerage(300, 25, 0.16, seed=seed, broker_frac=1.0)
+        net = gen_high_brokerage(300, 25, 0.16, seed=seed)
         clusts.append(avg_clustering(net))
         mods.append(modularity(net, net.communities))
     assert 0.55 <= np.mean(clusts) <= 0.65

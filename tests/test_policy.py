@@ -37,13 +37,11 @@ NEWS = NewsItem(news_id="n-1", title="Test headline", body="Body text of the sto
                 veracity="fake", topic="political")
 
 
-def one_run_batch(news, day, agents, template_id="none", accuracy_notice=False,
-                  peer_comments=None):
+def one_run_batch(news, day, agents, template_id="none", peer_comments=None):
     """The DecisionBatch of one run's deciders; `peer_comments` takes the agent alone."""
     agents = np.asarray(agents)
     return DecisionBatch(day=day, agents=agents, runs=np.zeros(len(agents), dtype=np.intp),
-                         news=(news,), template_id=(template_id,),
-                         accuracy_notice=(accuracy_notice,), seed=(None,),
+                         news=(news,), template_id=(template_id,), seed=(None,),
                          peer_comments=lambda run, agent: peer_comments(agent))
 
 
@@ -63,13 +61,12 @@ def persona_at(z_e=0.0, z_o=0.0, agent_id=0):
 PERSONA_TEXT = "persona text here"
 
 
-def request(template_id="none", peer_comments=None, accuracy_notice=False, day=1):
+def request(template_id="none", peer_comments=None, day=1):
     return DecisionRequest(
         news=NEWS,
         day=day,
         template_id=template_id,
         peer_comments=peer_comments,
-        accuracy_notice=accuracy_notice,
     )
 
 
@@ -204,11 +201,10 @@ def _outcomes(decisions, agents):
 def test_decide_many_is_independent_of_batch_order_and_split(template_id):
     cohort = _cohort(400)
     policy = StubPolicy(StubParams(intercept=0.0), rng_seed=21)
-    notice = template_id == "accuracy"
 
     def decide(agents):
         batch = one_run_batch(news=NEWS, day=2, agents=np.asarray(agents),
-                              template_id=template_id, accuracy_notice=notice,
+                              template_id=template_id,
                               peer_comments=lambda a: ())
         return _outcomes(policy.decide_many(batch, cohort), list(agents))
 
@@ -219,7 +215,7 @@ def test_decide_many_is_independent_of_batch_order_and_split(template_id):
     assert {**decide(permuted[:137]), **decide(permuted[137:])} == whole
     # decide() on each agent's persona decides as the batch over the columns does
     batch = one_run_batch(news=NEWS, day=2, agents=np.arange(400),
-                          template_id=template_id, accuracy_notice=notice,
+                          template_id=template_id,
                           peer_comments=lambda a: ())
     for a in range(400):
         out = policy.decide(batch.request(a), cohort[a])
@@ -291,8 +287,6 @@ def test_request_invariants():
         request(template_id="bogus")
     with pytest.raises(ValueError):
         request(template_id="none", peer_comments=("hey",))
-    with pytest.raises(ValueError):
-        request(template_id="none", accuracy_notice=True)
 
 
 def test_render_none_template():
@@ -320,7 +314,7 @@ def test_render_commenting_caps_to_most_recent():
 
 
 def test_render_accuracy_refutation_exactly_once():
-    text = render_prompt(request("accuracy", accuracy_notice=True), PERSONA_TEXT)
+    text = render_prompt(request("accuracy"), PERSONA_TEXT)
     assert text.count(REFUTATION_SENTENCE) == 1
 
 
@@ -710,8 +704,7 @@ def test_a_lockstep_batch_asks_each_prompt_attempt_once():
     n = len(cohort)
     batch = DecisionBatch(day=1, agents=np.tile(np.arange(n), 2),
                           runs=np.repeat(np.arange(2), n), news=(NEWS, NEWS),
-                          template_id=("none", "none"), accuracy_notice=(False, False),
-                          seed=(None, None))
+                          template_id=("none", "none"), seed=(None, None))
     lock, asked = threading.Lock(), []
 
     def reply(url, headers, payload, timeout):
