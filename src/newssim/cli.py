@@ -24,67 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import threading
 from pathlib import Path
 
 from . import ingest, stats
+from .output import _provenance_comment, _write_summary, _write_text
 from .record import RunRecord
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _write_text(path: Path, text: str) -> None:
-    """Write through a temp file in the same directory, so `path` is never left torn."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _provenance_comment(prov: dict) -> str:
-    return "".join(f"# {k}: {json.dumps(v, sort_keys=True)}\n" for k, v in sorted(prov.items()))
-
-
-def _write_summary(out_dir: Path, summary: stats.ExperimentSummary, prov: dict) -> None:
-    doc = {"provenance": prov, "summary": summary.to_dict()}
-    _write_text(out_dir / "summary.json", _canonical_json(doc))
-    _write_series_tsv(out_dir / "curves.tsv", summary, prov)
-    _write_comparisons_tsv(out_dir / "comparisons.tsv", summary, prov)
-
-
-def _write_series_tsv(path: Path, summary: stats.ExperimentSummary, prov: dict) -> None:
-    lines = [_provenance_comment(prov)]
-    lines.append("metric\tgroup\tday\tmean\tsd\n")
-    for label, g in sorted(summary.groups.items()):
-        for day in range(g.days + 1):
-            lines.append(
-                f"reached\t{label}\t{day}\t{g.reached_mean[day]!r}\t{g.reached_sd[day]!r}\n"
-            )
-            lines.append(
-                f"forwarded\t{label}\t{day}\t{g.forwarded_mean[day]!r}\t{g.forwarded_sd[day]!r}\n"
-            )
-    _write_text(path, "".join(lines))
-
-
-def _write_comparisons_tsv(path: Path, summary: stats.ExperimentSummary, prov: dict) -> None:
-    lines = [_provenance_comment(prov)]
-    lines.append("metric\tgroup_a\tgroup_b\tn_a\tn_b\tu\tp_value\tsignificant\tmethod\n")
-    for metric, comps in sorted(summary.comparisons.items()):
-        for c in comps:
-            lines.append(
-                f"{metric}\t{c.group_a}\t{c.group_b}\t{c.n_a}\t{c.n_b}\t"
-                f"{c.u_statistic!r}\t{c.p_value!r}\t{int(c.significant)}\t{c.method}\n"
-            )
-    _write_text(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +130,17 @@ def cmd_export_plot_data(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="newssim", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -213,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--parallel", type=int, default=1)
+        p.add_argument("--parallel", type=_positive_int, default=1)
         p.add_argument("--cache-path", default=None,
                        help="override the llm transcript cache path")
 

@@ -94,7 +94,8 @@ class Cohort:
     `female` (n,) bool, `age` (n,) int, `scores` (n, 5) float64 and `high`
     (n, 5) bool, the high/low level of each score, in TRAITS order. Every
     column is read-only, so cohorts can share columns. `pinned` maps each
-    pinned trait to its level. `cohort[i]` builds agent i's AgentPersona.
+    pinned trait to its level. `cohort[i]` builds agent i's AgentPersona, and
+    `persona_text(i)` renders its text once, for every cell sharing the cohort.
     """
 
     female: np.ndarray
@@ -102,6 +103,7 @@ class Cohort:
     scores: np.ndarray
     high: np.ndarray
     pinned: dict[str, str] | None = None
+    _texts: dict[int, str] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for column in (self.female, self.age, self.scores, self.high):
@@ -119,6 +121,14 @@ class Cohort:
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+    def persona_text(self, i: int) -> str:
+        """render_persona_text of agent i, rendered at the first call (two
+        threads that race on it render the same text)."""
+        text = self._texts.get(i)
+        if text is None:
+            text = self._texts[i] = render_persona_text(self[i])
+        return text
 
 
 def sample_personas(

@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import __version__, engine, ingest, netgen, persona, policy, stats
-from .cli import _canonical_json, _write_summary, _write_text
+from .output import _canonical_json, _write_summary, _write_text
 from .seeding import derive_seed
 
 #: What a plan command reports as one `error:` line and exit 2, besides the

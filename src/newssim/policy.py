@@ -339,11 +339,39 @@ def _load_template(template_id: str) -> str:
     return resources.files("newssim.templates").joinpath(f"{template_id}.txt").read_text("utf-8")
 
 
+@functools.cache
+def _template_parts(text: str) -> tuple[str, ...]:
+    """Template `text` parsed once, as string.Template parses it: literal
+    text at even positions and placeholder names at odd ones."""
+    parts, literal, end = [], "", 0
+    for m in Template.pattern.finditer(text):
+        literal += text[end:m.start()]
+        end = m.end()
+        if m["escaped"] is not None:
+            literal += Template.delimiter
+        elif m["invalid"] is not None:
+            raise ValueError(f"invalid placeholder at offset {m.start()} of a template")
+        else:
+            parts += [literal, m["named"] or m["braced"]]
+            literal = ""
+    return (*parts, literal + text[end:])
+
+
 def template_hashes() -> dict[str, str]:
     return {
         tid: hashlib.sha256(_load_template(tid).encode("utf-8")).hexdigest()[:16]
         for tid in TEMPLATE_IDS
     }
+
+
+def _prompt_inputs(req: DecisionRequest) -> tuple[NewsItem, str, tuple[str, ...] | None]:
+    """All that render_prompt reads of `req`: the news item, the template id
+    and, under the commenting template, the last MAX_PEER_COMMENTS peer
+    comments (else None). Requests with equal inputs render equal prompts."""
+    comments = None
+    if req.template_id == "commenting":
+        comments = tuple(req.peer_comments or ())[-MAX_PEER_COMMENTS:]
+    return req.news, req.template_id, comments
 
 
 def render_prompt(
@@ -352,20 +380,22 @@ def render_prompt(
     body_char_budget: int = 1200,
 ) -> str:
     """Deterministic template instantiation for a decision request."""
+    news, template_id, comments = _prompt_inputs(req)
     mapping = {
         "persona": persona_text,
-        "news_title": req.news.title,
-        "news_body": truncate_body(req.news.body, body_char_budget),
+        "news_title": news.title,
+        "news_body": truncate_body(news.body, body_char_budget),
     }
-    if req.template_id == "commenting":
-        comments = list(req.peer_comments or ())[-MAX_PEER_COMMENTS:]
+    if template_id == "commenting":
         if comments:
             mapping["peer_comments"] = "\n".join(f"- {c}" for c in comments)
         else:
             mapping["peer_comments"] = "(no comments yet)"
-    if req.template_id == "accuracy":
+    if template_id == "accuracy":
         mapping["refutation"] = REFUTATION_SENTENCE
-    return Template(_load_template(req.template_id)).substitute(mapping)
+    parts = list(_template_parts(_load_template(template_id)))
+    parts[1::2] = [mapping[name] for name in parts[1::2]]
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +428,19 @@ def parse_response(text: str, want_comment: bool) -> tuple[bool | None, str | No
     return share, comment, rationale
 
 
-def _outcome(transcript: tuple[str, str, str] | Future, want_comment: bool) -> DecisionOutcome:
-    """The outcome of a (reply, source, cache key), or of the future that returns one."""
-    raw, source, key = transcript.result() if isinstance(transcript, Future) else transcript
+def _outcome(transcript: tuple[str, str, str], want_comment: bool) -> DecisionOutcome:
+    """The outcome of a (reply, source, cache key)."""
+    raw, source, key = transcript
     share, comment, rationale = parse_response(raw, want_comment)
     return DecisionOutcome(share=bool(share), comment=comment,
                            rationale="unparseable response" if share is None else rationale,
                            raw_response=raw, source=source, parse_failure=share is None,
                            transcript_key=key)
+
+
+def _settled(decision: DecisionOutcome | Future, want_comment: bool) -> DecisionOutcome:
+    """`decision` itself, or the outcome of the transcript its future returns."""
+    return _outcome(decision.result(), want_comment) if isinstance(decision, Future) else decision
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +640,13 @@ class LlmPolicy:
     gets its transcript, or its PolicyError if the ask failed. A finished
     ask is kept as its transcript alone, until close().
 
+    The outcome of every decision made from a transcript at hand (a cache
+    hit or a finished ask) is kept until close(), keyed by the decider's
+    inputs: its persona text and `_prompt_inputs`. A later decider with the
+    same inputs gets that outcome without rendering, hashing or parsing.
+    Deciders that wait on an ask in flight keep nothing; the next decider
+    with their inputs finds the transcript in the cache.
+
     `transport` takes (url, headers, payload, timeout) and returns the parsed
     JSON body; tests inject fakes here. `api_key` falls back to the
     environment variable named in settings. `cache` belongs to the caller,
@@ -625,13 +667,15 @@ class LlmPolicy:
         self.network_calls = 0
         self._lock = threading.Lock()  # guards network_calls, _asks and _pool
         self._asks: dict[str, Future | tuple] = {}  # attempt-0 key: its task, then transcript
+        self._outcomes: dict[tuple, DecisionOutcome] = {}  # decider inputs: their outcome
         self._pool: ThreadPoolExecutor | None = None
 
     def close(self) -> None:
         """Drop the prompts a failed batch left queued, wait for those in
-        flight, then stop the pool's threads; a later miss asks anew."""
+        flight, then stop the pool's threads and forget the kept outcomes;
+        a later miss asks anew."""
         with self._lock:
-            pool, self._pool, self._asks = self._pool, None, {}
+            pool, self._pool, self._asks, self._outcomes = self._pool, None, {}, {}
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
@@ -673,7 +717,7 @@ class LlmPolicy:
             key = cache_key(self.settings.model, prompt, attempt)
             cached = self.cache.get(key)
             if cached is None:
-                ask_id = cache_key(self.settings.model, prompt, 0)
+                ask_id = key if attempt == 0 else cache_key(self.settings.model, prompt, 0)
                 with self._lock:
                     if ask_id not in self._asks:
                         self._pool = self._pool or ThreadPoolExecutor(
@@ -696,26 +740,34 @@ class LlmPolicy:
             transcript = self._asks[ask_id] = raw, "llm_live", key
         return transcript
 
+    def _outcome_or_ask(self, req: DecisionRequest, persona_text: str) -> DecisionOutcome | Future:
+        """The outcome kept for this decider's inputs, or one decided now from
+        a transcript at hand (and kept), or else the future of the ask in
+        flight for its prompt."""
+        inputs = (persona_text, *_prompt_inputs(req))
+        kept = self._outcomes.get(inputs)
+        if kept is None:
+            transcript = self._transcript(render_prompt(req, persona_text, self.body_char_budget))
+            if isinstance(transcript, Future):
+                return transcript
+            kept = self._outcomes[inputs] = _outcome(transcript, req.template_id == "commenting")
+        return kept
+
     def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
-        prompt = render_prompt(req, persona_mod.render_persona_text(persona),
-                               self.body_char_budget)
-        return _outcome(self._transcript(prompt), req.template_id == "commenting")
+        decision = self._outcome_or_ask(req, persona_mod.render_persona_text(persona))
+        return _settled(decision, req.template_id == "commenting")
 
     def decide_many(self, batch: DecisionBatch, personas: persona_mod.Cohort) -> Decisions:
-        """Decide the batch as `decide` would each decider: the cache's
-        answers here, and every run's misses on the pool at once. A
-        PolicyError is re-raised naming the day and agent."""
-        asked = []
-        for run, agent in batch.deciders():
-            prompt = render_prompt(batch.request(agent, run),
-                                   persona_mod.render_persona_text(personas[agent]),
-                                   self.body_char_budget)
-            asked.append((agent, batch.template_id[run] == "commenting",
-                          self._transcript(prompt)))
+        """Decide the batch as `decide` would each decider: kept outcomes and
+        the cache's answers here, and every run's misses on the pool at once.
+        A PolicyError is re-raised naming the day and agent."""
+        asked = [(agent, batch.template_id[run] == "commenting",
+                  self._outcome_or_ask(batch.request(agent, run), personas.persona_text(agent)))
+                 for run, agent in batch.deciders()]
         outcomes = []
-        for agent, want_comment, transcript in asked:
+        for agent, want_comment, decision in asked:
             try:
-                outcomes.append(_outcome(transcript, want_comment))
+                outcomes.append(_settled(decision, want_comment))
             except PolicyError as exc:
                 raise _located(exc, batch.day, agent) from exc
         return Decisions.from_outcomes(outcomes)

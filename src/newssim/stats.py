@@ -203,8 +203,15 @@ def aggregate_experiment(
     comparisons on final forwarded proportion, final reached proportion, and
     diffusion rate. Non-effective runs (source declined) are excluded by
     default; their count is recorded.
+
+    A group-by key that no record's labels carry raises a ValueError naming
+    it; a record that lacks a key other records carry is grouped under "?".
     """
     group_by = tuple(group_by)
+    carried = {key for rec in records for key in rec.meta.get("labels", {})}
+    if records and (unknown := [key for key in group_by if key not in carried]):
+        raise ValueError(f"no run record has the label {', '.join(map(repr, unknown))} to "
+                         f"group by; the records' labels are {', '.join(sorted(carried))}")
     notices: list[str] = []
     excluded = 0
     buckets: dict[str, list] = {}

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from newssim import cli, engine, ingest, netgen, persona, plan, policy
+from newssim import cli, engine, ingest, netgen, output, persona, plan, policy
 from newssim.ingest import load_config
 from newssim.seeding import derive_seed
 
@@ -127,6 +127,12 @@ def test_cli_import_skips_libraries_only_some_commands_use():
     assert _python(code) == "[]"
 
 
+def test_plan_import_leaves_the_cli_module_out():
+    """`python -m newssim.cli <plan command>` runs cli.py once, as __main__."""
+    code = "import newssim.plan, sys; print('newssim.cli' in sys.modules)"
+    assert _python(code) == "False"
+
+
 def test_stats_and_export_plot_data_load_no_plan_module(tmp_path, small_config):
     out, again, plots = tmp_path / "out", tmp_path / "again", tmp_path / "plots"
     assert cli.main(["run", "--config", str(small_config(reps=2, news_limit=1)),
@@ -185,7 +191,7 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, fail_at):
     if fail_at == "write":
         new += "\udc80"  # a lone surrogate cannot be encoded
     else:
-        monkeypatch.setattr(cli.os, "replace", lambda src, dst: 1 / 0)
+        monkeypatch.setattr(output.os, "replace", lambda src, dst: 1 / 0)
     with pytest.raises((UnicodeEncodeError, ZeroDivisionError)):
         cli._write_text(path, new)
     assert path.read_text() == "old\n"
@@ -224,6 +230,19 @@ def test_sample_personas_refuses_a_negative_pin_offset(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["run", "sweep-personality", "compare"])
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_parallel_below_one_is_a_usage_error(tmp_path, small_config, capsys, command,
+                                             parallel):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--config", str(small_config()), "--out", str(out),
+                  "--parallel", parallel])
+    assert exit_info.value.code == 2
+    assert f"argument --parallel: must be >= 1, got {parallel}" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_run_plan_arithmetic(tmp_path, small_config):
     out = tmp_path / "out"
@@ -723,6 +742,18 @@ def test_stats_command_aggregates(tmp_path, small_config):
     assert rc == 0
     doc = json.loads((out / "summary.json").read_text())
     assert list(doc["summary"]["groups"]) == ["random"]
+
+
+def test_stats_refuses_a_group_by_key_no_record_carries(tmp_path, small_config, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(small_config(reps=2, news_limit=1)),
+                     "--out", str(out)]) == 0
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert cli.main(["stats", "--results", str(out), "--group-by", "network,bogus"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'bogus'" in err[0]
+    assert tree_bytes(out) == before
 
 
 def test_stats_command_missing_dir(tmp_path, capsys):

@@ -207,6 +207,21 @@ def test_render_deterministic_and_invertible():
         assert parsed == p.big_five_labels
 
 
+def test_a_cohort_renders_each_persona_text_once(monkeypatch):
+    from newssim import persona
+
+    cohort = sample_personas(5, rng_seed=2)
+    pinned = pin_trait(cohort, "openness", "low")
+    rendered = []
+    monkeypatch.setattr(persona, "render_persona_text",
+                        lambda p: rendered.append(p.agent_id) or render_persona_text(p))
+    for _ in range(2):
+        for c in (cohort, pinned):
+            assert [c.persona_text(i) for i in range(5)] == [render_persona_text(p) for p in c]
+    assert rendered == [*range(5), *range(5)]  # once per agent of each cohort
+    assert all("low openness" in pinned.persona_text(i) for i in range(5))
+
+
 def test_save_personas_writes_header_and_one_row_per_agent(tmp_path):
     personas = sample_personas(40, rng_seed=13)
     path = tmp_path / "cohort.tsv"

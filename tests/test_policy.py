@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import string
@@ -7,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newssim import engine, persona
 from newssim.ingest import ExperimentConfig, NewsItem
@@ -14,7 +17,9 @@ from newssim.netgen import gen_random
 from newssim.persona import DEFAULT_TRAIT_STATS, TRAITS, AgentPersona
 from newssim.policy import (
     _STUB_COMMENTS,
+    MAX_PEER_COMMENTS,
     REFUTATION_SENTENCE,
+    TEMPLATE_IDS,
     DecisionBatch,
     DecisionCache,
     DecisionRequest,
@@ -23,6 +28,7 @@ from newssim.policy import (
     PolicyError,
     StubParams,
     StubPolicy,
+    Decisions,
     cache_key,
     decide_stub,
     parse_response,
@@ -323,6 +329,26 @@ def test_render_body_truncated_by_budget():
     req = DecisionRequest(news=long_news, day=1)
     text = render_prompt(req, "p", body_char_budget=200)
     assert len(text) < 600
+
+
+@pytest.mark.parametrize("text", [*TEMPLATE_IDS, "$$ is ${persona}, $news_title$$\n",
+                                  "${persona}", "no placeholder", ""])
+def test_parsed_templates_render_as_string_template_does(text):
+    from newssim import policy as policy_module
+
+    text = policy_module._load_template(text) if text in TEMPLATE_IDS else text
+    mapping = {"persona": "a $persona", "news_title": "${title}", "news_body": "b",
+               "peer_comments": "- c", "refutation": "$$"}
+    parts = list(policy_module._template_parts(text))
+    parts[1::2] = [mapping[name] for name in parts[1::2]]
+    assert "".join(parts) == string.Template(text).substitute(mapping)
+
+
+def test_a_template_with_an_invalid_placeholder_is_refused():
+    from newssim import policy as policy_module
+
+    with pytest.raises(ValueError, match="invalid placeholder at offset 4"):
+        policy_module._template_parts("the $ sign")
 
 
 def test_template_hashes_stable():
@@ -738,6 +764,165 @@ def test_llm_decide_many_names_the_day_and_agent_of_a_failure():
     with pytest.raises(PolicyError, match=r"^day 2, agent 0: .*refused"):
         policy.decide_many(batch, cohort)
     policy.close()
+
+
+# ---------------------------------------------------------------------------
+# outcomes kept by decider inputs
+# ---------------------------------------------------------------------------
+
+KEPT_COHORT = persona.sample_personas(6, rng_seed=11)
+#: one news id with two titles, and one title under two ids: the prompt, not
+#: the id, must tell decisions apart
+KEPT_NEWS = (
+    NEWS,
+    NewsItem(news_id=NEWS.news_id, title="Other headline", body=NEWS.body, veracity="fake"),
+    NewsItem(news_id="n-2", title=NEWS.title, body="Another body.", veracity="real"),
+)
+COMMENT_POOL = ("agreed", "fake!", "sharing")
+KEPT_SETTINGS = LlmSettings(max_retries=0, reask_limit=2, concurrency=2)
+_REPLIES = ("no decision", "DECISION: IGNORE\nREASON: dull",
+            "DECISION: SHARE\nCOMMENT: look\nREASON: big", "DECISION: SHARE")
+
+
+def scripted_reply(prompt: str, attempt: int) -> str:
+    """The mock endpoint's reply to the attempt-th ask of `prompt`; a quarter are garbled."""
+    return _REPLIES[hashlib.sha256(f"{attempt}:{prompt}".encode()).digest()[0] % 4]
+
+
+def scripted_transport(asked: list, lock: threading.Lock):
+    """A transport that answers scripted_reply, appending each prompt asked to `asked`."""
+    def transport(url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        with lock:
+            attempt = asked.count(prompt)
+            asked.append(prompt)
+        return {"choices": [{"message": {"content": scripted_reply(prompt, attempt)}}]}
+
+    return transport
+
+
+def refuse(url, headers, payload, timeout):
+    raise AssertionError("network touched during replay")
+
+
+@st.composite
+def kept_batches(draw):
+    """A DecisionBatch over 1-3 runs of KEPT_COHORT: random news, templates and
+    deciders, and peer-comment histories up to twice MAX_PEER_COMMENTS long."""
+    runs = draw(st.integers(1, 3))
+    agents = st.sets(st.integers(0, len(KEPT_COHORT) - 1), max_size=len(KEPT_COHORT))
+    deciders = [(r, a) for r in range(runs) for a in sorted(draw(agents))]
+    comments = st.lists(st.sampled_from(COMMENT_POOL), max_size=2 * MAX_PEER_COMMENTS)
+    history = {decider: tuple(draw(comments)) for decider in deciders}
+    return DecisionBatch(
+        day=draw(st.integers(1, 7)),
+        agents=np.array([a for _, a in deciders], dtype=np.intp),
+        runs=np.array([r for r, _ in deciders], dtype=np.intp),
+        news=tuple(draw(st.sampled_from(KEPT_NEWS)) for _ in range(runs)),
+        template_id=tuple(draw(st.sampled_from(TEMPLATE_IDS)) for _ in range(runs)),
+        seed=(None,) * runs,
+        peer_comments=lambda run, agent: history[run, agent],
+    )
+
+
+def columns(decisions: Decisions) -> tuple:
+    return (decisions.share.tolist(), decisions.comment, decisions.transcript,
+            decisions.parse_failure)
+
+
+def fresh_decisions(cache: DecisionCache, batch: DecisionBatch) -> Decisions:
+    """Each decider's outcome from decide() on a fresh policy replaying `cache`."""
+    return Decisions.from_outcomes([
+        LlmPolicy(KEPT_SETTINGS, cache, transport=refuse).decide(
+            batch.request(agent, run), KEPT_COHORT[agent])
+        for run, agent in batch.deciders()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=st.lists(kept_batches(), min_size=1, max_size=4))
+def test_a_replay_decides_every_decider_as_a_fresh_policy_does(batches):
+    cache, asked = DecisionCache(), []
+    record = LlmPolicy(KEPT_SETTINGS, cache,
+                       transport=scripted_transport(asked, threading.Lock()))
+    for batch in batches:  # a complete cache for every decider
+        for run, agent in batch.deciders():
+            record.decide(batch.request(agent, run), KEPT_COHORT[agent])
+    record.close()
+    replay = LlmPolicy(KEPT_SETTINGS, cache, transport=refuse)
+    for batch in batches:
+        assert columns(replay.decide_many(batch, KEPT_COHORT)) == columns(
+            fresh_decisions(cache, batch))
+    assert replay.network_calls == 0
+
+
+def asks_needed(prompt: str) -> int:
+    """Asks of `prompt` until a reply parses or the re-asks run out."""
+    for attempt in range(KEPT_SETTINGS.reask_limit + 1):
+        if parse_response(scripted_reply(prompt, attempt), False)[0] is not None:
+            return attempt + 1
+    return KEPT_SETTINGS.reask_limit + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=st.lists(kept_batches(), min_size=1, max_size=4))
+def test_a_live_pass_asks_each_distinct_prompt_once_plus_its_reasks(batches):
+    asked = []
+    policy = LlmPolicy(KEPT_SETTINGS, DecisionCache(),
+                       transport=scripted_transport(asked, threading.Lock()))
+    try:
+        got = [policy.decide_many(batch, KEPT_COHORT) for batch in batches]
+    finally:
+        policy.close()
+    prompts = {render_prompt(batch.request(agent, run),
+                             persona.render_persona_text(KEPT_COHORT[agent]))
+               for batch in batches for run, agent in batch.deciders()}
+    assert set(asked) == prompts
+    assert len(asked) == policy.network_calls == sum(map(asks_needed, prompts))
+    for batch, decisions in zip(batches, got):
+        assert columns(decisions) == columns(fresh_decisions(policy.cache, batch))
+
+
+def test_a_kept_outcome_skips_rendering_and_lookups(monkeypatch):
+    """Two runs deciding alike render and look up each distinct input once,
+    on every day, until close() forgets the kept outcomes."""
+    from newssim import policy as policy_module
+
+    n = len(KEPT_COHORT)
+    batch = DecisionBatch(day=1, agents=np.tile(np.arange(n), 2),
+                          runs=np.repeat(np.arange(2), n), news=(NEWS, NEWS),
+                          template_id=("none", "none"), seed=(None, None))
+    cache, asked = RecordingCache(), []
+    LlmPolicy(KEPT_SETTINGS, cache,
+              transport=scripted_transport(asked, threading.Lock())).decide_many(batch,
+                                                                                 KEPT_COHORT)
+    rendered = []
+
+    def counting_render(req, persona_text, body_char_budget=1200):
+        rendered.append(persona_text)
+        return render_prompt(req, persona_text, body_char_budget)
+
+    monkeypatch.setattr(policy_module, "render_prompt", counting_render)
+    policy = LlmPolicy(KEPT_SETTINGS, cache, transport=refuse)
+    cache.gets.clear()
+    first = policy.decide_many(batch, KEPT_COHORT)
+    lookups = len(cache.gets)
+    assert len(rendered) == n and lookups >= n
+    assert columns(policy.decide_many(batch, KEPT_COHORT)) == columns(first)
+    assert len(rendered) == n and len(cache.gets) == lookups
+    policy.close()
+    assert columns(policy.decide_many(batch, KEPT_COHORT)) == columns(first)
+    assert len(rendered) == 2 * n and len(cache.gets) == 2 * lookups
+
+
+def test_a_failed_ask_is_not_kept():
+    transport = make_transport([RuntimeError("refused"), "DECISION: SHARE"])
+    policy = LlmPolicy(LlmSettings(max_retries=0), DecisionCache(), transport=transport)
+    with pytest.raises(PolicyError, match="refused"):
+        policy.decide(request(), persona_at())
+    policy.close()  # forgets the failed ask
+    assert policy.decide(request(), persona_at()).share is True
+    policy.close()
+    assert len(transport.calls) == 2
 
 
 def test_cache_keys_distinguish_attempts_and_prompts():

@@ -259,6 +259,19 @@ def test_non_effective_excluded_by_default():
     assert included.groups["a"].n_runs == 3
 
 
+def test_a_group_by_key_no_record_carries_is_refused():
+    recs = [record(series(0.8), series(0.4), {"grp": g}) for g in ("x", "y")]
+    with pytest.raises(ValueError, match=r"no run record has the label 'bogus'.* grp$"):
+        aggregate_experiment(recs, ("grp", "bogus"))
+
+
+def test_records_that_lack_a_key_others_carry_are_grouped_under_a_question_mark():
+    recs = [record(series(0.8), series(0.4), {"grp": "x"}) for _ in range(2)]
+    recs += [record(series(0.7), series(0.3), {}) for _ in range(3)]
+    summary = aggregate_experiment(recs, ("grp",))
+    assert {label: g.n_runs for label, g in summary.groups.items()} == {"x": 2, "?": 3}
+
+
 def test_censored_runs_coded_slowest():
     recs = [
         record(series(0.9), series(0.5), {"grp": "a"}),
