@@ -10,8 +10,10 @@ Subcommands:
     export-plot-data  flatten summaries into per-figure data tables
 
 The first five are plan commands. Their handlers live in `plan`, which is
-imported only for them, so `stats` and `export-plot-data` load neither
-numpy nor the simulation modules.
+imported only for them. `stats` and `export-plot-data` load the record
+reader, the aggregator and the output writers: no numpy, no simulation
+module, no config loader (the parser's kind tuples live in the package's
+`__init__`) and no dataclasses.
 
 Every output embeds provenance (config hash, master seed, policy kind,
 template hashes, cache hash), and plan.json keeps each cell config the run
@@ -27,7 +29,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import ingest, stats
+from . import NETWORK_KINDS, POLICY_KINDS, stats
 from .output import _provenance_comment, _write_summary, _write_text
 from .record import RunRecord
 
@@ -48,7 +50,8 @@ def cmd_stats(args) -> int:
     """Aggregate the records plan.json lists.
 
     A record under runs/ that plan.json does not list, or whose config_sha is
-    not a key of plan.json's `configs`, is refused, not ignored.
+    not a key of plan.json's `configs`, is refused, not ignored. So is a plan
+    that lists one file twice, or a file that is not runs/<name>.json.
     """
     results = Path(args.results)
     plan_path = results / "plan.json"
@@ -64,7 +67,13 @@ def cmd_stats(args) -> int:
         raise ValueError(f"{plan_path}: not a plan: it needs a `cells` list of objects with a "
                          "string `file`, and `configs` and `provenance` must be objects")
     paths = [results / cell["file"] for cell in cells]
-    stray = sorted(set((results / "runs").glob("*.json")) - set(paths))
+    listed = set()
+    for cell, path in zip(cells, paths):
+        if path in listed or path.parent != results / "runs" or path.suffix != ".json":
+            problem = "is listed twice" if path in listed else "is not runs/<name>.json"
+            raise ValueError(f"{plan_path}: cell file {cell['file']!r} {problem}")
+        listed.add(path)
+    stray = sorted(set((results / "runs").glob("*.json")) - listed)
     if stray:
         print(f"error: {results / 'runs'} holds records plan.json does not list: "
               f"{', '.join(p.name for p in stray)}", file=sys.stderr)
@@ -146,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-network", help="materialize one network and its statistics")
-    p.add_argument("--kind", required=True, choices=ingest.NETWORK_KINDS)
+    p.add_argument("--kind", required=True, choices=NETWORK_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--edge-prob", type=float, default=None)
@@ -175,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute one experiment plan")
     _common_run_args(p)
-    p.add_argument("--policy", choices=ingest.POLICY_KINDS, default=None)
+    p.add_argument("--policy", choices=POLICY_KINDS, default=None)
     p.set_defaults(func="cmd_run")
 
     p = sub.add_parser("sweep-personality", help="pinned trait x level sweep")

@@ -19,10 +19,10 @@ import typing
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
-NETWORK_KINDS = ("random", "scale_free", "high_brokerage")
+from . import NETWORK_KINDS, POLICY_KINDS
+
 VERACITIES = ("fake", "real")
 INTERVENTION_KINDS = ("none", "commenting", "accuracy", "blocking")
-POLICY_KINDS = ("stub", "llm")
 
 
 class NewsFormatError(ValueError):

@@ -3,7 +3,9 @@
 `newssim gen-network`, `sample-personas`, `run`, `sweep-personality` and
 `compare` live here, with the executor the last three share. `cli` imports
 this module only for these commands, so `newssim stats` and
-`export-plot-data` load neither numpy nor the simulation modules.
+`export-plot-data` load neither numpy nor the simulation modules. A plan
+imports `concurrent.futures` only when it starts a thread pool: `--parallel`
+above 1 here, or an LLM ask the cache cannot answer (see policy.LlmPolicy).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -195,6 +196,8 @@ def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, para
 
     try:
         if parallel > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=parallel) as pool:
                 list(pool.map(_one, groups.values()))
         else:

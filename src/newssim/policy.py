@@ -15,9 +15,10 @@ every run of a lockstep group:
   stored in an append-only cache keyed by (model, attempt, prompt), whose
   file names the endpoint and temperature it was recorded under. Cache
   hits are decided on the calling thread, and replaying against a complete
-  cache performs no network calls and starts no thread. A prompt the cache
-  lacks is asked by one task of a pool of `concurrency` threads, shared by
-  every caller that misses on that prompt.
+  cache performs no network calls, starts no thread and does not import
+  `concurrent.futures`. A prompt the cache lacks is asked by one task of a
+  pool of `concurrency` threads, shared by every caller that misses on that
+  prompt.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import threading
 import time
 import typing
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from string import Template
@@ -41,6 +41,9 @@ import numpy as np
 from . import persona as persona_mod
 from .ingest import ConfigError, NewsItem, truncate_body, type_problem
 from .seeding import derive_rng, derive_seed  # noqa: F401 - perfbench traces policy.derive_rng
+
+if typing.TYPE_CHECKING:  # imported where the first ask starts the pool
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 TEMPLATE_IDS = ("none", "commenting", "accuracy")
 
@@ -440,7 +443,9 @@ def _outcome(transcript: tuple[str, str, str], want_comment: bool) -> DecisionOu
 
 def _settled(decision: DecisionOutcome | Future, want_comment: bool) -> DecisionOutcome:
     """`decision` itself, or the outcome of the transcript its future returns."""
-    return _outcome(decision.result(), want_comment) if isinstance(decision, Future) else decision
+    if isinstance(decision, DecisionOutcome):
+        return decision
+    return _outcome(decision.result(), want_comment)
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +725,11 @@ class LlmPolicy:
                 ask_id = key if attempt == 0 else cache_key(self.settings.model, prompt, 0)
                 with self._lock:
                     if ask_id not in self._asks:
-                        self._pool = self._pool or ThreadPoolExecutor(
-                            self.settings.concurrency, thread_name_prefix="newssim-llm")
+                        if self._pool is None:  # a replay from a complete cache starts none
+                            from concurrent.futures import ThreadPoolExecutor
+
+                            self._pool = ThreadPoolExecutor(
+                                self.settings.concurrency, thread_name_prefix="newssim-llm")
                         self._asks[ask_id] = self._pool.submit(self._ask, prompt, attempt, ask_id)
                     return self._asks[ask_id]
             if attempt == last or _decision(cached["response"]):
@@ -748,7 +756,7 @@ class LlmPolicy:
         kept = self._outcomes.get(inputs)
         if kept is None:
             transcript = self._transcript(render_prompt(req, persona_text, self.body_char_budget))
-            if isinstance(transcript, Future):
+            if not isinstance(transcript, tuple):  # the future of an ask in flight
                 return transcript
             kept = self._outcomes[inputs] = _outcome(transcript, req.template_id == "commenting")
         return kept

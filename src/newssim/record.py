@@ -1,13 +1,14 @@
 """Run records: the replayable result of one seeded run, and its JSON form.
 
-This module imports no numpy, so `newssim stats` can read a plan's records
-without loading the simulation.
+This module imports no numpy and no dataclasses, so `newssim stats` can read
+a plan's records without loading the simulation. `RunRecord.from_dict`
+refuses a malformed record with a ValueError that names the bad key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import typing
 
 RECORD_FORMAT = 4
 AGENT_COLUMNS = ("reach_day", "reached_by", "decision")
@@ -33,8 +34,26 @@ def _list_of(d, kind: str, *path) -> list:
     return column
 
 
-@dataclass
-class RunRecord:
+def _by_agent(d, key: str) -> dict[int, str]:
+    """d[key] keyed by int agent id; a ValueError names `key` unless it is an
+    object whose keys are decimal agent ids and whose values are strings."""
+    column = _field(d, key)
+    if not (isinstance(column, dict)
+            and all(isinstance(agent, str) and agent.isascii() and agent.isdecimal()
+                    and isinstance(text, str) for agent, text in column.items())):
+        raise ValueError(f"run record {key} is not an object of decimal agent ids to strings")
+    return {int(agent): text for agent, text in column.items()}
+
+
+def _typed(d, key: str, kind: type):
+    """d[key]; a ValueError names `key` unless it is a `kind`."""
+    value = _field(d, key)
+    if not isinstance(value, kind):
+        raise ValueError(f"run record {key} is not a {kind.__name__}")
+    return value
+
+
+class RunRecord(typing.NamedTuple):
     """Replayable result of one seeded run.
 
     `meta` holds the run's `labels` and seeds, and the `config_sha` that keys
@@ -108,11 +127,11 @@ class RunRecord:
             reached_prop=_list_of(d, "numbers", "series", "reached_prop"),
             forwarded_prop=_list_of(d, "numbers", "series", "forwarded_prop"),
             **columns,
-            comments={int(a): c for a, c in _field(d, "comments").items()},
-            transcripts={int(a): k for a, k in _field(d, "transcripts").items()},
-            events=list(_field(d, "events")),
-            effective=_field(d, "effective"),
-            taints=list(_field(d, "taints")),
+            comments=_by_agent(d, "comments"),
+            transcripts=_by_agent(d, "transcripts"),
+            events=_typed(d, "events", list),
+            effective=_typed(d, "effective", bool),
+            taints=_typed(d, "taints", list),
         )
 
     @classmethod

@@ -6,13 +6,15 @@ enumeration of all rank assignments; otherwise a normal approximation with
 tie and continuity corrections is used. Diffusion rate is the first day the
 reached proportion crosses a threshold (default 50%); runs that never cross
 are censored and rank slowest (T+1) in comparisons.
+
+The result types are NamedTuples, so `newssim stats` loads no dataclasses.
 """
 
 from __future__ import annotations
 
 import math
+import typing
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
 
 ALPHA = 0.05
@@ -20,15 +22,13 @@ RATE_THRESHOLD = 0.5
 EXACT_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class DiffusionRate:
+class DiffusionRate(typing.NamedTuple):
     days_to_threshold: int | None
     threshold: float
     censored: bool
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(typing.NamedTuple):
     group_a: str
     group_b: str
     n_a: int
@@ -130,8 +130,7 @@ def rank_sum_test(
     )
 
 
-@dataclass
-class GroupSummary:
+class GroupSummary(typing.NamedTuple):
     label: str
     n_runs: int
     days: int
@@ -145,13 +144,12 @@ class GroupSummary:
     censored_runs: int
 
 
-@dataclass
-class ExperimentSummary:
+class ExperimentSummary(typing.NamedTuple):
     group_by: tuple[str, ...]
     groups: dict[str, GroupSummary]
     comparisons: dict[str, list[ComparisonResult]]
     excluded_non_effective: int
-    notices: list[str] = field(default_factory=list)
+    notices: list[str]
 
     def to_dict(self) -> dict:
         return {
@@ -172,7 +170,7 @@ class ExperimentSummary:
                 for label, g in sorted(self.groups.items())
             },
             "comparisons": {
-                metric: [c.__dict__ for c in comps]
+                metric: [c._asdict() for c in comps]
                 for metric, comps in sorted(self.comparisons.items())
             },
             "excluded_non_effective": self.excluded_non_effective,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import newssim
 from newssim import cli, engine, ingest, netgen, output, persona, plan, policy
 from newssim.ingest import load_config
 from newssim.seeding import derive_seed
@@ -98,6 +100,12 @@ def test_gen_network_same_seed_identical_files(tmp_path):
     assert tree_bytes(out1) == tree_bytes(out2)
 
 
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == newssim.__version__
+
+
 def test_gen_network_random_detects_modularity(tmp_path):
     out = tmp_path / "net"
     assert cli.main(["gen-network", "--kind", "random", "--n", "60", "--seed", "1",
@@ -108,7 +116,8 @@ def test_gen_network_random_detects_modularity(tmp_path):
 
 #: modules that `import newssim.cli`, `stats` and `export-plot-data` leave unloaded
 PLAN_ONLY_MODULES = ["networkx", "requests", "yaml", "numpy", "newssim.engine", "newssim.netgen",
-                     "newssim.persona", "newssim.plan", "newssim.policy"]
+                     "newssim.persona", "newssim.plan", "newssim.policy", "newssim.ingest",
+                     "dataclasses"]
 
 
 def _python(code: str) -> str:
@@ -125,6 +134,46 @@ def _python(code: str) -> str:
 def test_cli_import_skips_libraries_only_some_commands_use():
     code = f"import newssim.cli, sys; print(sorted(set({PLAN_ONLY_MODULES}) & set(sys.modules)))"
     assert _python(code) == "[]"
+
+
+def _modules_beyond_bare(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded once `code` ran, less those
+    a bare interpreter loads."""
+    show = "; import sys; print(' '.join(sys.modules))"
+    bare = _python("pass" + show).split()
+    return set(_python(code + show).splitlines()[-1].split()) - set(bare)
+
+
+def test_stats_loads_four_newssim_modules(tmp_path, small_config):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(small_config(reps=2, news_limit=1)),
+                     "--out", str(out)]) == 0
+    added = _modules_beyond_bare(
+        f"from newssim import cli; assert cli.main(['stats', '--results', {str(out)!r}]) == 0")
+    assert {m for m in added if m.split(".")[0] == "newssim"} == {
+        "newssim", "newssim.cli", "newssim.output", "newssim.record", "newssim.stats"}
+    assert not added & {"dataclasses", "concurrent.futures", "logging"}
+
+
+@pytest.mark.parametrize("policy_kind", ["stub", "llm"])
+def test_a_plan_that_starts_no_pool_imports_none(tmp_path, small_config, monkeypatch,
+                                                 policy_kind):
+    """A stub run at --parallel 1, and an LLM replay from a complete cache,
+    load neither concurrent.futures nor the logging it brings."""
+    extra = "" if policy_kind == "stub" else (
+        "policy:\n  kind: llm\n  llm:\n    max_retries: 0\n"
+        "    endpoint: http://127.0.0.1:9/v1/chat/completions\n"
+        f"    cache_path: {tmp_path / 'cache.jsonl'}\n")
+    cfg = small_config(reps=2, news_limit=1, extra=extra)
+    if policy_kind == "llm":  # record the cache the replay below reads
+        monkeypatch.setattr(policy, "_default_transport",
+                            scripted_transport("DECISION: SHARE\nREASON: interesting"))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "live")]) == 0
+    added = _modules_beyond_bare(
+        f"from newssim import cli; assert cli.main(['run', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--parallel', '1']) == 0")
+    assert "newssim.plan" in added
+    assert not added & {"concurrent.futures", "logging"}
 
 
 def test_plan_import_leaves_the_cli_module_out():
@@ -779,6 +828,32 @@ def test_stats_refuses_records_the_plan_does_not_list(tmp_path, small_config, ca
     assert tree_bytes(out) == before
 
 
+@pytest.mark.parametrize("file, problem", [
+    (None, "is listed twice"),
+    ("plan.json", "is not runs/<name>.json"),
+    ("runs/sub/{name}", "is not runs/<name>.json"),
+    ("runs/../runs/{name}", "is not runs/<name>.json"),
+    ("runs/{name}.txt", "is not runs/<name>.json"),
+], ids=["repeated", "outside-runs", "nested", "dot-dot", "not-json"])
+def test_stats_refuses_a_plan_that_lists_a_file_twice_or_outside_runs(tmp_path, small_config,
+                                                                      capsys, file, problem):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(small_config(reps=2, news_limit=1)),
+                     "--out", str(out)]) == 0
+    doc = json.loads((out / "plan.json").read_text())
+    cells = doc["cells"]
+    if file is None:
+        cells.append(dict(cells[-1]))
+    else:
+        cells[-1]["file"] = file.format(name=Path(cells[-1]["file"]).name)
+    (out / "plan.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["stats", "--results", str(out), "--out", str(tmp_path / "again")]) == 2
+    assert capsys.readouterr().err == (f"error: {out / 'plan.json'}: cell file "
+                                       f"{cells[-1]['file']!r} {problem}\n")
+    assert not (tmp_path / "again").exists()
+
+
 def _drop(*path):
     def edit(doc):
         for key in path[:-1]:
@@ -823,10 +898,21 @@ def _put(value, *path):
     (_put(None, "series", "forwarded_prop"), "series.forwarded_prop is not a list of numbers"),
     (_set_format(3), "format 3 is not supported"),
     (_drop("meta", "config_sha"), "no 'meta.config_sha'"),
+    (_put("no", "effective"), "run record effective is not a bool"),
+    (_put(1, "effective"), "run record effective is not a bool"),
+    (_put("x", "events"), "run record events is not a list"),
+    (_put({}, "taints"), "run record taints is not a list"),
+    (_put([], "comments"), "run record comments is not an object of decimal agent ids"),
+    (_put(None, "transcripts"), "run record transcripts is not an object of decimal agent ids"),
+    (_put({"a": "hi"}, "comments"), "run record comments is not an object of decimal agent ids"),
+    (_put({"-1": "hi"}, "comments"), "run record comments is not an object of decimal agent ids"),
+    (_put({"0": 5}, "transcripts"), "run record transcripts is not an object of decimal agent ids"),
 ], ids=["no-format", "format-1", "format-2", "no-agents", "no-decision", "no-series-column",
         "no-comments", "no-transcripts", "no-taints", "short-reached_by", "short-decision",
         "int-decision", "float-reach_day", "bool-reached_by", "decision-2", "string-series",
-        "null-series", "format-3", "no-config_sha"])
+        "null-series", "format-3", "no-config_sha", "string-effective", "int-effective",
+        "string-events", "object-taints", "list-comments", "null-transcripts",
+        "letter-comment-key", "negative-comment-key", "int-transcript"])
 def test_stats_refuses_old_record_format(tmp_path, small_config, capsys, edit, message):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=1)),
@@ -1055,7 +1141,7 @@ def test_llm_plan_replays_from_cache(tmp_path, small_config, monkeypatch):
         raise AssertionError("network touched, or a thread started, during replay")
 
     # a replay answers every decision from the cache on the cell's own thread
-    monkeypatch.setattr(policy.ThreadPoolExecutor, "__init__", boom)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", boom)
     monkeypatch.setattr(threading.Thread, "start", boom)
     cache2 = policy.DecisionCache(tmp_path / "cache.jsonl")
     out2 = tmp_path / "replay"

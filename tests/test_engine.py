@@ -340,6 +340,49 @@ def test_replay_byte_identical():
     assert RunRecord.from_json(rec1.to_json()).to_dict() == rec1.to_dict()
 
 
+_texts = st.text(max_size=12)
+_by_agent = st.dictionaries(st.integers(0, 10**6), _texts, max_size=5)
+_json_values = st.none() | st.booleans() | st.integers() | _texts
+
+
+@st.composite
+def run_records(draw):
+    n = draw(st.integers(0, 12))
+    days = draw(st.integers(1, 8))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    def series():
+        return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(),
+                             min_size=days, max_size=days))
+
+    return RunRecord(
+        meta={"config_sha": draw(_texts), "labels": draw(st.dictionaries(_texts, _json_values)),
+              **draw(st.dictionaries(st.sampled_from(["decision_seed", "replicate"]),
+                                     st.integers()))},
+        reached_prop=series(),
+        forwarded_prop=series(),
+        reach_day=column(st.integers(-1, days)),
+        reached_by=column(st.integers(-1, max(n - 1, -1))),
+        decision=column(st.sampled_from([-1, 0, 1])),
+        comments=draw(_by_agent),
+        transcripts=draw(_by_agent),
+        events=draw(st.lists(st.dictionaries(_texts, _json_values, max_size=3), max_size=4)),
+        effective=draw(st.booleans()),
+        taints=draw(st.lists(_texts, max_size=3)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(rec=run_records())
+def test_record_json_round_trip_is_exact_and_byte_stable(rec):
+    text = rec.to_json()
+    again = RunRecord.from_json(text)
+    assert again == rec
+    assert again.to_json() == text
+
+
 # ---------------------------------------------------------------------------
 # accuracy intervention
 # ---------------------------------------------------------------------------
