@@ -49,9 +49,12 @@ def _read_json(path: Path, parse=json.loads):
 def cmd_stats(args) -> int:
     """Aggregate the records plan.json lists.
 
-    A record under runs/ that plan.json does not list, or whose config_sha is
-    not a key of plan.json's `configs`, is refused, not ignored. So is a plan
-    that lists one file twice, or a file that is not runs/<name>.json.
+    Records are grouped by --group-by, else by plan.json's `group_by`, the
+    keys the plan command grouped by (network,intervention for a plan.json
+    written without it). A record under runs/ that plan.json does not list,
+    or whose config_sha is not a key of plan.json's `configs`, is refused,
+    not ignored. So is a plan that lists one file twice, or a file that is
+    not runs/<name>.json.
     """
     results = Path(args.results)
     plan_path = results / "plan.json"
@@ -63,9 +66,12 @@ def cmd_stats(args) -> int:
     if not (isinstance(cells, list)
             and all(isinstance(c, dict) and isinstance(c.get("file"), str) for c in cells)
             and isinstance(plan.get("configs", {}), dict)
-            and isinstance(plan.get("provenance", {}), dict)):
+            and isinstance(plan.get("provenance", {}), dict)
+            and isinstance(group_by := plan.get("group_by", ["network", "intervention"]), list)
+            and all(isinstance(key, str) for key in group_by)):
         raise ValueError(f"{plan_path}: not a plan: it needs a `cells` list of objects with a "
-                         "string `file`, and `configs` and `provenance` must be objects")
+                         "string `file`, `configs` and `provenance` must be objects, and "
+                         "`group_by` a list of strings")
     paths = [results / cell["file"] for cell in cells]
     listed = set()
     for cell, path in zip(cells, paths):
@@ -88,12 +94,13 @@ def cmd_stats(args) -> int:
     if not records:
         print(f"error: no run records under {results}", file=sys.stderr)
         return 2
-    group_by = tuple(args.group_by.split(","))
+    group_by = tuple(group_by if args.group_by is None else args.group_by.split(","))
     summary = stats.aggregate_experiment(
         records, group_by, include_non_effective=args.include_non_effective
     )
     _write_summary(Path(args.out or args.results), summary, plan.get("provenance", {}))
-    print(f"aggregated {len(records)} records into {len(summary.groups)} groups")
+    print(f"aggregated {len(records)} records into {len(summary.groups)} groups "
+          f"by {','.join(group_by)}")
     return 0
 
 
@@ -198,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="aggregate a directory of run records")
     p.add_argument("--results", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--group-by", default="network,intervention")
+    p.add_argument("--group-by", default=None,
+                   help="comma-separated label keys (default: the plan's grouping)")
     p.add_argument("--include-non-effective", action="store_true")
     p.set_defaults(func=cmd_stats)
 

@@ -8,11 +8,12 @@ reached agents queue to decide the next day. Once an agent has decided, the
 outcome is final: spreaders never share again and dead ends never reconsider,
 no matter how many repeat deliveries they receive.
 
-Intervention triggers are evaluated at day end and affect the next day's
-decisions: the accuracy notice latches once the reached fraction crosses the
-trigger threshold, and from then on the run decides under the accuracy
-template; blocking removes the top slice of high-openness /
-high-extraversion agents by degree at the first crossing.
+Intervention triggers are evaluated at day end, in one pass over the group
+(`_evaluate_triggers`), and affect the next day's decisions: an accuracy or
+blocking run latches once its reached fraction crosses its trigger
+threshold. From then on an accuracy run decides under the accuracy template;
+a blocking run removes the top slice of high-openness / high-extraversion
+agents by degree at that first crossing.
 
 The runs of one lockstep group share a network, a cohort and their number
 of days, and advance together: their state is one set of (runs x agents)
@@ -67,11 +68,12 @@ class DiffusionState:
     day_shared[s]   day it shared, -1 if it has not
     blocked[s]      removed by its run's blocking intervention
 
-    Per run: the accuracy_triggered and blocking_applied latches, its
-    events, which start with the seed, its taints, and two dicts keyed by
-    agent id: comments (of each sharer that left one) and transcripts (the
-    LLM transcript cache key of each decider that has one). `day` is the
-    group's: its runs start together on day 0.
+    Per run: `triggered`, latched when its accuracy notice or its block
+    fires (a run has one intervention kind), its events, which start with
+    the seed, its taints, and two dicts keyed by agent id: comments (of each
+    sharer that left one) and transcripts (the LLM transcript cache key of
+    each decider that has one). `day` is the group's: its runs start
+    together on day 0.
     """
 
     n: int
@@ -82,8 +84,7 @@ class DiffusionState:
     decision: np.ndarray = field(init=False)
     day_shared: np.ndarray = field(init=False)
     blocked: np.ndarray = field(init=False)
-    accuracy_triggered: np.ndarray = field(init=False)
-    blocking_applied: np.ndarray = field(init=False)
+    triggered: np.ndarray = field(init=False)
     events: list[list[dict]] = field(init=False)
     taints: list[list[str]] = field(init=False)
     comments: list[dict[int, str]] = field(init=False)
@@ -96,8 +97,7 @@ class DiffusionState:
         self.decision = np.full(slots, -1, dtype=np.int8)
         self.day_shared = np.full(slots, -1, dtype=np.int32)
         self.blocked = np.zeros(slots, dtype=bool)
-        self.accuracy_triggered = np.zeros(self.runs, dtype=bool)
-        self.blocking_applied = np.zeros(self.runs, dtype=bool)
+        self.triggered = np.zeros(self.runs, dtype=bool)
         self.events = [[] for _ in range(self.runs)]
         self.taints = [[] for _ in range(self.runs)]
         self.comments = [{} for _ in range(self.runs)]
@@ -166,7 +166,7 @@ def _batch(state, net, specs: Sequence[RunSpec], slots: np.ndarray) -> policy_mo
         runs=runs,
         news=tuple(spec.news for spec in specs),
         template_id=tuple(_template(spec.config.intervention_kind, latched)
-                          for spec, latched in zip(specs, state.accuracy_triggered.tolist())),
+                          for spec, latched in zip(specs, state.triggered.tolist())),
         seed=tuple(spec.seed for spec in specs),
         peer_comments=partial(_peer_comments, state, net),
     )
@@ -225,21 +225,6 @@ def step_day(
     return state
 
 
-def _reached_fraction(state: DiffusionState, run: int) -> float:
-    return int(np.count_nonzero(state.grid(state.day_reached)[run] >= 0)) / state.n
-
-
-def apply_accuracy_intervention(
-    state: DiffusionState, trigger_threshold: float, run: int = 0,
-) -> DiffusionState:
-    """Latch run `run`'s accuracy notice once its reached fraction crosses the threshold."""
-    if (not state.accuracy_triggered[run]
-            and _reached_fraction(state, run) >= trigger_threshold):
-        state.accuracy_triggered[run] = True
-        state.events[run].append({"type": "accuracy_triggered", "day": state.day})
-    return state
-
-
 def blocking_candidates(net: Network, personas: persona_mod.Cohort) -> list[int]:
     """High-openness or high-extraversion agents, ranked by degree desc, id asc."""
     e_idx = persona_mod.TRAITS.index("extraversion")
@@ -248,46 +233,34 @@ def blocking_candidates(net: Network, personas: persona_mod.Cohort) -> list[int]
     return cands[np.lexsort((cands, -net.degrees()[cands]))].tolist()
 
 
-def apply_blocking_intervention(
-    state: DiffusionState,
-    net: Network,
-    personas: persona_mod.Cohort,
-    trigger_threshold: float,
-    block_fraction: float,
-    block_denominator: str = "all_agents",
-    run: int = 0,
-) -> DiffusionState:
-    """Block run `run`'s top ceil(block_fraction*N) candidates at its first
-    threshold crossing.
-
-    Blocked agents never decide and never receive; a blocked agent reached
-    today does not decide tomorrow. Agents who already shared keep their past effect. With
-    block_denominator="candidates" the quota is a fraction of the candidate
-    pool instead of all agents.
-    """
-    if state.blocking_applied[run] or _reached_fraction(state, run) < trigger_threshold:
-        return state
-    state.blocking_applied[run] = True
-    candidates = blocking_candidates(net, personas)
-    base = state.n if block_denominator == "all_agents" else len(candidates)
-    quota = math.ceil(block_fraction * base)
-    to_block = candidates[:quota]
-    state.grid(state.blocked)[run, to_block] = True
-    state.events[run].append({"type": "blocking_applied", "day": state.day, "blocked": to_block})
-    return state
-
-
 def _evaluate_triggers(state, net, personas, specs: Sequence[RunSpec]) -> None:
-    """Evaluate the day-end triggers of every run."""
-    for run, spec in enumerate(specs):
+    """Latch each accuracy or blocking run whose reached fraction is at or
+    above its trigger threshold, and record the event, once per run.
+
+    A latched accuracy run decides under the accuracy template from the next
+    day on. A blocking run blocks its top ceil(block_fraction * base)
+    candidates, base being n, or the candidate count with block_denominator
+    "candidates": blocked agents never decide and never receive, so one
+    reached today does not decide tomorrow, and agents who already shared
+    keep their past effect. The candidates are ranked at most once a call.
+    """
+    candidates = None
+    for run, (spec, reached) in enumerate(zip(specs, state.reached_prop().tolist())):
         config = spec.config
+        if (config.intervention_kind not in ("accuracy", "blocking")
+                or state.triggered[run] or reached < config.trigger_threshold):
+            continue
+        state.triggered[run] = True
         if config.intervention_kind == "accuracy":
-            apply_accuracy_intervention(state, config.trigger_threshold, run)
-        elif config.intervention_kind == "blocking":
-            apply_blocking_intervention(
-                state, net, personas, config.trigger_threshold, config.block_fraction,
-                block_denominator=config.block_denominator, run=run,
-            )
+            state.events[run].append({"type": "accuracy_triggered", "day": state.day})
+            continue
+        if candidates is None:
+            candidates = blocking_candidates(net, personas)
+        base = state.n if config.block_denominator == "all_agents" else len(candidates)
+        to_block = candidates[:math.ceil(config.block_fraction * base)]
+        state.grid(state.blocked)[run, to_block] = True
+        state.events[run].append({"type": "blocking_applied", "day": state.day,
+                                  "blocked": to_block})
 
 
 def run_many(

@@ -287,8 +287,9 @@ def _execute_plan(args, groups, group_by: tuple):
 
     groups(cfg) yields (cell_cfg, labels, file_prefix); each group expands to
     replicates x news items. plan.json and the summary carry one provenance
-    dict, so `newssim stats` over the finished plan rewrites the same summary;
-    its `configs` maps each group's config_sha to the config's snapshot.
+    dict, and plan.json names the `group_by` keys, so `newssim stats` over the
+    finished plan rewrites the same summary; its `configs` maps each group's
+    config_sha to the config's snapshot.
     """
     cfg = ingest.load_config(args.config)
     _apply_overrides(cfg, args)
@@ -318,6 +319,7 @@ def _execute_plan(args, groups, group_by: tuple):
     prov = _provenance(cfg, cache)
     plan = {
         "provenance": prov,
+        "group_by": list(group_by),
         "configs": configs,
         "cells": [
             {"labels": c.labels, "replicate": c.replicate, "news_id": c.news.news_id,
@@ -346,7 +348,7 @@ def cmd_sweep_personality(args) -> int:
     def groups(cfg):
         sweep_cfg = replace(cfg, intervention_kind="none")
         for trait in persona.TRAITS:
-            for level in ("high", "low"):
+            for level in persona.LEVELS:
                 labels = {"network": cfg.network_kind, "intervention": "none",
                           "trait": trait, "level": level}
                 yield sweep_cfg, labels, f"sweep_{trait}_{level}"

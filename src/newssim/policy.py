@@ -502,7 +502,9 @@ class DecisionCache:
 
     A last line that has no newline and does not parse was torn by an
     interrupted append: loading drops it and truncates the file to the last
-    complete line. A bad line anywhere else raises.
+    complete line. Any other line that is not JSON, is not an object with a
+    string `key` and `response`, or is a settings line after the first line
+    raises a ValueError naming path:line.
 
     The first put opens one append handle, and each put flushes its line;
     close() (or leaving a `with` block) closes the handle, and a later put
@@ -523,26 +525,37 @@ class DecisionCache:
                 data = fh.read()
         except FileNotFoundError:
             return
-        complete, _, tail = data.rpartition(b"\n")
-        for line in complete.split(b"\n"):
+        *lines, tail = data.split(b"\n")
+        for number, line in enumerate(lines, 1):
             if line.strip():
-                self._load(json.loads(line))
+                self._load(line, number)
         if tail.strip():
             try:
-                rec = json.loads(tail)
+                json.loads(tail)
             except ValueError:
                 with open(path, "r+b") as fh:
                     fh.truncate(len(data) - len(tail))
                 return
-            self._load(rec)
+            self._load(tail, len(lines) + 1)
             with open(path, "ab") as fh:  # so the next append starts a line of its own
                 fh.write(b"\n")
 
-    def _load(self, rec: dict) -> None:
-        if "settings" in rec and not self._records:  # the first line
+    def _load(self, line: bytes, number: int) -> None:
+        """Keep line `number`: the settings if no line came before it, else a
+        transcript. A ValueError naming path:number refuses any other line."""
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}:{number}: {exc}") from None
+        if not isinstance(rec, dict):
+            rec = {}  # refused below
+        if "settings" in rec and self.settings is None and not self._records:
             self.settings = rec["settings"]
-        else:
+        elif isinstance(rec.get("key"), str) and isinstance(rec.get("response"), str):
             self._records[rec["key"]] = rec
+        else:
+            raise ValueError(f"{self.path}:{number}: neither the settings (only on the first "
+                             "line) nor a transcript with a string `key` and `response`")
 
     def bind(self, settings: LlmSettings) -> None:
         """Check that this cache's transcripts were recorded under the

@@ -155,18 +155,7 @@ class ExperimentSummary(typing.NamedTuple):
         return {
             "group_by": list(self.group_by),
             "groups": {
-                label: {
-                    "n_runs": g.n_runs,
-                    "days": g.days,
-                    "reached_mean": g.reached_mean,
-                    "reached_sd": g.reached_sd,
-                    "forwarded_mean": g.forwarded_mean,
-                    "forwarded_sd": g.forwarded_sd,
-                    "final_reached": g.final_reached,
-                    "final_forwarded": g.final_forwarded,
-                    "rate_days": g.rate_days,
-                    "censored_runs": g.censored_runs,
-                }
+                label: {key: value for key, value in g._asdict().items() if key != "label"}
                 for label, g in sorted(self.groups.items())
             },
             "comparisons": {

@@ -956,8 +956,11 @@ def test_stats_refuses_a_directory_without_plan_json(tmp_path, small_config, cap
     assert not (tmp_path / "again").exists()
 
 
-@pytest.mark.parametrize("doc", [{}, [1], {"cells": 5}, {"cells": [{}]}],
-                         ids=["empty", "list", "cells-not-a-list", "cell-without-file"])
+@pytest.mark.parametrize("doc", [
+    {}, [1], {"cells": 5}, {"cells": [{}]}, {"cells": [], "group_by": "trait,level"},
+    {"cells": [], "group_by": ["trait", 1]}, {"cells": [], "group_by": None},
+], ids=["empty", "list", "cells-not-a-list", "cell-without-file", "group-by-string",
+        "group-by-not-strings", "group-by-null"])
 def test_stats_refuses_a_malformed_plan_json(tmp_path, small_config, capsys, doc):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=1)),
@@ -968,6 +971,21 @@ def test_stats_refuses_a_malformed_plan_json(tmp_path, small_config, capsys, doc
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {out / 'plan.json'}: ")
     assert not (tmp_path / "again").exists()
+
+
+def test_stats_groups_a_plan_json_without_group_by_by_network_and_intervention(
+        tmp_path, small_config, capsys):
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert cli.main(["sweep-personality", "--config", str(small_config(reps=1, news_limit=1)),
+                     "--out", str(out)]) == 0
+    plan = json.loads((out / "plan.json").read_text(encoding="utf-8"))
+    del plan["group_by"]
+    (out / "plan.json").write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert cli.main(["stats", "--results", str(out), "--out", str(again)]) == 0
+    assert capsys.readouterr().out.endswith(" into 1 groups by network,intervention\n")
+    summary = json.loads((again / "summary.json").read_text(encoding="utf-8"))["summary"]
+    assert summary["group_by"] == ["network", "intervention"]
 
 
 @pytest.mark.parametrize("command, pattern", [
@@ -1228,19 +1246,26 @@ LLM_CFG = "policy:\n  kind: llm\n  llm:\n    cache_path: {cache}\n"
         ("sweep-personality", "trait,level", ""),
         ("compare", "network,intervention", ""),
         ("run", "network,intervention", LLM_CFG),
+        ("sweep-personality", None, ""),
+        ("compare", None, ""),
     ],
-    ids=["run", "sweep-personality", "compare", "llm-run"],
+    ids=["run", "sweep-personality", "compare", "llm-run", "sweep-personality-plan-keys",
+         "compare-plan-keys"],
 )
 def test_stats_over_finished_plan_reproduces_its_summary(
-    tmp_path, small_config, monkeypatch, command, group_by, extra
+    tmp_path, small_config, monkeypatch, capsys, command, group_by, extra
 ):
+    """With no --group-by, stats groups by the keys plan.json names."""
     monkeypatch.setattr(policy, "_default_transport",
                         scripted_transport("DECISION: SHARE\nREASON: interesting"))
     cfg = small_config(reps=2, news_limit=1,
                        extra=extra.format(cache=tmp_path / "cache.jsonl"))
     out, again = tmp_path / "out", tmp_path / "again"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
-    assert cli.main(["stats", "--results", str(out), "--out", str(again),
-                     "--group-by", group_by]) == 0
+    capsys.readouterr()
+    flag = [] if group_by is None else ["--group-by", group_by]
+    assert cli.main(["stats", "--results", str(out), "--out", str(again), *flag]) == 0
+    keys = "trait,level" if command == "sweep-personality" else "network,intervention"
+    assert capsys.readouterr().out.endswith(f" groups by {keys}\n")
     for name in ("summary.json", "curves.tsv", "comparisons.tsv"):
         assert (again / name).read_bytes() == (out / name).read_bytes(), name

@@ -12,8 +12,6 @@ from newssim.engine import (
     DiffusionState,
     RunRecord,
     RunSpec,
-    apply_accuracy_intervention,
-    apply_blocking_intervention,
     blocking_candidates,
     initial_state,
     run,
@@ -62,6 +60,13 @@ class ScriptedPolicy:
             share=share, comment=None, rationale=None,
             raw_response="", source="stub",
         )
+
+
+def day_end(state, kind, threshold, net=None, personas=None, **kw):
+    """Evaluate the day-end triggers of a one-run `state` whose run has
+    intervention `kind` at `threshold`; `kw` sets the config's other fields."""
+    cfg = config(intervention=kind, trigger_threshold=threshold, **kw)
+    engine_mod._evaluate_triggers(state, net, personas, [RunSpec(cfg, NEWS)])
 
 
 def always_share():
@@ -390,31 +395,46 @@ def test_record_json_round_trip_is_exact_and_byte_stable(rec):
 def test_accuracy_trigger_boundary():
     state = DiffusionState(n=1000)
     state.day_reached[:99] = 0
-    apply_accuracy_intervention(state, 0.10)
-    assert not state.accuracy_triggered  # 9.9%
+    day_end(state, "accuracy", 0.10)
+    assert not state.triggered  # 9.9%
     state.day_reached[:100] = 0
-    apply_accuracy_intervention(state, 0.10)
-    assert state.accuracy_triggered  # 10.0%, >= comparison
+    day_end(state, "accuracy", 0.10)
+    assert state.triggered  # 10.0%, >= comparison
+
+    # one pass over a group of three at 10.0%: the accuracy and blocking runs latch
+    net, personas = star(1000), persona_mod.sample_personas(1000, rng_seed=0)
+    specs = [RunSpec(config(intervention=kind), NEWS) for kind in ("accuracy", "blocking", "none")]
+    state = initial_state(net, 0, runs=3)
+    state.grid(state.day_reached)[:, :99] = 0
+    engine_mod._evaluate_triggers(state, net, personas, specs)
+    assert not state.triggered.any() and all(len(events) == 1 for events in state.events)
+    state.grid(state.day_reached)[:, :100] = 0
+    engine_mod._evaluate_triggers(state, net, personas, specs)
+    assert state.triggered.tolist() == [True, True, False]
+    assert [[e["type"] for e in events[1:]] for events in state.events] == [
+        ["accuracy_triggered"], ["blocking_applied"], []]
+    assert np.count_nonzero(state.grid(state.blocked), axis=1).tolist() == [0, 200, 0]
+    assert state.events[1][1]["blocked"] == blocking_candidates(net, personas)[:200]
 
 
 def test_accuracy_latches():
     state = DiffusionState(n=10)
     state.day_reached[:5] = 0
-    apply_accuracy_intervention(state, 0.10)
-    assert state.accuracy_triggered
+    day_end(state, "accuracy", 0.10)
+    assert state.triggered
     state.day_reached[:] = -1
-    apply_accuracy_intervention(state, 0.10)
-    assert state.accuracy_triggered
+    day_end(state, "accuracy", 0.10)
+    assert state.triggered
 
 
 def test_accuracy_threshold_one_never_fires_early():
     state = DiffusionState(n=10)
     state.day_reached[:9] = 0
-    apply_accuracy_intervention(state, 1.0)
-    assert not state.accuracy_triggered
+    day_end(state, "accuracy", 1.0)
+    assert not state.triggered
     state.day_reached[:] = 0
-    apply_accuracy_intervention(state, 1.0)
-    assert state.accuracy_triggered
+    day_end(state, "accuracy", 1.0)
+    assert state.triggered
 
 
 def test_accuracy_notice_reaches_requests_next_day():
@@ -520,8 +540,8 @@ def test_blocking_candidates_match_the_per_persona_ranking(net, seed, pins, frac
     cands = blocking_candidates(net, personas)
     assert cands == oracle and all(type(a) is int for a in cands)
     state = initial_state(net, 0)
-    apply_blocking_intervention(state, net, personas, 0.0, fraction,
-                                block_denominator=denominator)
+    day_end(state, "blocking", 0.0, net, personas, block_fraction=fraction,
+            block_denominator=denominator)
     quota = math.ceil(fraction * (net.n if denominator == "all_agents" else len(oracle)))
     assert state.events[0][-1]["blocked"] == oracle[:quota]
     assert np.flatnonzero(state.blocked).tolist() == sorted(oracle[:quota])
@@ -546,7 +566,7 @@ def test_blocking_dead_end_candidate_still_blocked():
     state = initial_state(net, 0)
     state.decision[3] = 0  # a dead end
     state.day_reached[:] = 0
-    apply_blocking_intervention(state, net, personas, 0.10, 0.20)
+    day_end(state, "blocking", 0.10, net, personas, block_fraction=0.20)
     assert state.blocked[0]  # hub is the top candidate
     assert 0 not in state.pending
     assert np.count_nonzero(state.blocked) == math.ceil(0.2 * 6)
@@ -559,8 +579,8 @@ def test_blocking_candidate_pool_denominator():
     )
     state = initial_state(net, 0)
     state.day_reached[:] = 0
-    apply_blocking_intervention(state, net, personas, 0.10, 0.20,
-                                block_denominator="candidates")
+    day_end(state, "blocking", 0.10, net, personas, block_fraction=0.20,
+            block_denominator="candidates")
     assert np.count_nonzero(state.blocked) == math.ceil(
         0.2 * len(blocking_candidates(net, personas)))
 
@@ -577,7 +597,7 @@ def test_blocking_drops_pending_and_inbox():
     state.comments[0][0] = "a comment"
     state.day_reached[1], state.sender[1] = 1, 0
     assert state.pending == [1]
-    apply_blocking_intervention(state, net, personas, 0.10, 0.20)
+    day_end(state, "blocking", 0.10, net, personas, block_fraction=0.20)
     assert state.blocked[0] and state.blocked[1]  # hub + lowest-id leaf
     assert 1 not in state.pending
     # the comment delivered to leaf 1 is never read: leaf 1 is asked nothing
@@ -590,7 +610,7 @@ def test_blocking_drops_pending_and_inbox():
 
     step_day(state, net, personas, [RunSpec(config(intervention="commenting"), NEWS)], Spy({}))
     assert asked == []
-    assert state.blocking_applied
+    assert state.triggered
 
 
 def test_conservation_each_day():
@@ -613,8 +633,7 @@ def test_conservation_each_day():
         reached = state.day_reached >= 0
         # no blocked agent entered the reached set after blocking was applied
         assert not (reached & ~reached_before & state.blocked).any()
-        apply_blocking_intervention(state, net, personas, cfg.trigger_threshold,
-                                    cfg.block_fraction)
+        engine_mod._evaluate_triggers(state, net, personas, [RunSpec(cfg, NEWS)])
         # blocked agents decide nothing, from the block day on
         assert not state.blocked[state.frontier()].any()
         assert np.count_nonzero(reached) == round(state.reached_prop()[0] * 150)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import string
 import sys
 import threading
@@ -1060,13 +1061,23 @@ def test_cache_keeps_a_complete_last_line_without_newline(tmp_path):
     assert len(DecisionCache(path)) == 2
 
 
-@pytest.mark.parametrize("after", [b"\n", b"\n" + b'{"key": "k3"}\n'], ids=["last", "middle"])
-def test_cache_raises_on_a_bad_complete_line(tmp_path, after):
+@pytest.mark.parametrize("line, after", [
+    (b'{"key": "k2", "resp', b"\n"),
+    (b'{"key": "k2", "resp', b"\n" + b'{"key": "k3", "response": "r"}\n'),
+    (b'{"foo": 1}', b"\n"),
+    (b'{"key": "k2"}', b""),  # a complete last line without its newline
+    (b"[1, 2]", b"\n"),
+    (b"not json", b"\n"),
+    (b'{"settings": {"endpoint": "e", "temperature": 0.0}}', b"\n"),
+], ids=["last", "middle", "no-key", "no-response", "not-an-object", "not-json",
+        "settings-not-first"])
+def test_cache_raises_on_a_bad_complete_line(tmp_path, line, after):
     path = tmp_path / "cache.jsonl"
-    whole = one_record_cache(path)
-    path.write_bytes(whole + b'{"key": "k2", "resp' + after)
-    with pytest.raises(ValueError):
+    whole = one_record_cache(path)  # one transcript line
+    path.write_bytes(whole + line + after)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
         DecisionCache(path)
+    assert path.read_bytes() == whole + line + after
 
 
 def test_llm_settings_validation():
