@@ -233,8 +233,8 @@ def blocking_candidates(net: Network, personas: persona_mod.Cohort) -> list[int]
     return cands[np.lexsort((cands, -net.degrees()[cands]))].tolist()
 
 
-def _evaluate_triggers(state, net, personas, specs: Sequence[RunSpec]) -> None:
-    """Latch each accuracy or blocking run whose reached fraction is at or
+def _evaluate_triggers(state, net, personas, specs: Sequence[RunSpec], reached) -> None:
+    """Latch each accuracy or blocking run whose `reached` fraction is at or
     above its trigger threshold, and record the event, once per run.
 
     A latched accuracy run decides under the accuracy template from the next
@@ -245,10 +245,10 @@ def _evaluate_triggers(state, net, personas, specs: Sequence[RunSpec]) -> None:
     keep their past effect. The candidates are ranked at most once a call.
     """
     candidates = None
-    for run, (spec, reached) in enumerate(zip(specs, state.reached_prop().tolist())):
+    for run, (spec, prop) in enumerate(zip(specs, reached.tolist())):
         config = spec.config
         if (config.intervention_kind not in ("accuracy", "blocking")
-                or state.triggered[run] or reached < config.trigger_threshold):
+                or state.triggered[run] or prop < config.trigger_threshold):
             continue
         state.triggered[run] = True
         if config.intervention_kind == "accuracy":
@@ -289,8 +289,9 @@ def run_many(
     state = initial_state(net, source, len(specs))
     rows = []  # per lockstep day: (reached, forwarded) of every run
     while True:
-        rows.append((state.reached_prop(), state.forwarded_prop()))
-        _evaluate_triggers(state, net, personas, specs)
+        reached = state.reached_prop()
+        rows.append((reached, state.forwarded_prop()))
+        _evaluate_triggers(state, net, personas, specs, reached)
         if state.day == days or not state.frontier().size:
             break
         step_day(state, net, personas, specs, policy)

@@ -246,12 +246,14 @@ class ExperimentConfig:
                 f"effective_retry_budget must be >= 0, got {self.effective_retry_budget}")
         if not self.sweep_offset >= 0:
             problems.append(f"sweep.offset must be >= 0, got {self.sweep_offset}")
-        for kind in self.compare_networks:
-            if kind not in NETWORK_KINDS:
-                problems.append(f"compare.networks entry {kind!r} unknown")
-        for kind in self.compare_interventions:
-            if kind not in INTERVENTION_KINDS:
-                problems.append(f"compare.interventions entry {kind!r} unknown")
+        for key, kinds, known in (("compare.networks", self.compare_networks, NETWORK_KINDS),
+                                  ("compare.interventions", self.compare_interventions,
+                                   INTERVENTION_KINDS)):
+            problems.extend(f"{key} entry {kind!r} unknown" for kind in kinds if kind not in known)
+            if not kinds:
+                problems.append(f"{key} must not be empty")
+            elif any(kind in kinds[:i] for i, kind in enumerate(kinds)):
+                problems.append(f"{key} must not repeat an entry, got {kinds!r}")
         if problems:
             raise ConfigError(problems)
 

@@ -84,7 +84,6 @@ class AgentPersona:
     age: int
     big_five_scores: tuple[float, ...]
     big_five_labels: tuple[str, ...]
-    pinned_traits: dict[str, str] | None = field(default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +92,15 @@ class Cohort:
 
     `female` (n,) bool, `age` (n,) int, `scores` (n, 5) float64 and `high`
     (n, 5) bool, the high/low level of each score, in TRAITS order. Every
-    column is read-only, so cohorts can share columns. `pinned` maps each
-    pinned trait to its level. `cohort[i]` builds agent i's AgentPersona, and
-    `persona_text(i)` renders its text once, for every cell sharing the cohort.
+    column is read-only, so cohorts can share columns. `cohort[i]` builds
+    agent i's AgentPersona, and `persona_text(i)` renders its text once, for
+    every cell sharing the cohort.
     """
 
     female: np.ndarray
     age: np.ndarray
     scores: np.ndarray
     high: np.ndarray
-    pinned: dict[str, str] | None = None
     _texts: dict[int, str] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -116,8 +114,7 @@ class Cohort:
         i = range(len(self))[i]
         return AgentPersona(i, GENDERS[not self.female[i]], int(self.age[i]),
                             tuple(self.scores[i].tolist()),
-                            tuple(LEVELS[not h] for h in self.high[i].tolist()),
-                            dict(self.pinned) if self.pinned else None)
+                            tuple(LEVELS[not h] for h in self.high[i].tolist()))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -185,7 +182,7 @@ def pin_trait(
     stats = DEFAULT_TRAIT_STATS
     scores[:, idx] = stats.means[idx] + sign * offset * stats.sds[idx]
     high[:, idx] = level == "high"
-    return Cohort(cohort.female, cohort.age, scores, high, {**(cohort.pinned or {}), trait: level})
+    return Cohort(cohort.female, cohort.age, scores, high)
 
 
 def render_persona_text(persona: AgentPersona) -> str:

@@ -128,39 +128,39 @@ def _inputs(cell: Cell) -> tuple:
 
 
 def _execute_group(cells: list[Cell], decider) -> list:
-    """Run cells that share a network and cohort in lockstep passes, one record per cell.
+    """Run cells that share a network and cohort in one lockstep pass, one record per cell.
 
-    Pass 0 runs attempt 0 of every cell. Each later pass runs the next
-    decision seed of only the cells whose source declined, until a cell's
-    stub retry budget is spent; LLM cells are not retried.
+    A source decides on day 1 only, so each stub cell with a retry budget
+    first picks its attempt in one-day probe passes, moving only the cells
+    whose source declined to their next decision seed until the budget is
+    spent; LLM cells are not retried. Then every cell runs its attempt once.
     """
     kind, params, net_seed, persona_seed, pin = _inputs(cells[0])
     with _replicate_lock:
         net = _cached_network(kind, params, net_seed)
         personas = _cached_cohort(net.n, persona_seed, *pin)
-    records = [None] * len(cells)
-    todo, attempt = list(range(len(cells))), 0
+
+    def spec(cell, attempt):
+        seed = derive_seed(cell.cfg.master_seed, "decide", cell.replicate, cell.news.news_id,
+                           attempt)
+        labels = {**cell.labels, "replicate": cell.replicate, "news_id": cell.news.news_id,
+                  "attempt": attempt, "net_seed": net_seed, "persona_seed": persona_seed,
+                  "decision_seed": seed}
+        return engine.RunSpec(cell.cfg, cell.news, seed,
+                              {"config_sha": cell.config_sha, "labels": labels})
+
+    specs, attempts = [spec(cell, 0) for cell in cells], [0] * len(cells)
+    budgets = [c.cfg.effective_retry_budget if c.cfg.policy_kind == "stub" else 0 for c in cells]
+    todo = [i for i, budget in enumerate(budgets) if budget]
     while todo:
-        specs = []
+        probes = [replace(specs[i], config=replace(specs[i].config, days=1)) for i in todo]
+        todo = [i for i, probe in zip(todo, engine.run_many(probes, net, personas, decider))
+                if not probe.effective]
         for i in todo:
-            cell = cells[i]
-            decision_seed = derive_seed(cell.cfg.master_seed, "decide", cell.replicate,
-                                        cell.news.news_id, attempt)
-            labels = {**cell.labels, "replicate": cell.replicate,
-                      "news_id": cell.news.news_id, "attempt": attempt, "net_seed": net_seed,
-                      "persona_seed": persona_seed, "decision_seed": decision_seed}
-            specs.append(engine.RunSpec(cell.cfg, cell.news, decision_seed,
-                                        {"config_sha": cell.config_sha, "labels": labels}))
-        retry = []
-        for i, record in zip(todo, engine.run_many(specs, net, personas, decider)):
-            cfg = cells[i].cfg
-            budget = cfg.effective_retry_budget if cfg.policy_kind == "stub" else 0
-            if record.effective or attempt >= budget:
-                records[i] = record
-            else:
-                retry.append(i)
-        todo, attempt = retry, attempt + 1
-    return records
+            attempts[i] += 1
+            specs[i] = spec(cells[i], attempts[i])
+        todo = [i for i in todo if attempts[i] < budgets[i]]
+    return engine.run_many(specs, net, personas, decider)
 
 
 def _execute_cell(cell: Cell, decider=None):

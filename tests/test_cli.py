@@ -415,6 +415,32 @@ def test_stub_compare_runs_bytes_are_pinned(tmp_path, news_path, monkeypatch, pa
     assert digest.hexdigest() == PINNED_RUNS_SHA256
 
 
+def test_compare_runs_each_group_once_at_full_length(tmp_path, news_path, monkeypatch):
+    """Retry attempts are picked in one-day probes: each group then makes one
+    full-length `run_many` call, which holds every cell of the group once."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "news.jsonl").write_bytes(news_path.read_bytes())
+    (tmp_path / "cfg.yaml").write_text(PINNED_CFG, encoding="utf-8")
+    calls = []
+    real_run_many = engine.run_many
+
+    def run_many(specs, *args):
+        calls.append([(spec.config.days, spec.meta["labels"]) for spec in specs])
+        return real_run_many(specs, *args)
+
+    monkeypatch.setattr(plan.engine, "run_many", run_many)
+    assert cli.main(["compare", "--config", "cfg.yaml", "--out", "out"]) == 0
+    assert {days for call in calls for days, _ in call} == {1, 7}
+    full = [[labels for _, labels in call] for call in calls if call[0][0] == 7]
+    groups = [{(labels["network"], labels["replicate"]) for labels in call} for call in full]
+    assert all(len(group) == 1 for group in groups)
+    assert len(full) == len(set.union(*groups)) == 3 * 2  # network kinds x replicates
+    cells = [(labels["network"], labels["intervention"], labels["replicate"], labels["news_id"])
+             for call in full for labels in call]
+    assert len(cells) == len(set(cells)) == 48
+    assert any(labels["attempt"] > 0 for labels in sum(full, []))
+
+
 #: sha256 over the runs/ tree, as for PINNED_RUNS_SHA256, of PINNED_LLM_CFG's
 #: compare answered by `_pinned_llm_transport`, as the engine wrote it when
 #: comments and transcript keys were kept by slot and split per run at the end
@@ -517,6 +543,25 @@ def test_compare_checks_every_network_before_writing(tmp_path, news_path, capsys
     assert capsys.readouterr().err == (
         "error: invalid config:\n"
         "  - high_brokerage: network.community_size must be in [3, n] for n = 10, got 13\n")
+
+
+@pytest.mark.parametrize("compare, problems", [
+    ({"networks": [], "interventions": ["none", "accuracy", "none"]},
+     ["compare.networks must not be empty",
+      "compare.interventions must not repeat an entry, got ['none', 'accuracy', 'none']"]),
+    ({"networks": ["random", "random"], "interventions": []},
+     ["compare.networks must not repeat an entry, got ['random', 'random']",
+      "compare.interventions must not be empty"]),
+], ids=["empty-networks", "repeated-networks"])
+def test_compare_refuses_empty_or_repeated_axes(tmp_path, news_path, capsys, compare, problems):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps({"replications": 1, "news": {"path": str(news_path)},
+                               "compare": compare}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: invalid config:\n" + "".join(f"  - {p}\n" for p in problems))
 
 
 # ---------------------------------------------------------------------------

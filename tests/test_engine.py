@@ -66,7 +66,8 @@ def day_end(state, kind, threshold, net=None, personas=None, **kw):
     """Evaluate the day-end triggers of a one-run `state` whose run has
     intervention `kind` at `threshold`; `kw` sets the config's other fields."""
     cfg = config(intervention=kind, trigger_threshold=threshold, **kw)
-    engine_mod._evaluate_triggers(state, net, personas, [RunSpec(cfg, NEWS)])
+    engine_mod._evaluate_triggers(state, net, personas, [RunSpec(cfg, NEWS)],
+                                  state.reached_prop())
 
 
 def always_share():
@@ -266,12 +267,12 @@ def test_skipping_idle_days_matches_stepping_every_day(net, seed, intercept, int
     assert events == [{"type": "seed", "day": 0, "agent": rec.events[0]["agent"]}]
     taints = state.taints[0]
     reached, forwarded = [state.reached_prop()[0]], [state.forwarded_prop()[0]]
-    engine_mod._evaluate_triggers(state, net, personas, specs)
+    engine_mod._evaluate_triggers(state, net, personas, specs, state.reached_prop())
     for _ in range(cfg.days):
         step_day(state, net, personas, specs, policy)
         reached.append(state.reached_prop()[0])
         forwarded.append(state.forwarded_prop()[0])
-        engine_mod._evaluate_triggers(state, net, personas, specs)
+        engine_mod._evaluate_triggers(state, net, personas, specs, state.reached_prop())
 
     assert (rec.reached_prop, rec.forwarded_prop) == (reached, forwarded)
     assert (rec.events, rec.taints) == (events, taints)
@@ -406,10 +407,10 @@ def test_accuracy_trigger_boundary():
     specs = [RunSpec(config(intervention=kind), NEWS) for kind in ("accuracy", "blocking", "none")]
     state = initial_state(net, 0, runs=3)
     state.grid(state.day_reached)[:, :99] = 0
-    engine_mod._evaluate_triggers(state, net, personas, specs)
+    engine_mod._evaluate_triggers(state, net, personas, specs, state.reached_prop())
     assert not state.triggered.any() and all(len(events) == 1 for events in state.events)
     state.grid(state.day_reached)[:, :100] = 0
-    engine_mod._evaluate_triggers(state, net, personas, specs)
+    engine_mod._evaluate_triggers(state, net, personas, specs, state.reached_prop())
     assert state.triggered.tolist() == [True, True, False]
     assert [[e["type"] for e in events[1:]] for events in state.events] == [
         ["accuracy_triggered"], ["blocking_applied"], []]
@@ -633,7 +634,8 @@ def test_conservation_each_day():
         reached = state.day_reached >= 0
         # no blocked agent entered the reached set after blocking was applied
         assert not (reached & ~reached_before & state.blocked).any()
-        engine_mod._evaluate_triggers(state, net, personas, [RunSpec(cfg, NEWS)])
+        engine_mod._evaluate_triggers(state, net, personas, [RunSpec(cfg, NEWS)],
+                                      state.reached_prop())
         # blocked agents decide nothing, from the block day on
         assert not state.blocked[state.frontier()].any()
         assert np.count_nonzero(reached) == round(state.reached_prop()[0] * 150)

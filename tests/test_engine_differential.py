@@ -10,17 +10,21 @@ record assembly turns them into the format-4 columns, storing the meta it is
 given as the engine does.
 
 `run_many` steps a group of runs in lockstep; each of its records must equal
-the record of the same run executed alone.
+the record of the same run executed alone. A plan group picks each stub
+cell's retry attempt in one-day probes; the attempt and record it keeps must
+be those that full runs, tried one attempt at a time, would give.
 """
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from newssim import engine, ingest, persona
+from newssim import engine, ingest, persona, plan
+from newssim.netgen import NetworkGenerationError
 from newssim.plan import connected_network
 from newssim.engine import RunRecord, RunSpec, blocking_candidates
 from newssim.ingest import NewsItem
@@ -271,3 +275,60 @@ def test_run_many_asks_a_scripted_policy_what_single_runs_ask(group, share_below
         assert record.to_json() == alone.to_json()
         news_id = spec.news.news_id
         assert grouped.requests.get(news_id, []) == single.requests.get(news_id, [])
+
+
+# ---------------------------------------------------------------------------
+# a plan group's retry attempts against full runs, one attempt at a time
+# ---------------------------------------------------------------------------
+
+@st.composite
+def retry_groups(draw):
+    """The cells of one plan group: a small random network, one replicate,
+    and up to four cells of any intervention, trigger and retry budget. A
+    threshold at or below 1/n latches on day 0, before the source decides."""
+    n = draw(st.integers(5, 24))
+    base = ingest.ExperimentConfig(
+        network_params={"n": n, "edge_prob": draw(st.floats(0.4, 0.9))},
+        days=draw(st.integers(1, 4)), master_seed=draw(st.integers(0, 2**32)),
+        stub_params={"intercept": draw(st.floats(-2.0, 2.0))})
+    pin = draw(st.sampled_from([{}, {"trait": "openness", "level": "high"}]))
+    replicate = draw(st.integers(0, 3))
+    cells = []
+    for i in range(draw(st.integers(1, 4))):
+        cfg = replace(
+            base,
+            intervention_kind=draw(st.sampled_from(["none", "commenting", "accuracy",
+                                                    "blocking"])),
+            trigger_threshold=draw(st.one_of(st.just(1 / n), st.floats(0.01, 1.0))),
+            block_fraction=draw(st.sampled_from([0.2, 0.5, 0.9])),
+            block_denominator=draw(st.sampled_from(["all_agents", "candidates"])),
+            effective_retry_budget=draw(st.integers(0, 5)))
+        news = NewsItem(news_id=f"n-{i}", title="headline", body="body", veracity="fake")
+        labels = {"intervention": cfg.intervention_kind, **pin}
+        cells.append(plan.Cell(cfg, news, replicate, labels, f"cell{i}.json"))
+    return cells
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells=retry_groups())
+def test_a_group_keeps_the_first_effective_attempt_of_full_runs(cells):
+    params = StubParams.from_dict(cells[0].cfg.stub_params)
+    try:
+        records = plan._execute_group(cells, StubPolicy(params))
+    except NetworkGenerationError:
+        assume(False)
+    _, net_params, net_seed, persona_seed, pin = plan._inputs(cells[0])
+    net = plan._cached_network("random", net_params, net_seed)
+    personas = plan._cached_cohort(net.n, persona_seed, *pin)
+    for cell, record in zip(cells, records, strict=True):
+        budget = cell.cfg.effective_retry_budget
+        for attempt in range(budget + 1):
+            seed = derive_seed(cell.cfg.master_seed, "decide", cell.replicate,
+                               cell.news.news_id, attempt)
+            full = engine.run(cell.cfg, net, personas, cell.news,
+                              StubPolicy(params, rng_seed=seed), meta=record.meta)
+            if full.effective:
+                break
+        labels = record.meta["labels"]
+        assert (labels["attempt"], labels["decision_seed"]) == (attempt, seed)
+        assert record.to_json() == full.to_json()

@@ -124,6 +124,12 @@ def test_out_of_range_values_aggregate(tmp_path):
         ("llm_params", {"timeout": 0}, "policy.llm.timeout must be > 0"),
         ("effective_retry_budget", -1, "effective_retry_budget must be >= 0, got -1"),
         ("sweep_offset", -1.0, "sweep.offset must be >= 0, got -1.0"),
+        ("compare_networks", [], "compare.networks must not be empty"),
+        ("compare_networks", ["random", "scale_free", "random"],
+         "compare.networks must not repeat an entry, got ['random', 'scale_free', 'random']"),
+        ("compare_interventions", [], "compare.interventions must not be empty"),
+        ("compare_interventions", ["blocking", "blocking"],
+         "compare.interventions must not repeat an entry, got ['blocking', 'blocking']"),
     ],
 )
 def test_validate_rejects_each_bad_value(field, value, problem):
