@@ -25,6 +25,7 @@ plan rewrites byte-identical files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -226,6 +227,11 @@ def main(argv=None) -> int:
         from . import plan
 
         func, errors = getattr(plan, func), errors + plan.ERRORS
+    if argv is None:
+        # the process's own command line (the console script, `python -m`):
+        # what it has imported lives until exit, so no collection, the one at
+        # exit included, needs to walk it; an in-process caller keeps its gc
+        gc.freeze()
     try:
         return func(args)
     except errors as exc:

@@ -28,8 +28,8 @@ grouped with it. `run` is a group of one.
 from __future__ import annotations
 
 import math
+import typing
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -42,8 +42,7 @@ from .netgen import Network
 from .record import RunRecord
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(typing.NamedTuple):
     """One run of a lockstep group: its config and news item, its decision
     seed (None: the policy's own), and the meta its record keeps as given."""
 
@@ -53,7 +52,6 @@ class RunSpec:
     meta: dict | None = None
 
 
-@dataclass(eq=False)
 class DiffusionState:
     """Mutable ledger of `runs` runs over one n-agent network.
 
@@ -73,25 +71,15 @@ class DiffusionState:
     the seed, its taints, and two dicts keyed by agent id: comments (of each
     sharer that left one) and transcripts (the LLM transcript cache key of
     each decider that has one). `day` is the group's: its runs start
-    together on day 0.
+    together on day 0. States compare by identity.
     """
 
-    n: int
-    runs: int = 1
-    day: int = 0
-    day_reached: np.ndarray = field(init=False)
-    sender: np.ndarray = field(init=False)
-    decision: np.ndarray = field(init=False)
-    day_shared: np.ndarray = field(init=False)
-    blocked: np.ndarray = field(init=False)
-    triggered: np.ndarray = field(init=False)
-    events: list[list[dict]] = field(init=False)
-    taints: list[list[str]] = field(init=False)
-    comments: list[dict[int, str]] = field(init=False)
-    transcripts: list[dict[int, str]] = field(init=False)
+    __slots__ = ("n", "runs", "day", "day_reached", "sender", "decision", "day_shared",
+                 "blocked", "triggered", "events", "taints", "comments", "transcripts")
 
-    def __post_init__(self):
-        slots = self.runs * self.n
+    def __init__(self, n: int, runs: int = 1):
+        self.n, self.runs, self.day = n, runs, 0
+        slots = runs * n
         self.day_reached = np.full(slots, -1, dtype=np.int32)
         self.sender = np.full(slots, -1, dtype=np.int32)
         self.decision = np.full(slots, -1, dtype=np.int8)

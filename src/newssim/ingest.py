@@ -37,8 +37,7 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n  - " + "\n  - ".join(problems))
 
 
-@dataclass(frozen=True)
-class NewsItem:
+class NewsItem(typing.NamedTuple):
     news_id: str
     title: str
     body: str

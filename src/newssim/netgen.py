@@ -14,6 +14,7 @@ mean per-node clustering 2*e_i/(k_i*(k_i-1)), and Newman modularity
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +116,7 @@ class Network:
         return self._degrees
 
 
-@dataclass(frozen=True)
-class NetworkStats:
+class NetworkStats(typing.NamedTuple):
     density: float
     mean_degree: float
     sd_degree: float

@@ -9,7 +9,7 @@ composition. Sampled scores are clamped to the [1, 7] instrument range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import typing
 
 import numpy as np
 
@@ -30,8 +30,7 @@ class PersonaConfigError(ValueError):
     """Invalid sampling statistics (bad sds or non-PSD correlations)."""
 
 
-@dataclass(frozen=True)
-class BigFiveStats:
+class BigFiveStats(typing.NamedTuple):
     """Population moments for trait sampling: means, sds, and a 5x5 correlation matrix."""
 
     means: tuple[float, ...]
@@ -77,8 +76,7 @@ DEFAULT_TRAIT_STATS = BigFiveStats(
 )
 
 
-@dataclass(frozen=True)
-class AgentPersona:
+class AgentPersona(typing.NamedTuple):
     agent_id: int
     gender: str
     age: int
@@ -86,26 +84,25 @@ class AgentPersona:
     big_five_labels: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class Cohort:
     """A cohort that cannot change, held as columns indexed by agent id.
 
     `female` (n,) bool, `age` (n,) int, `scores` (n, 5) float64 and `high`
     (n, 5) bool, the high/low level of each score, in TRAITS order. Every
-    column is read-only, so cohorts can share columns. `cohort[i]` builds
-    agent i's AgentPersona, and `persona_text(i)` renders its text once, for
-    every cell sharing the cohort.
+    column is made read-only, so cohorts can share columns; cohorts compare
+    by identity. `cohort[i]` builds agent i's AgentPersona, and
+    `persona_text(i)` renders its text once, for every cell sharing the
+    cohort.
     """
 
-    female: np.ndarray
-    age: np.ndarray
-    scores: np.ndarray
-    high: np.ndarray
-    _texts: dict[int, str] = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("female", "age", "scores", "high", "_texts")
 
-    def __post_init__(self):
-        for column in (self.female, self.age, self.scores, self.high):
+    def __init__(self, female: np.ndarray, age: np.ndarray, scores: np.ndarray,
+                 high: np.ndarray):
+        for column in (female, age, scores, high):
             column.flags.writeable = False
+        self.female, self.age, self.scores, self.high = female, age, scores, high
+        self._texts: dict[int, str] = {}
 
     def __len__(self) -> int:
         return len(self.age)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -96,24 +96,22 @@ def _open_policy(cfg, cache=None, transport=None):
                             transport=transport, body_char_budget=cfg.body_char_budget)
 
 
-@dataclass(frozen=True)
 class Cell:
     """One plan cell: a run of `news` on replicate `replicate`, written to runs/`file`.
 
     `config_sha` keys `cfg`'s snapshot in plan.json's `configs`: a plan hashes
     each group's config once, and a cell built without a sha hashes its own.
+    Cells compare by identity.
     """
 
-    cfg: ingest.ExperimentConfig
-    news: ingest.NewsItem
-    replicate: int
-    labels: dict
-    file: str
-    config_sha: str | None = None
+    __slots__ = ("cfg", "news", "replicate", "labels", "file", "config_sha")
 
-    def __post_init__(self):
-        if self.config_sha is None:
-            object.__setattr__(self, "config_sha", _config_hash(ingest.config_snapshot(self.cfg)))
+    def __init__(self, cfg: ingest.ExperimentConfig, news: ingest.NewsItem, replicate: int,
+                 labels: dict, file: str, config_sha: str | None = None):
+        if config_sha is None:
+            config_sha = _config_hash(ingest.config_snapshot(cfg))
+        self.cfg, self.news, self.replicate = cfg, news, replicate
+        self.labels, self.file, self.config_sha = labels, file, config_sha
 
 
 def _inputs(cell: Cell) -> tuple:
@@ -133,7 +131,9 @@ def _execute_group(cells: list[Cell], decider) -> list:
     A source decides on day 1 only, so each stub cell with a retry budget
     first picks its attempt in one-day probe passes, moving only the cells
     whose source declined to their next decision seed until the budget is
-    spent; LLM cells are not retried. Then every cell runs its attempt once.
+    spent; LLM cells are not retried. A probe is its cell's spec with a
+    days=1 copy of the cell config, made once per distinct config. Then
+    every cell runs its attempt once.
     """
     kind, params, net_seed, persona_seed, pin = _inputs(cells[0])
     with _replicate_lock:
@@ -152,8 +152,12 @@ def _execute_group(cells: list[Cell], decider) -> list:
     specs, attempts = [spec(cell, 0) for cell in cells], [0] * len(cells)
     budgets = [c.cfg.effective_retry_budget if c.cfg.policy_kind == "stub" else 0 for c in cells]
     todo = [i for i, budget in enumerate(budgets) if budget]
+    one_day = {}  # id of each probed cell config: its days=1 copy
+    for i in todo:
+        if id(cells[i].cfg) not in one_day:
+            one_day[id(cells[i].cfg)] = replace(cells[i].cfg, days=1)
     while todo:
-        probes = [replace(specs[i], config=replace(specs[i].config, days=1)) for i in todo]
+        probes = [specs[i]._replace(config=one_day[id(cells[i].cfg)]) for i in todo]
         todo = [i for i, probe in zip(todo, engine.run_many(probes, net, personas, decider))
                 if not probe.effective]
         for i in todo:

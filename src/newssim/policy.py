@@ -66,26 +66,32 @@ class PolicyError(RuntimeError):
     """Unrecoverable policy failure (e.g. network failure after retries)."""
 
 
-@dataclass(frozen=True)
-class DecisionRequest:
-    """One agent's decision on `news` on `day`. The template is its whole
-    context: "accuracy" carries the accuracy notice, and only "commenting"
-    the `peer_comments` delivered to the agent so far, oldest first."""
-
+class _Request(typing.NamedTuple):
     news: NewsItem
     day: int
     template_id: str = "none"
     peer_comments: tuple[str, ...] | None = None
 
-    def __post_init__(self):
-        if self.template_id not in TEMPLATE_IDS:
-            raise ValueError(f"unknown template id {self.template_id!r}")
-        if self.peer_comments is not None and self.template_id != "commenting":
+
+class DecisionRequest(_Request):
+    """One agent's decision on `news` on `day`. The template is its whole
+    context: "accuracy" carries the accuracy notice, and only "commenting"
+    the `peer_comments` delivered to the agent so far, oldest first. A
+    ValueError refuses any other template, or peer comments outside
+    "commenting"."""
+
+    __slots__ = ()
+
+    def __new__(cls, news: NewsItem, day: int, template_id: str = "none",
+                peer_comments: tuple[str, ...] | None = None):
+        if template_id not in TEMPLATE_IDS:
+            raise ValueError(f"unknown template id {template_id!r}")
+        if peer_comments is not None and template_id != "commenting":
             raise ValueError("peer_comments are only valid under the commenting template")
+        return super().__new__(cls, news, day, template_id, peer_comments)
 
 
-@dataclass(frozen=True)
-class DecisionBatch:
+class DecisionBatch(typing.NamedTuple):
     """One day's deciders, over one or more runs that share a cohort.
 
     Decider i is agent `agents[i]` of run `runs[i]`, in (run, agent) order
@@ -116,8 +122,7 @@ class DecisionBatch:
                                peer_comments=comments)
 
 
-@dataclass(frozen=True)
-class DecisionOutcome:
+class DecisionOutcome(typing.NamedTuple):
     share: bool
     comment: str | None
     rationale: str | None
@@ -129,8 +134,7 @@ class DecisionOutcome:
     transcript_key: str | None = None
 
 
-@dataclass(frozen=True)
-class Decisions:
+class Decisions(typing.NamedTuple):
     """Outcomes of one DecisionBatch as columns, in the batch's agent order.
 
     `transcript` holds the cache key of each LLM decision's transcript
@@ -367,14 +371,16 @@ def template_hashes() -> dict[str, str]:
     }
 
 
-def _prompt_inputs(req: DecisionRequest) -> tuple[NewsItem, str, tuple[str, ...] | None]:
-    """All that render_prompt reads of `req`: the news item, the template id
-    and, under the commenting template, the last MAX_PEER_COMMENTS peer
-    comments (else None). Requests with equal inputs render equal prompts."""
+def _prompt_inputs(news: NewsItem, template_id: str, peer_comments: tuple[str, ...] | None
+                   ) -> tuple[NewsItem, str, tuple[str, ...] | None]:
+    """All that render_prompt reads of a request's `news`, `template_id` and
+    `peer_comments`: the news item, the template id and, under the
+    commenting template, the last MAX_PEER_COMMENTS peer comments (else
+    None). Requests with equal inputs render equal prompts."""
     comments = None
-    if req.template_id == "commenting":
-        comments = tuple(req.peer_comments or ())[-MAX_PEER_COMMENTS:]
-    return req.news, req.template_id, comments
+    if template_id == "commenting":
+        comments = tuple(peer_comments or ())[-MAX_PEER_COMMENTS:]
+    return news, template_id, comments
 
 
 def render_prompt(
@@ -383,7 +389,7 @@ def render_prompt(
     body_char_budget: int = 1200,
 ) -> str:
     """Deterministic template instantiation for a decision request."""
-    news, template_id, comments = _prompt_inputs(req)
+    news, template_id, comments = _prompt_inputs(req.news, req.template_id, req.peer_comments)
     mapping = {
         "persona": persona_text,
         "news_title": news.title,
@@ -661,7 +667,9 @@ class LlmPolicy:
     The outcome of every decision made from a transcript at hand (a cache
     hit or a finished ask) is kept until close(), keyed by the decider's
     inputs: its persona text and `_prompt_inputs`. A later decider with the
-    same inputs gets that outcome without rendering, hashing or parsing.
+    same inputs gets that outcome without rendering, hashing or parsing;
+    `decide_many` reads those inputs from the batch's columns, and builds a
+    DecisionRequest only for a decider whose outcome is not kept.
     Deciders that wait on an ask in flight keep nothing; the next decider
     with their inputs finds the transcript in the cache.
 
@@ -761,30 +769,41 @@ class LlmPolicy:
             transcript = self._asks[ask_id] = raw, "llm_live", key
         return transcript
 
-    def _outcome_or_ask(self, req: DecisionRequest, persona_text: str) -> DecisionOutcome | Future:
-        """The outcome kept for this decider's inputs, or one decided now from
-        a transcript at hand (and kept), or else the future of the ask in
-        flight for its prompt."""
-        inputs = (persona_text, *_prompt_inputs(req))
-        kept = self._outcomes.get(inputs)
+    def _outcome_or_ask(self, persona_text: str, inputs: tuple, day: int
+                        ) -> DecisionOutcome | Future:
+        """The outcome kept for a decider's persona text and `_prompt_inputs`,
+        or one decided now from a transcript at hand (and kept), or else the
+        future of the ask in flight for its prompt. Only a decider with no
+        kept outcome has its request built and its prompt rendered."""
+        key = (persona_text, *inputs)
+        kept = self._outcomes.get(key)
         if kept is None:
+            news, template_id, comments = inputs
+            req = DecisionRequest(news, day, template_id, comments)
             transcript = self._transcript(render_prompt(req, persona_text, self.body_char_budget))
             if not isinstance(transcript, tuple):  # the future of an ask in flight
                 return transcript
-            kept = self._outcomes[inputs] = _outcome(transcript, req.template_id == "commenting")
+            kept = self._outcomes[key] = _outcome(transcript, template_id == "commenting")
         return kept
 
     def decide(self, req: DecisionRequest, persona: persona_mod.AgentPersona) -> DecisionOutcome:
-        decision = self._outcome_or_ask(req, persona_mod.render_persona_text(persona))
+        decision = self._outcome_or_ask(
+            persona_mod.render_persona_text(persona),
+            _prompt_inputs(req.news, req.template_id, req.peer_comments), req.day)
         return _settled(decision, req.template_id == "commenting")
 
     def decide_many(self, batch: DecisionBatch, personas: persona_mod.Cohort) -> Decisions:
         """Decide the batch as `decide` would each decider: kept outcomes and
         the cache's answers here, and every run's misses on the pool at once.
         A PolicyError is re-raised naming the day and agent."""
-        asked = [(agent, batch.template_id[run] == "commenting",
-                  self._outcome_or_ask(batch.request(agent, run), personas.persona_text(agent)))
-                 for run, agent in batch.deciders()]
+        asked = []
+        for run, agent in batch.deciders():
+            template_id = batch.template_id[run]
+            commenting = template_id == "commenting"
+            inputs = _prompt_inputs(batch.news[run], template_id,
+                                    batch.peer_comments(run, agent) if commenting else None)
+            asked.append((agent, commenting, self._outcome_or_ask(personas.persona_text(agent),
+                                                                  inputs, batch.day)))
         outcomes = []
         for agent, want_comment, decision in asked:
             try:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import hashlib
 import json
 import os
@@ -153,6 +154,37 @@ def test_stats_loads_four_newssim_modules(tmp_path, small_config):
     assert {m for m in added if m.split(".")[0] == "newssim"} == {
         "newssim", "newssim.cli", "newssim.output", "newssim.record", "newssim.stats"}
     assert not added & {"dataclasses", "concurrent.futures", "logging"}
+
+
+def test_the_cli_program_freezes_the_heap_it_loaded(tmp_path, small_config):
+    """`main()` on the process's own command line, as the console script and
+    `python -m newssim.cli` call it, leaves what it imported frozen."""
+    out = tmp_path / "out"
+    for argv in (["run", "--config", str(small_config(reps=1, news_limit=1)), "--out", str(out)],
+                 ["stats", "--results", str(out)]):
+        code = ("import gc, sys\nfrom newssim import cli\nassert gc.get_freeze_count() == 0\n"
+                f"sys.argv = ['newssim', *{argv!r}]\nassert cli.main() == 0\n"
+                "print(gc.get_freeze_count() > 0)")
+        assert _python(code).splitlines()[-1] == "True"
+
+
+def test_an_in_process_main_leaves_the_collector_alone(tmp_path, small_config):
+    frozen = gc.get_freeze_count()
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(small_config(reps=1, news_limit=1)),
+                     "--out", str(out)]) == 0
+    assert cli.main(["stats", "--results", str(out)]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_only_the_types_tests_replace_or_list_fields_of_are_dataclasses():
+    code = ("import dataclasses, sys, newssim.plan, newssim.cli\n"
+            "print(' '.join(sorted(f'{name}.{attr}' for name, module in list(sys.modules.items())"
+            " if name.split('.')[0] == 'newssim' for attr, obj in vars(module).items()"
+            " if isinstance(obj, type) and obj.__module__ == name"
+            " and dataclasses.is_dataclass(obj))))")
+    assert _python(code).split() == ["newssim.ingest.ExperimentConfig", "newssim.netgen.Network",
+                                     "newssim.policy.LlmSettings", "newssim.policy.StubParams"]
 
 
 @pytest.mark.parametrize("policy_kind", ["stub", "llm"])
@@ -439,6 +471,28 @@ def test_compare_runs_each_group_once_at_full_length(tmp_path, news_path, monkey
              for call in full for labels in call]
     assert len(cells) == len(set(cells)) == 48
     assert any(labels["attempt"] > 0 for labels in sum(full, []))
+
+
+def test_a_group_probes_with_one_day_config_per_cell_config(tmp_path, news_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "news.jsonl").write_bytes(news_path.read_bytes())
+    (tmp_path / "cfg.yaml").write_text(PINNED_CFG, encoding="utf-8")
+    probed = {}  # (network, replicate): the config of every probe its group ran
+    real_run_many = engine.run_many
+
+    def run_many(specs, *args):
+        for spec in specs:
+            if spec.config.days == 1:
+                labels = spec.meta["labels"]
+                probed.setdefault((labels["network"], labels["replicate"]), []).append(spec.config)
+        return real_run_many(specs, *args)
+
+    monkeypatch.setattr(plan.engine, "run_many", run_many)
+    assert cli.main(["compare", "--config", "cfg.yaml", "--out", "out"]) == 0
+    assert len(probed) == 3 * 2  # network kinds x replicates
+    for configs in probed.values():
+        assert len(configs) > 4  # some cells were probed more than once
+        assert len({id(c) for c in configs}) == len({c.intervention_kind for c in configs}) == 4
 
 
 #: sha256 over the runs/ tree, as for PINNED_RUNS_SHA256, of PINNED_LLM_CFG's
@@ -1189,6 +1243,14 @@ def llm_cells(small_config, tmp_path, llm=""):
                  f"run_rep{rep:03d}_news{item.news_id}.json")
         for rep in range(cfg.replications) for item in plan._news_for(cfg)
     ]
+
+
+def test_a_cell_built_without_a_config_sha_hashes_its_config(small_config):
+    cfg = load_config(small_config())
+    item = plan._news_for(cfg)[0]
+    sha = plan._config_hash(ingest.config_snapshot(cfg))
+    assert plan.Cell(cfg, item, 0, {}, "cell.json").config_sha == sha
+    assert plan.Cell(cfg, item, 0, {}, "cell.json", "given").config_sha == "given"
 
 
 def test_llm_plan_replays_from_cache(tmp_path, small_config, monkeypatch):

@@ -915,6 +915,41 @@ def test_a_kept_outcome_skips_rendering_and_lookups(monkeypatch):
     assert len(rendered) == 2 * n and len(cache.gets) == 2 * lookups
 
 
+def test_decide_many_builds_requests_only_for_deciders_without_a_kept_outcome(monkeypatch):
+    """Run 1 repeats run 0's last MAX_PEER_COMMENTS comments after one older
+    comment: its deciders are keyed from the batch's columns, find run 0's
+    outcomes kept, and build no request."""
+    from newssim import policy as policy_module
+
+    n = len(KEPT_COHORT)
+    batch = DecisionBatch(day=2, agents=np.tile(np.arange(n), 2),
+                          runs=np.repeat(np.arange(2), n), news=(NEWS, NEWS),
+                          template_id=("commenting", "commenting"), seed=(None, None),
+                          peer_comments=lambda run, agent: ("older",) * run
+                          + COMMENT_POOL[:MAX_PEER_COMMENTS])
+    cache = DecisionCache()
+    LlmPolicy(KEPT_SETTINGS, cache, transport=scripted_transport([], threading.Lock())
+              ).decide_many(batch, KEPT_COHORT)
+    built = []
+
+    class CountedRequest(DecisionRequest):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(policy_module, "DecisionRequest", CountedRequest)
+    policy = LlmPolicy(KEPT_SETTINGS, cache, transport=refuse)
+    first = policy.decide_many(batch, KEPT_COHORT)
+    distinct = len({KEPT_COHORT.persona_text(a) for a in range(n)})
+    assert len(built) == distinct
+    assert columns(first)[0][:n] == columns(first)[0][n:]
+    assert columns(policy.decide_many(batch, KEPT_COHORT)) == columns(first)
+    assert len(built) == distinct
+    policy.close()
+
+
 def test_a_failed_ask_is_not_kept():
     transport = make_transport([RuntimeError("refused"), "DECISION: SHARE"])
     policy = LlmPolicy(LlmSettings(max_retries=0), DecisionCache(), transport=transport)
