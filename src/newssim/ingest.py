@@ -36,6 +36,10 @@ class ConfigError(ValueError):
         self.problems = problems
         super().__init__("invalid config:\n  - " + "\n  - ".join(problems))
 
+    def __reduce__(self):
+        # unpickling calls the class with the pickled args: the problems, not the message
+        return ConfigError, (self.problems,)
+
 
 class NewsItem(typing.NamedTuple):
     news_id: str

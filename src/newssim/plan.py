@@ -4,17 +4,20 @@
 `compare` live here, with the executor the last three share. `cli` imports
 this module only for these commands, so `newssim stats` and
 `export-plot-data` load neither numpy nor the simulation modules. A plan
-imports `concurrent.futures` only when it starts a thread pool: `--parallel`
-above 1 here, or an LLM ask the cache cannot answer (see policy.LlmPolicy).
+imports `concurrent.futures` only when it starts a pool: forked worker
+processes for a stub plan's groups, threads for an LLM plan's groups, or
+an LLM ask the cache cannot answer (see policy.LlmPolicy); `multiprocessing`
+only for the stub plan's worker processes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from . import __version__, engine, ingest, netgen, persona, policy, stats
@@ -57,7 +60,8 @@ def connected_network(kind: str, params: dict, seed: int) -> netgen.Network:
 
 
 # lru_cache does not hold its lock while it builds a value: without this one,
-# cells on --parallel threads would each build the same network or cohort
+# an LLM plan's groups on --parallel threads would each build the same network
+# or cohort (a stub plan's worker processes each have their own caches)
 _replicate_lock = threading.Lock()
 
 
@@ -173,12 +177,81 @@ def _execute_cell(cell: Cell, decider=None):
     return _execute_group([cell], decider or _open_policy(cell.cfg))[0]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _write_group(members: list[int], cells: list[Cell], decider, runs_dir: Path) -> list:
+    """Execute the cells at indices `members` as one group, write each record
+    to runs_dir/<cell.file>, and return the records in `members` order."""
+    records = _execute_group([cells[i] for i in members], decider)
+    for i, record in zip(members, records):
+        _write_text(runs_dir / cells[i].file, record.to_json())
+    return records
+
+
+#: (cells, decider, runs_dir) of the plan a forked worker process executes groups of
+_forked_plan = None
+
+
+def _adopt_plan(*plan_args) -> None:
+    """A fork pool worker's initializer: it keeps the plan it inherited, so
+    tasks carry only member indices and nothing of the plan is pickled."""
+    global _forked_plan
+    _forked_plan = plan_args
+
+
+def _forked_group(members: list[int]) -> list:
+    return _write_group(members, *_forked_plan)
+
+
+def _executed_groups(groups: list[list[int]], cells: list[Cell], decider, runs_dir: Path,
+                     parallel: int) -> list[list]:
+    """Each group's written records, in `groups` order.
+
+    An LLM plan runs min(parallel, groups) groups at a time on threads over
+    its one policy. A stub plan runs min(parallel, usable CPUs, groups) at a
+    time in worker processes forked with the cells and the policy, which
+    return their records. It forks only where the platform can and while the
+    calling thread is the only live one; otherwise, or with one worker, the
+    groups run in this process.
+    """
+    llm = isinstance(decider, policy.LlmPolicy)
+    workers = min(parallel, len(groups)) if llm else min(parallel, len(groups), _usable_cpus())
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    if workers < 2 or not (llm or can_fork):
+        return [_write_group(members, cells, decider, runs_dir) for members in groups]
+    if llm:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+        task = partial(_write_group, cells=cells, decider=decider, runs_dir=runs_dir)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_adopt_plan, initargs=(cells, decider, runs_dir))
+        task = _forked_group
+    try:
+        return list(pool.map(task, groups))
+    finally:
+        pool.shutdown(cancel_futures=True)  # a failed group leaves the queued ones unrun
+
+
 def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, parallel: int = 1):
     """Execute cells group by group, writing each record to out_dir/runs/<cell.file>.
 
     An INCOMPLETE sentinel exists in out_dir while cells are executing; an
     interrupted plan leaves it behind along with the partial runs directory.
-    `parallel` threads execute groups. An LLM plan's groups share one
+    Up to `parallel` groups execute at a time (see _executed_groups): a stub
+    plan's in forked worker processes, no more than this process has usable
+    CPUs, and an LLM plan's on threads. An LLM plan's groups share one
     LlmPolicy over `cache`, so requests in flight stay within
     `llm.concurrency` at any `parallel`; the policy's pool and the cache's
     append handle are closed once the cells are done.
@@ -192,21 +265,11 @@ def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, para
     for i, cell in enumerate(cells):
         groups.setdefault(_inputs(cell), []).append(i)
     records = [None] * len(cells)
-
-    def _one(members):
-        for i, record in zip(members, _execute_group([cells[i] for i in members], decider)):
-            _write_text(runs_dir / cells[i].file, record.to_json())
-            records[i] = record
-
     try:
-        if parallel > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                list(pool.map(_one, groups.values()))
-        else:
-            for members in groups.values():
-                _one(members)
+        done = _executed_groups(list(groups.values()), cells, decider, runs_dir, parallel)
+        for members, group_records in zip(groups.values(), done):
+            for i, record in zip(members, group_records):
+                records[i] = record
     finally:
         if isinstance(decider, policy.LlmPolicy):
             decider.close()

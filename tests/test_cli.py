@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -360,6 +361,103 @@ def test_run_parallel_matches_serial(tmp_path, small_config):
     assert cli.main(["run", "--config", str(cfg), "--out", str(parallel),
                      "--parallel", "4"]) == 0
     assert tree_bytes(serial) == tree_bytes(parallel)
+
+
+def _record_pids(monkeypatch, path: Path) -> None:
+    """Append the pid of each process that executes a group to `path`."""
+    real = plan._execute_group
+
+    def recording(cells, decider):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(cells, decider)
+
+    monkeypatch.setattr(plan, "_execute_group", recording)
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep-personality"])
+def test_stub_groups_run_in_worker_processes_with_serial_bytes(tmp_path, small_config,
+                                                               monkeypatch, command):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = str(small_config(reps=2, news_limit=2))
+    pids = tmp_path / "pids.txt"
+    _record_pids(monkeypatch, pids)
+    trees = {}
+    for parallel in ("1", "2"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / parallel),
+                         "--parallel", parallel]) == 0
+        trees[parallel] = tree_bytes(tmp_path / parallel)
+        workers = set(pids.read_text(encoding="utf-8").split())
+        pids.unlink()
+        if parallel == "1":
+            assert workers == {str(os.getpid())}
+        else:
+            assert str(os.getpid()) not in workers and 1 <= len(workers) <= 2
+    assert trees["1"] == trees["2"]
+
+
+def test_one_usable_cpu_starts_no_pool(tmp_path, small_config, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a pool or a thread started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", boom)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", boom)
+    monkeypatch.setattr(threading.Thread, "start", boom)
+    cfg = str(small_config(reps=2, news_limit=1))
+    assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "in"),
+                     "--parallel", "4"]) == 0
+    added = _modules_beyond_bare(
+        "import os; os.sched_getaffinity = lambda pid: {0}\n"
+        f"from newssim import cli; assert cli.main(['compare', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--parallel', '4']) == 0")
+    assert "newssim.plan" in added
+    assert not added & {"multiprocessing", "concurrent.futures", "logging"}
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert plan._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert plan._usable_cpus() == 7
+
+
+def test_a_group_that_fails_in_a_worker_reports_as_at_parallel_one(tmp_path, small_config,
+                                                                   monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    failed_in = tmp_path / "failed_in.txt"
+    real = engine.run_many
+
+    def failing(specs, *args, **kwargs):
+        labels = specs[0].meta["labels"]
+        if labels["network"] == "scale_free" and labels["replicate"] == 1:
+            failed_in.write_text(str(os.getpid()), encoding="utf-8")
+            raise policy.PolicyError("day 1, agent 3: chat completion failed after 1 tries")
+        return real(specs, *args, **kwargs)
+
+    monkeypatch.setattr(plan.engine, "run_many", failing)
+    cfg = str(small_config(reps=2, news_limit=2))
+    for parallel in ("1", "2"):
+        out = tmp_path / parallel
+        assert cli.main(["compare", "--config", cfg, "--out", str(out),
+                         "--parallel", parallel]) == 2
+        assert capsys.readouterr().err == (
+            "error: day 1, agent 3: chat completion failed after 1 tries\n")
+        assert (out / "INCOMPLETE").exists() and not (out / "summary.json").exists()
+        assert (failed_in.read_text(encoding="utf-8") == str(os.getpid())) == (parallel == "1")
+
+
+@pytest.mark.parametrize("error", [
+    ingest.ConfigError(["days must be >= 1, got 0", "news.limit must be >= 1, got 0"]),
+    ingest.NewsFormatError("news.jsonl:3: record 'n1' has no 'veracity'"),
+    *(kind("what went wrong") for kind in plan.ERRORS),
+], ids=lambda error: type(error).__name__)
+def test_plan_errors_survive_pickling(error):
+    """A worker process's error reaches the parent as it was raised."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert getattr(copy, "problems", None) == getattr(error, "problems", None)
 
 
 def test_interrupted_run_leaves_incomplete_marker(tmp_path, small_config, monkeypatch):
@@ -814,23 +912,42 @@ def test_sweep_personality_groups(tmp_path, small_config):
 
 @pytest.mark.parametrize("command", ["compare", "sweep-personality"])
 def test_a_replicate_samples_its_cohort_once(tmp_path, small_config, monkeypatch, command):
-    plan._cached_cohort.cache_clear()
-    sampled = []
+    """An LLM plan's groups race for a replicate's cohort on threads; a stub
+    plan's worker processes each sample a replicate's cohort at most once."""
+    samples = tmp_path / "samples.txt"
     real = persona.sample_personas
 
     def counting(n, *args, **kwargs):
-        sampled.append(n)
+        with open(samples, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {n} {kwargs['rng_seed']}\n")
         return real(n, *args, **kwargs)
 
     monkeypatch.setattr(persona, "sample_personas", counting)
+    monkeypatch.setattr(policy, "_default_transport",
+                        scripted_transport("DECISION: SHARE\nREASON: interesting"))
+    llm = small_config(reps=2, news_limit=2, extra=(
+        f"policy:\n  kind: llm\n  llm:\n    cache_path: {tmp_path / 'cache.jsonl'}\n"))
+    plan._cached_cohort.cache_clear()
     old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # parallel cells racing for one replicate's cohort
+    sys.setswitchinterval(1e-6)  # parallel groups racing for one replicate's cohort
     try:
-        assert cli.main([command, "--config", str(small_config(reps=2, news_limit=2)),
-                         "--out", str(tmp_path / "out"), "--parallel", "4"]) == 0
+        assert cli.main([command, "--config", str(llm), "--out", str(tmp_path / "llm"),
+                         "--parallel", "4"]) == 0
     finally:
         sys.setswitchinterval(old)
-    assert sampled == [60, 60]
+    lines = samples.read_text(encoding="utf-8").splitlines()
+    assert [line.split()[1] for line in lines] == ["60", "60"]
+    assert {line.split()[0] for line in lines} == {str(os.getpid())}
+
+    samples.unlink()
+    plan._cached_cohort.cache_clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert cli.main([command, "--config", str(small_config(reps=2, news_limit=2)),
+                     "--out", str(tmp_path / "stub"), "--parallel", "4"]) == 0
+    lines = samples.read_text(encoding="utf-8").splitlines()
+    assert str(os.getpid()) not in {line.split()[0] for line in lines}
+    assert len(set(lines)) == len(lines)  # no worker samples one (n, seed) twice
+    assert len({tuple(line.split()[1:]) for line in lines}) == 2  # one cohort per replicate
 
 
 def test_cached_cohorts_are_shared_and_pinned_per_trait_level():
