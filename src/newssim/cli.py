@@ -85,22 +85,24 @@ def cmd_stats(args) -> int:
         print(f"error: {results / 'runs'} holds records plan.json does not list: "
               f"{', '.join(p.name for p in stray)}", file=sys.stderr)
         return 2
-    records = [_read_json(p, RunRecord.from_json) for p in paths]
     configs = plan.get("configs", {})
-    for path, rec in zip(paths, records):
+    rows = []  # only what the summary reads of each record it has validated
+    for path in paths:
+        rec = _read_json(path, RunRecord.from_json)
         if rec.meta["config_sha"] not in configs:
             print(f"error: {path}: config_sha {rec.meta['config_sha']!r} is not a key of "
                   "plan.json's configs", file=sys.stderr)
             return 2
-    if not records:
+        rows.append(stats.SummaryRow.of(rec))
+    if not rows:
         print(f"error: no run records under {results}", file=sys.stderr)
         return 2
     group_by = tuple(group_by if args.group_by is None else args.group_by.split(","))
     summary = stats.aggregate_experiment(
-        records, group_by, include_non_effective=args.include_non_effective
+        rows, group_by, include_non_effective=args.include_non_effective
     )
     _write_summary(Path(args.out or args.results), summary, plan.get("provenance", {}))
-    print(f"aggregated {len(records)} records into {len(summary.groups)} groups "
+    print(f"aggregated {len(rows)} records into {len(summary.groups)} groups "
           f"by {','.join(group_by)}")
     return 0
 

@@ -31,6 +31,8 @@ import math
 import typing
 from collections.abc import Sequence
 from functools import partial
+from itertools import compress, count, repeat
+from operator import is_not
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from . import persona as persona_mod
 from . import policy as policy_mod
 from .ingest import ExperimentConfig, NewsItem
 from .ingest import config_snapshot  # noqa: F401 - perfbench traces engine.config_snapshot
-from .netgen import Network
+from .netgen import Network, index_dtype
 from .record import RunRecord
 
 
@@ -166,15 +168,32 @@ def _deliver(state: DiffusionState, net: Network, sharers: np.ndarray, day: int)
 
     `sharers` is ascending, so within a run the first delivery to a new
     agent, and its reached_by, comes from the lowest-id neighbour sharing
-    that day; a target's slot key is run * n + agent.
+    that day: a stable sort of the fresh target slots (run * n + agent)
+    keeps each target's first delivery at the head of its ties.
     """
-    runs, agents = np.divmod(sharers, state.n)
+    dtype = index_dtype(state.runs * state.n)  # for slots; neighbours picks its own
+    runs, agents = np.divmod(sharers.astype(dtype), dtype(state.n))
     senders, targets = net.neighbours(agents)
-    targets = targets + np.repeat(runs * state.n, net.degrees()[agents])
+    targets = targets.astype(dtype, copy=False)  # the CSR's int32 ids, copied only to widen
+    targets += np.repeat(runs * dtype(state.n), net.degrees()[agents])
     fresh = (state.day_reached[targets] < 0) & ~state.blocked[targets]
-    reached, first = np.unique(targets[fresh], return_index=True)
-    state.day_reached[reached] = day
-    state.sender[reached] = senders[fresh][first]
+    targets, senders = targets[fresh], senders[fresh]
+    order = np.argsort(targets, kind="stable")
+    targets = targets[order]
+    first = np.ones(targets.size, dtype=bool)
+    np.not_equal(targets[1:], targets[:-1], out=first[1:])
+    state.day_reached[targets[first]] = day
+    state.sender[targets[first]] = senders[order[first]]
+
+
+def _true_at(flags) -> np.ndarray:
+    """Positions of the true entries of an iterable of flags."""
+    return np.fromiter(compress(count(), flags), dtype=np.intp)
+
+
+def _located(batch: policy_mod.DecisionBatch, deciders: np.ndarray):
+    """(index, run, agent) of each of the batch's `deciders`, by index."""
+    return zip(deciders.tolist(), batch.runs[deciders].tolist(), batch.agents[deciders].tolist())
 
 
 def step_day(
@@ -196,15 +215,16 @@ def step_day(
     if slots.size:
         batch = _batch(state, net, specs, slots)
         out = policy.decide_many(batch, personas)
-        for (run, agent), share, comment, key, failed in zip(
-                batch.deciders(), out.share.tolist(), out.comment, out.transcript,
-                out.parse_failure):
-            if share and comment is not None:
-                state.comments[run][agent] = comment
-            if key is not None:
-                state.transcripts[run][agent] = key
-            if failed:
-                state.taints[run].append(f"parse_failure day={day} agent={agent}")
+        # visit only the deciders that left a comment (kept for sharers), a
+        # transcript key or a parse failure: the stub leaves only comments,
+        # and only under the commenting template
+        commented = _true_at(map(is_not, out.comment, repeat(None)))
+        for i, run, agent in _located(batch, commented[out.share[commented]]):
+            state.comments[run][agent] = out.comment[i]
+        for i, run, agent in _located(batch, _true_at(map(is_not, out.transcript, repeat(None)))):
+            state.transcripts[run][agent] = out.transcript[i]
+        for _, run, agent in _located(batch, _true_at(out.parse_failure)):
+            state.taints[run].append(f"parse_failure day={day} agent={agent}")
         state.decision[slots] = out.share
         sharers = slots[out.share]
         state.day_shared[sharers] = day
@@ -251,15 +271,53 @@ def _evaluate_triggers(state, net, personas, specs: Sequence[RunSpec], reached) 
                                   "blocked": to_block})
 
 
-def run_many(
+class GroupRun(typing.NamedTuple):
+    """A lockstep group stepped to its end: its final state, the source every
+    run was seeded at, and each run's reached and forwarded fraction per
+    day, as a (2, runs, days + 1) array."""
+
+    state: DiffusionState
+    source: int
+    series: np.ndarray
+
+    def effective(self) -> list[bool]:
+        """Whether each run's source shared."""
+        return (self.state.grid(self.state.decision)[:, self.source] == 1).tolist()
+
+    def records(self, specs: Sequence[RunSpec], lists: bool = True) -> list[RunRecord]:
+        """One record per spec, in order. Its agent columns are lists, or with
+        lists=False the run's rows of the state's integer columns, which
+        RunRecord.to_json encodes without making Python ints of them."""
+        state = self.state
+        columns = [state.grid(c) for c in (state.day_reached, state.sender, state.decision)]
+        if lists:
+            columns = [c.tolist() for c in columns]
+        reached, forwarded = self.series.tolist()
+        effective = self.effective()
+        return [RunRecord(
+            meta={} if spec.meta is None else spec.meta,
+            reached_prop=reached[run],
+            forwarded_prop=forwarded[run],
+            reach_day=columns[0][run],
+            reached_by=columns[1][run],
+            decision=columns[2][run],
+            comments=state.comments[run],
+            transcripts=state.transcripts[run],
+            events=state.events[run],
+            effective=effective[run],
+            taints=state.taints[run],
+        ) for run, spec in enumerate(specs)]
+
+
+def run_group(
     specs: Sequence[RunSpec],
     net: Network,
     personas: persona_mod.Cohort,
     policy,
-) -> list[RunRecord]:
-    """Execute the seeded runs `specs` over one network and cohort in
-    lockstep for their common `config.days`; one record per spec, in order.
-    A ValueError refuses specs whose days differ.
+) -> GroupRun:
+    """Step the seeded runs `specs` over one network and cohort in lockstep
+    for their common `config.days`. A ValueError refuses specs whose days
+    differ.
 
     Each lockstep day adds one row of every run's reached and forwarded
     fractions, and evaluates every run's triggers: a run with no frontier
@@ -284,24 +342,18 @@ def run_many(
             break
         step_day(state, net, personas, specs, policy)
     rows += rows[-1:] * (days + 1 - len(rows))
-    reached, forwarded = np.array(rows).transpose(1, 2, 0).tolist()
+    return GroupRun(state, source, np.array(rows).transpose(1, 2, 0))
 
-    records = []
-    for run, spec in enumerate(specs):
-        records.append(RunRecord(
-            meta={} if spec.meta is None else spec.meta,
-            reached_prop=reached[run],
-            forwarded_prop=forwarded[run],
-            reach_day=state.grid(state.day_reached)[run].tolist(),
-            reached_by=state.grid(state.sender)[run].tolist(),
-            decision=state.grid(state.decision)[run].tolist(),
-            comments=state.comments[run],
-            transcripts=state.transcripts[run],
-            events=state.events[run],
-            effective=bool(state.grid(state.decision)[run, source] == 1),
-            taints=state.taints[run],
-        ))
-    return records
+
+def run_many(
+    specs: Sequence[RunSpec],
+    net: Network,
+    personas: persona_mod.Cohort,
+    policy,
+) -> list[RunRecord]:
+    """Execute the seeded runs `specs` in one lockstep group (see run_group);
+    one record per spec, in order, with list columns."""
+    return run_group(specs, net, personas, policy).records(specs)
 
 
 def run(

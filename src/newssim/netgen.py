@@ -45,6 +45,12 @@ class NetworkGenerationError(RuntimeError):
     """Raised when a generator cannot produce an acceptable graph."""
 
 
+def index_dtype(bound: int) -> type:
+    """int32 when every value below `bound` fits in it, else int64: the type
+    gathers over a network's node slots and CSR positions compute in."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
 def _check_params(kind: str, **params) -> None:
     """Raise one ValueError naming every value of `params` out of its range."""
     if problems := network_param_problems(kind, params):
@@ -104,12 +110,14 @@ class Network:
         the given order and ascending within a node; owners[i] is the node
         whose neighbour nbrs[i] is."""
         indptr, indices = self._csr
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
+        dtype = index_dtype(len(indices))
+        counts = self._degrees[nodes]
         # a gathered neighbour's position in `indices` is its node's start
         # plus its rank among that node's neighbours
-        ranks = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-        return np.repeat(nodes, counts), indices[np.repeat(starts, counts) + ranks]
+        firsts = np.cumsum(counts) - counts
+        positions = np.repeat((indptr[nodes] - firsts).astype(dtype), counts)
+        positions += np.arange(int(counts.sum()), dtype=dtype)
+        return np.repeat(nodes, counts), indices[positions]
 
     def degrees(self) -> np.ndarray:
         """Read-only degree array."""

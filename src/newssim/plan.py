@@ -8,6 +8,12 @@ imports `concurrent.futures` only when it starts a pool: forked worker
 processes for a stub plan's groups, threads for an LLM plan's groups, or
 an LLM ask the cache cannot answer (see policy.LlmPolicy); `multiprocessing`
 only for the stub plan's worker processes.
+
+A plan builds only what is read: a retry probe reads its source's decision
+from the engine's state, a record is encoded straight from the state's
+agent columns as it is written, and the summary reads one
+stats.SummaryRow per cell (labels, effective and the two series), which is
+all a worker process sends back.
 """
 
 from __future__ import annotations
@@ -136,8 +142,10 @@ def _execute_group(cells: list[Cell], decider) -> list:
     first picks its attempt in one-day probe passes, moving only the cells
     whose source declined to their next decision seed until the budget is
     spent; LLM cells are not retried. A probe is its cell's spec with a
-    days=1 copy of the cell config, made once per distinct config. Then
-    every cell runs its attempt once.
+    days=1 copy of the cell config, made once per distinct config, and
+    reads only its source's decision. Then every cell runs its attempt
+    once; the records hold the group's numpy agent columns (see
+    engine.GroupRun.records).
     """
     kind, params, net_seed, persona_seed, pin = _inputs(cells[0])
     with _replicate_lock:
@@ -162,13 +170,13 @@ def _execute_group(cells: list[Cell], decider) -> list:
             one_day[id(cells[i].cfg)] = replace(cells[i].cfg, days=1)
     while todo:
         probes = [specs[i]._replace(config=one_day[id(cells[i].cfg)]) for i in todo]
-        todo = [i for i, probe in zip(todo, engine.run_many(probes, net, personas, decider))
-                if not probe.effective]
+        effective = engine.run_group(probes, net, personas, decider).effective()
+        todo = [i for i, shared in zip(todo, effective) if not shared]
         for i in todo:
             attempts[i] += 1
             specs[i] = spec(cells[i], attempts[i])
         todo = [i for i in todo if attempts[i] < budgets[i]]
-    return engine.run_many(specs, net, personas, decider)
+    return engine.run_group(specs, net, personas, decider).records(specs, lists=False)
 
 
 def _execute_cell(cell: Cell, decider=None):
@@ -186,13 +194,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_group(members: list[int], cells: list[Cell], decider, runs_dir: Path) -> list:
+def _write_group(members: list[int], cells: list[Cell], decider, runs_dir: Path
+                 ) -> list[stats.SummaryRow]:
     """Execute the cells at indices `members` as one group, write each record
-    to runs_dir/<cell.file>, and return the records in `members` order."""
+    to runs_dir/<cell.file>, and return their summary rows in `members` order."""
     records = _execute_group([cells[i] for i in members], decider)
     for i, record in zip(members, records):
         _write_text(runs_dir / cells[i].file, record.to_json())
-    return records
+    return [stats.SummaryRow.of(record) for record in records]
 
 
 #: (cells, decider, runs_dir) of the plan a forked worker process executes groups of
@@ -206,20 +215,20 @@ def _adopt_plan(*plan_args) -> None:
     _forked_plan = plan_args
 
 
-def _forked_group(members: list[int]) -> list:
+def _forked_group(members: list[int]) -> list[stats.SummaryRow]:
     return _write_group(members, *_forked_plan)
 
 
 def _executed_groups(groups: list[list[int]], cells: list[Cell], decider, runs_dir: Path,
-                     parallel: int) -> list[list]:
-    """Each group's written records, in `groups` order.
+                     parallel: int) -> list[list[stats.SummaryRow]]:
+    """The summary rows of each group's written records, in `groups` order.
 
     An LLM plan runs min(parallel, groups) groups at a time on threads over
     its one policy. A stub plan runs min(parallel, usable CPUs, groups) at a
     time in worker processes forked with the cells and the policy, which
-    return their records. It forks only where the platform can and while the
-    calling thread is the only live one; otherwise, or with one worker, the
-    groups run in this process.
+    write the records and pickle back only the rows. It forks only where the
+    platform can and while the calling thread is the only live one;
+    otherwise, or with one worker, the groups run in this process.
     """
     llm = isinstance(decider, policy.LlmPolicy)
     workers = min(parallel, len(groups)) if llm else min(parallel, len(groups), _usable_cpus())
@@ -244,8 +253,11 @@ def _executed_groups(groups: list[list[int]], cells: list[Cell], decider, runs_d
         pool.shutdown(cancel_futures=True)  # a failed group leaves the queued ones unrun
 
 
-def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, parallel: int = 1):
-    """Execute cells group by group, writing each record to out_dir/runs/<cell.file>.
+def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, parallel: int = 1
+              ) -> list[stats.SummaryRow]:
+    """Execute cells group by group, writing each record to out_dir/runs/<cell.file>,
+    and return each cell's summary row, in cell order: what the plan's
+    summary reads of its record.
 
     An INCOMPLETE sentinel exists in out_dir while cells are executing; an
     interrupted plan leaves it behind along with the partial runs directory.
@@ -264,19 +276,19 @@ def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, para
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
         groups.setdefault(_inputs(cell), []).append(i)
-    records = [None] * len(cells)
+    rows = [None] * len(cells)
     try:
         done = _executed_groups(list(groups.values()), cells, decider, runs_dir, parallel)
-        for members, group_records in zip(groups.values(), done):
-            for i, record in zip(members, group_records):
-                records[i] = record
+        for members, group_rows in zip(groups.values(), done):
+            for i, row in zip(members, group_rows):
+                rows[i] = row
     finally:
         if isinstance(decider, policy.LlmPolicy):
             decider.close()
         if cache is not None:
             cache.close()  # the plan's appends are done
     sentinel.unlink()
-    return records
+    return rows
 
 
 def _open_cache(cfg) -> policy.DecisionCache | None:
@@ -395,19 +407,19 @@ def _execute_plan(args, groups, group_by: tuple):
         ],
     }
     _write_text(out_dir / "plan.json", _canonical_json(plan))
-    records = _run_plan(cells, out_dir, cache=cache, parallel=args.parallel)
-    summary = stats.aggregate_experiment(records, group_by)
+    rows = _run_plan(cells, out_dir, cache=cache, parallel=args.parallel)
+    summary = stats.aggregate_experiment(rows, group_by)
     _write_summary(out_dir, summary, prov)
-    return records, summary, out_dir
+    return rows, summary, out_dir
 
 
 def cmd_run(args) -> int:
     def groups(cfg):
         yield cfg, {"network": cfg.network_kind, "intervention": cfg.intervention_kind}, "run"
 
-    records, _, out_dir = _execute_plan(args, groups, ("network", "intervention"))
-    effective = sum(1 for r in records if r.effective)
-    print(f"{len(records)} runs written to {out_dir} ({effective} effective)")
+    rows, _, out_dir = _execute_plan(args, groups, ("network", "intervention"))
+    effective = sum(1 for row in rows if row.effective)
+    print(f"{len(rows)} runs written to {out_dir} ({effective} effective)")
     return 0
 
 
@@ -420,8 +432,8 @@ def cmd_sweep_personality(args) -> int:
                           "trait": trait, "level": level}
                 yield sweep_cfg, labels, f"sweep_{trait}_{level}"
 
-    records, summary, out_dir = _execute_plan(args, groups, ("trait", "level"))
-    print(f"personality sweep: {len(records)} runs, {len(summary.groups)} groups -> {out_dir}")
+    rows, summary, out_dir = _execute_plan(args, groups, ("trait", "level"))
+    print(f"personality sweep: {len(rows)} runs, {len(summary.groups)} groups -> {out_dir}")
     return 0
 
 
@@ -439,6 +451,6 @@ def cmd_compare(args) -> int:
                 labels = {"network": kind, "intervention": intervention}
                 yield cell_cfg, labels, f"compare_{kind}_{intervention}"
 
-    records, summary, out_dir = _execute_plan(args, groups, ("network", "intervention"))
-    print(f"compare: {len(records)} runs, {len(summary.groups)} groups -> {out_dir}")
+    rows, summary, out_dir = _execute_plan(args, groups, ("network", "intervention"))
+    print(f"compare: {len(rows)} runs, {len(summary.groups)} groups -> {out_dir}")
     return 0

@@ -234,12 +234,14 @@ def share_probability(
     return 1.0 / (1.0 + np.exp(-logit))
 
 
-def _zscores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized extraversion and openness of each row of an agents x traits matrix."""
+def _zscores(scores: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized extraversion and openness of `rows` (default: every row)
+    of an agents x traits matrix; only those two columns are gathered."""
     stats = persona_mod.DEFAULT_TRAIT_STATS
-    cols = [persona_mod.TRAITS.index("extraversion"), persona_mod.TRAITS.index("openness")]
-    z = (scores[:, cols] - np.asarray(stats.means)[cols]) / np.asarray(stats.sds)[cols]
-    return z[:, 0], z[:, 1]
+    means, sds = np.asarray(stats.means), np.asarray(stats.sds)
+    return tuple((scores[rows, c] - means[c]) / sds[c]
+                 for c in (persona_mod.TRAITS.index("extraversion"),
+                           persona_mod.TRAITS.index("openness")))
 
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): state increment and finalizer
@@ -329,7 +331,7 @@ class StubPolicy:
         keys = np.array([_stub_key(self.rng_seed if seed is None else seed, news.news_id)
                          for seed, news in zip(batch.seed, batch.news)], dtype=np.uint64)
         template = np.array(batch.template_id)
-        z_e, z_o = _zscores(personas.scores[batch.agents])
+        z_e, z_o = _zscores(personas.scores, batch.agents)
         return _decide_stub_columns(z_e, z_o, _splitmix(batch.agents, keys[runs]),
                                     (template == "commenting")[runs],
                                     (template == "accuracy")[runs], self.params)

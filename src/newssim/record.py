@@ -13,6 +13,28 @@ import typing
 RECORD_FORMAT = 4
 AGENT_COLUMNS = ("reach_day", "reached_by", "decision")
 
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: str(i) at index i for i from 0 up, and "-1" at index -1; grown on demand
+_decimals = ["0", "1", "-1"]
+
+
+def _int_array(column) -> str:
+    """An agent column as JSON, as json.dumps writes its list. A numpy
+    integer column is looked up in the `_decimals` table through its own
+    buffer, which builds no list of Python ints and no per-integer string;
+    one holding a value the table lacks is written through its list.
+    """
+    if isinstance(column, list):
+        return _dumps(column)
+    global _decimals
+    if len(_decimals) <= len(column):
+        _decimals = [*map(str, range(len(column))), "-1"]
+    table = _decimals
+    if len(column) and (column.min() < -1 or column.max() >= len(table) - 1):
+        return _dumps(column.tolist())
+    return "[" + ",".join(map(table.__getitem__, memoryview(column))) + "]"
+
 
 def _field(d, *path):
     """d[path[0]][path[1]]...; a ValueError names the path a record lacks."""
@@ -63,6 +85,8 @@ class RunRecord(typing.NamedTuple):
     by agent id, and the seed and intervention events. A decider decided on
     the day after its reach_day. Repeat deliveries are not stored; they follow
     from the network's adjacency, the decisions and the blocking_applied event.
+    The agent columns are lists, or in a record a plan writes, 1-D numpy
+    integer columns of the engine's state, with the same values.
     """
 
     meta: dict
@@ -76,6 +100,11 @@ class RunRecord(typing.NamedTuple):
     events: list[dict]
     effective: bool
     taints: list[str]
+
+    @property
+    def labels(self) -> dict:
+        """meta's labels: what stats.aggregate_experiment groups the record by."""
+        return self.meta.get("labels", {})
 
     def first_reached_by_day(self) -> dict[int, set[int]]:
         layers: dict[int, set[int]] = {}
@@ -101,7 +130,13 @@ class RunRecord(typing.NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        """One line: json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":")) of the record with list columns, and "\\n"."""
+        fields = self.to_dict()
+        agents = fields.pop("agents")
+        columns = ",".join(f'"{name}":{_int_array(agents[name])}' for name in sorted(agents))
+        # "agents" sorts before every other key, so it leads the object
+        return '{"agents":{' + columns + "}," + _dumps(fields)[1:] + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":

@@ -12,6 +12,7 @@ The result types are NamedTuples, so `newssim stats` loads no dataclasses.
 
 from __future__ import annotations
 
+import json
 import math
 import typing
 from collections import Counter
@@ -130,6 +131,26 @@ def rank_sum_test(
     )
 
 
+class SummaryRow(typing.NamedTuple):
+    """What aggregate_experiment reads of one run record: its labels,
+    whether it was effective, and its two series. A plan's executor returns
+    one per cell in place of the record it wrote."""
+
+    labels: dict
+    effective: bool
+    reached_prop: list[float]
+    forwarded_prop: list[float]
+
+    @classmethod
+    def of(cls, record) -> "SummaryRow":
+        return cls(record.labels, record.effective, record.reached_prop, record.forwarded_prop)
+
+    def to_json(self) -> str:
+        """The row as one line of compact JSON with sorted keys, so the rows
+        of two plans compare byte for byte."""
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class GroupSummary(typing.NamedTuple):
     label: str
     n_runs: int
@@ -180,35 +201,35 @@ def _mean_sd(rows: list[list[float]]) -> tuple[list[float], list[float]]:
 
 
 def aggregate_experiment(
-    records,
+    rows,
     group_by,
     include_non_effective: bool = False,
 ) -> ExperimentSummary:
-    """Group run records by meta labels and compare groups pairwise.
+    """Group runs by their labels and compare groups pairwise.
 
+    `rows` are SummaryRows, or run records, which carry the same fields.
     Emits per-day mean/sd of both proportions per group, plus rank-sum
     comparisons on final forwarded proportion, final reached proportion, and
     diffusion rate. Non-effective runs (source declined) are excluded by
     default; their count is recorded.
 
-    A group-by key that no record's labels carry raises a ValueError naming
-    it; a record that lacks a key other records carry is grouped under "?".
+    A group-by key that no run's labels carry raises a ValueError naming
+    it; a run that lacks a key other runs carry is grouped under "?".
     """
     group_by = tuple(group_by)
-    carried = {key for rec in records for key in rec.meta.get("labels", {})}
-    if records and (unknown := [key for key in group_by if key not in carried]):
+    carried = {key for row in rows for key in row.labels}
+    if rows and (unknown := [key for key in group_by if key not in carried]):
         raise ValueError(f"no run record has the label {', '.join(map(repr, unknown))} to "
                          f"group by; the records' labels are {', '.join(sorted(carried))}")
     notices: list[str] = []
     excluded = 0
     buckets: dict[str, list] = {}
-    for rec in records:
-        if not include_non_effective and not rec.effective:
+    for row in rows:
+        if not include_non_effective and not row.effective:
             excluded += 1
             continue
-        labels = rec.meta.get("labels", {})
-        key = "|".join(str(labels.get(k, "?")) for k in group_by)
-        buckets.setdefault(key, []).append(rec)
+        key = "|".join(str(row.labels.get(k, "?")) for k in group_by)
+        buckets.setdefault(key, []).append(row)
 
     groups: dict[str, GroupSummary] = {}
     for label in sorted(buckets):

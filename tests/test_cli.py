@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import newssim
-from newssim import cli, engine, ingest, netgen, output, persona, plan, policy
+from newssim import cli, engine, ingest, netgen, output, persona, plan, policy, stats
 from newssim.ingest import load_config
 from newssim.seeding import derive_seed
 
@@ -427,7 +427,7 @@ def test_a_group_that_fails_in_a_worker_reports_as_at_parallel_one(tmp_path, sma
                                                                    monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     failed_in = tmp_path / "failed_in.txt"
-    real = engine.run_many
+    real = engine.run_group
 
     def failing(specs, *args, **kwargs):
         labels = specs[0].meta["labels"]
@@ -436,7 +436,7 @@ def test_a_group_that_fails_in_a_worker_reports_as_at_parallel_one(tmp_path, sma
             raise policy.PolicyError("day 1, agent 3: chat completion failed after 1 tries")
         return real(specs, *args, **kwargs)
 
-    monkeypatch.setattr(plan.engine, "run_many", failing)
+    monkeypatch.setattr(plan.engine, "run_group", failing)
     cfg = str(small_config(reps=2, news_limit=2))
     for parallel in ("1", "2"):
         out = tmp_path / parallel
@@ -463,7 +463,7 @@ def test_plan_errors_survive_pickling(error):
 def test_interrupted_run_leaves_incomplete_marker(tmp_path, small_config, monkeypatch):
     out = tmp_path / "out"
     calls = {"n": 0}
-    real_run = engine.run_many
+    real_run = engine.run_group
 
     def flaky(*args, **kwargs):
         calls["n"] += 1
@@ -471,7 +471,7 @@ def test_interrupted_run_leaves_incomplete_marker(tmp_path, small_config, monkey
             raise RuntimeError("simulated crash")
         return real_run(*args, **kwargs)
 
-    monkeypatch.setattr(plan.engine, "run_many", flaky)
+    monkeypatch.setattr(plan.engine, "run_group", flaky)
     with pytest.raises(RuntimeError):
         cli.main(["run", "--config", str(small_config(reps=3, news_limit=2)),
                   "--out", str(out)])
@@ -547,18 +547,18 @@ def test_stub_compare_runs_bytes_are_pinned(tmp_path, news_path, monkeypatch, pa
 
 def test_compare_runs_each_group_once_at_full_length(tmp_path, news_path, monkeypatch):
     """Retry attempts are picked in one-day probes: each group then makes one
-    full-length `run_many` call, which holds every cell of the group once."""
+    full-length `run_group` call, which holds every cell of the group once."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "news.jsonl").write_bytes(news_path.read_bytes())
     (tmp_path / "cfg.yaml").write_text(PINNED_CFG, encoding="utf-8")
     calls = []
-    real_run_many = engine.run_many
+    real_run_group = engine.run_group
 
-    def run_many(specs, *args):
+    def run_group(specs, *args):
         calls.append([(spec.config.days, spec.meta["labels"]) for spec in specs])
-        return real_run_many(specs, *args)
+        return real_run_group(specs, *args)
 
-    monkeypatch.setattr(plan.engine, "run_many", run_many)
+    monkeypatch.setattr(plan.engine, "run_group", run_group)
     assert cli.main(["compare", "--config", "cfg.yaml", "--out", "out"]) == 0
     assert {days for call in calls for days, _ in call} == {1, 7}
     full = [[labels for _, labels in call] for call in calls if call[0][0] == 7]
@@ -576,21 +576,69 @@ def test_a_group_probes_with_one_day_config_per_cell_config(tmp_path, news_path,
     (tmp_path / "news.jsonl").write_bytes(news_path.read_bytes())
     (tmp_path / "cfg.yaml").write_text(PINNED_CFG, encoding="utf-8")
     probed = {}  # (network, replicate): the config of every probe its group ran
-    real_run_many = engine.run_many
+    real_run_group = engine.run_group
 
-    def run_many(specs, *args):
+    def run_group(specs, *args):
         for spec in specs:
             if spec.config.days == 1:
                 labels = spec.meta["labels"]
                 probed.setdefault((labels["network"], labels["replicate"]), []).append(spec.config)
-        return real_run_many(specs, *args)
+        return real_run_group(specs, *args)
 
-    monkeypatch.setattr(plan.engine, "run_many", run_many)
+    monkeypatch.setattr(plan.engine, "run_group", run_group)
     assert cli.main(["compare", "--config", "cfg.yaml", "--out", "out"]) == 0
     assert len(probed) == 3 * 2  # network kinds x replicates
     for configs in probed.values():
         assert len(configs) > 4  # some cells were probed more than once
         assert len({id(c) for c in configs}) == len({c.intervention_kind for c in configs}) == 4
+
+
+def test_probe_passes_build_no_record(tmp_path, news_path, monkeypatch):
+    """A retry probe reads its source's decision from the engine's state:
+    the plan builds one record per cell, all from full-length passes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "news.jsonl").write_bytes(news_path.read_bytes())
+    (tmp_path / "cfg.yaml").write_text(PINNED_CFG, encoding="utf-8")
+    passes, built = [], []
+    real_run_group, real_record = engine.run_group, engine.RunRecord
+
+    def run_group(specs, *args):
+        passes.append(specs[0].config.days)
+        return real_run_group(specs, *args)
+
+    def record(**fields):
+        built.append(passes[-1])
+        return real_record(**fields)
+
+    monkeypatch.setattr(plan.engine, "run_group", run_group)
+    monkeypatch.setattr(engine, "RunRecord", record)
+    assert cli.main(["compare", "--config", "cfg.yaml", "--out", "out"]) == 0
+    assert passes.count(1) > passes.count(7) == 6  # probes, then one pass per group
+    assert built == [7] * 48
+
+
+def test_executed_groups_return_the_same_rows_from_worker_processes(tmp_path, small_config,
+                                                                     monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = load_config(small_config(reps=2, news_limit=2))
+    cells = [plan.Cell(replace(cfg, intervention_kind=kind), item, rep,
+                       {"intervention": kind}, f"{kind}_rep{rep}_news{item.news_id}.json")
+             for kind in ("none", "blocking") for rep in range(2) for item in plan._news_for(cfg)]
+    groups = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(plan._inputs(cell), []).append(i)
+    rows = {}
+    for parallel in (1, 2):
+        (tmp_path / str(parallel)).mkdir()
+        rows[parallel] = plan._executed_groups(list(groups.values()), cells,
+                                               plan._open_policy(cfg), tmp_path / str(parallel),
+                                               parallel)
+    assert len(rows[1]) == 2 and rows[1] == rows[2]
+    assert tree_bytes(tmp_path / "1") == tree_bytes(tmp_path / "2")
+    for members, group_rows in zip(groups.values(), rows[2]):
+        for i, row in zip(members, group_rows, strict=True):
+            written = engine.RunRecord.from_json((tmp_path / "2" / cells[i].file).read_text())
+            assert type(row) is stats.SummaryRow and row == stats.SummaryRow.of(written)
 
 
 #: sha256 over the runs/ tree, as for PINNED_RUNS_SHA256, of PINNED_LLM_CFG's

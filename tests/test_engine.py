@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newssim import engine as engine_mod
+from newssim import netgen as netgen_mod
 from newssim import persona as persona_mod
 from newssim.engine import (
     DiffusionState,
@@ -387,6 +388,134 @@ def test_record_json_round_trip_is_exact_and_byte_stable(rec):
     again = RunRecord.from_json(text)
     assert again == rec
     assert again.to_json() == text
+
+
+@st.composite
+def column_records(draw):
+    """A record with numpy agent columns, as a plan writes it, and its copy
+    with list columns. Values run from -1 to n - 1 (decisions -1 to 1), and
+    now and then one lies outside what the encoder's table holds."""
+    n = draw(st.integers(1, 40) | st.integers(10_001, 12_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {
+        "reach_day": rng.integers(-1, n, n, dtype=np.int32),
+        "reached_by": rng.integers(-1, n, n, dtype=np.int32),
+        "decision": rng.integers(-1, 2, n, dtype=np.int8),
+    }
+    if draw(st.integers(0, 5)) == 0:
+        name = draw(st.sampled_from(["reach_day", "reached_by"]))
+        columns[name][draw(st.integers(0, n - 1))] = draw(st.sampled_from([-2, -n - 2, 2 * n + 5]))
+    agents = st.integers(0, n - 1)
+    blocked = draw(st.lists(agents, max_size=6, unique=True))
+    rec = RunRecord(
+        meta={"config_sha": draw(_texts), "labels": draw(st.dictionaries(_texts, _json_values))},
+        reached_prop=draw(st.lists(st.floats(0, 1), min_size=1, max_size=8)),
+        forwarded_prop=draw(st.lists(st.floats(0, 1), min_size=1, max_size=8)),
+        **columns,
+        comments=draw(st.dictionaries(agents, st.text(max_size=12), max_size=5)),
+        transcripts=draw(st.dictionaries(agents, _texts, max_size=3)),
+        events=[{"type": "seed", "day": 0, "agent": int(np.argmax(columns["reach_day"] == 0))},
+                {"type": "blocking_applied", "day": draw(st.integers(0, 7)),
+                 "blocked": blocked}],
+        effective=draw(st.booleans()),
+        taints=draw(st.lists(_texts, max_size=2)),
+    )
+    return rec, rec._replace(**{name: column.tolist() for name, column in columns.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=column_records())
+def test_numpy_agent_columns_encode_as_their_lists(records):
+    rec, listed = records
+    text = rec.to_json()
+    assert text == json.dumps(listed.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert listed.to_json() == text
+    assert RunRecord.from_json(text) == listed
+
+
+# ---------------------------------------------------------------------------
+# delivery
+# ---------------------------------------------------------------------------
+
+def deliver_with_unique(state, net, sharers, day):
+    """Delivery as the engine made it before it gathered in int32: int64
+    slot keys, and each target's first delivery from np.unique."""
+    runs, agents = np.divmod(sharers, state.n)
+    senders, targets = net.neighbours(agents)
+    targets = targets + np.repeat(runs * state.n, net.degrees()[agents])
+    fresh = (state.day_reached[targets] < 0) & ~state.blocked[targets]
+    reached, first = np.unique(targets[fresh], return_index=True)
+    state.day_reached[reached] = day
+    state.sender[reached] = senders[fresh][first]
+
+
+def copied(state):
+    twin = DiffusionState(state.n, state.runs)
+    for name in ("day_reached", "sender", "blocked"):
+        getattr(twin, name)[:] = getattr(state, name)
+    return twin
+
+
+@st.composite
+def deliveries(draw):
+    """A random graph, up to four runs over it with reached and blocked
+    agents, and an ascending set of sharer slots."""
+    net = draw(small_graphs())
+    runs = draw(st.integers(1, 4))
+    slots = runs * net.n
+    state = DiffusionState(net.n, runs)
+    state.day_reached[:] = draw(st.lists(st.sampled_from([-1, -1, 0, 1]),
+                                         min_size=slots, max_size=slots))
+    state.blocked[:] = draw(st.lists(st.booleans(), min_size=slots, max_size=slots))
+    sharers = np.array(sorted(draw(st.sets(st.integers(0, slots - 1)))), dtype=np.int64)
+    return state, net, sharers
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=deliveries(), wide=st.booleans())
+def test_delivery_equals_first_delivery_by_unique(case, wide):
+    state, net, sharers = case
+    expected = copied(state)
+    deliver_with_unique(expected, net, sharers, 2)
+    with pytest.MonkeyPatch.context() as patched:
+        if wide:  # as from 2**31 slots or CSR entries on
+            for module in (engine_mod, netgen_mod):
+                patched.setattr(module, "index_dtype", lambda bound: np.int64)
+        engine_mod._deliver(state, net, sharers, 2)
+    assert state.day_reached.tolist() == expected.day_reached.tolist()
+    assert state.sender.tolist() == expected.sender.tolist()
+
+
+def test_two_sharers_on_one_day_deliver_from_the_lower_id():
+    # runs of the path 0-1-2-3: agents 0 and 2 share to 1 on the same day
+    # in both runs; run 1 has agent 3 blocked
+    net = net_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    state = DiffusionState(4, runs=2)
+    state.grid(state.day_reached)[:, [0, 2]] = 0
+    state.grid(state.blocked)[1, 3] = True
+    sharers = np.array([0, 2, 4, 6])
+    expected = copied(state)
+    deliver_with_unique(expected, net, sharers, 1)
+    engine_mod._deliver(state, net, sharers, 1)
+    assert state.grid(state.day_reached).tolist() == [[0, 1, 0, 1], [0, 1, 0, -1]]
+    assert state.grid(state.sender).tolist() == [[-1, 0, -1, 2], [-1, 0, -1, -1]]
+    assert state.sender.tolist() == expected.sender.tolist()
+
+
+def test_delivery_gathers_in_int32_below_2_to_the_31(monkeypatch):
+    assert netgen_mod.index_dtype(2**31 - 1) is np.int32
+    assert netgen_mod.index_dtype(2**31) is np.int64
+    asked = []
+    real = netgen_mod.index_dtype
+    for module in (engine_mod, netgen_mod):
+        monkeypatch.setattr(module, "index_dtype",
+                            lambda bound: asked.append(bound) or real(bound))
+    net = star(5)
+    state = initial_state(net, 0, runs=3)
+    engine_mod._deliver(state, net, np.array([0, 5]), 1)
+    assert sorted(asked) == [2 * 4, 3 * 5]  # 2 x edges CSR entries, runs x n slots
+    assert state.grid(state.day_reached).tolist() == [[0, 1, 1, 1, 1], [0, 1, 1, 1, 1],
+                                                      [0, -1, -1, -1, -1]]
 
 
 # ---------------------------------------------------------------------------

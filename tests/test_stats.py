@@ -6,6 +6,7 @@ import pytest
 from newssim.engine import RunRecord
 from newssim.stats import (
     ComparisonResult,
+    SummaryRow,
     aggregate_experiment,
     diffusion_rate,
     rank_sum_test,
@@ -289,3 +290,18 @@ def test_summary_serializes():
     doc = summary.to_dict()
     assert doc["groups"]["x"]["n_runs"] == 3
     assert len(doc["groups"]["x"]["reached_mean"]) == 8
+
+
+def test_rows_aggregate_as_their_records():
+    rng = np.random.default_rng(11)
+    recs = [record(series(float(rng.uniform(0.2, 1.0))), series(float(rng.uniform(0.0, 0.6))),
+                   {"grp": grp, "rep": rep}, effective=bool(rng.random() < 0.8))
+            for grp in ("a", "b", "c") for rep in range(6)]
+    recs.append(record(series(0.5, days=5), series(0.2, days=5), {"grp": "a"}))
+    rows = [SummaryRow.of(rec) for rec in recs]
+    assert rows[0] == SummaryRow({"grp": "a", "rep": 0}, recs[0].effective,
+                                 recs[0].reached_prop, recs[0].forwarded_prop)
+    for include in (False, True):
+        for group_by in (("grp",), ("grp", "rep")):
+            assert (aggregate_experiment(rows, group_by, include)
+                    == aggregate_experiment(recs, group_by, include))
