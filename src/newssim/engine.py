@@ -284,14 +284,12 @@ class GroupRun(typing.NamedTuple):
         """Whether each run's source shared."""
         return (self.state.grid(self.state.decision)[:, self.source] == 1).tolist()
 
-    def records(self, specs: Sequence[RunSpec], lists: bool = True) -> list[RunRecord]:
-        """One record per spec, in order. Its agent columns are lists, or with
-        lists=False the run's rows of the state's integer columns, which
-        RunRecord.to_json encodes without making Python ints of them."""
+    def records(self, specs: Sequence[RunSpec]) -> list[RunRecord]:
+        """One record per spec, in order. Its agent columns are the run's rows
+        of the state's integer columns, which RunRecord.to_json encodes
+        without making Python ints of them."""
         state = self.state
         columns = [state.grid(c) for c in (state.day_reached, state.sender, state.decision)]
-        if lists:
-            columns = [c.tolist() for c in columns]
         reached, forwarded = self.series.tolist()
         effective = self.effective()
         return [RunRecord(
@@ -345,17 +343,6 @@ def run_group(
     return GroupRun(state, source, np.array(rows).transpose(1, 2, 0))
 
 
-def run_many(
-    specs: Sequence[RunSpec],
-    net: Network,
-    personas: persona_mod.Cohort,
-    policy,
-) -> list[RunRecord]:
-    """Execute the seeded runs `specs` in one lockstep group (see run_group);
-    one record per spec, in order, with list columns."""
-    return run_group(specs, net, personas, policy).records(specs)
-
-
 def run(
     config: ExperimentConfig,
     net: Network,
@@ -366,4 +353,5 @@ def run(
 ) -> RunRecord:
     """Execute one seeded run of `config.days` days, a lockstep group of one;
     its record keeps `meta` as given."""
-    return run_many([RunSpec(config, news, meta=meta)], net, personas, policy)[0]
+    specs = [RunSpec(config, news, meta=meta)]
+    return run_group(specs, net, personas, policy).records(specs)[0]

@@ -26,33 +26,12 @@ GENDERS = ("female", "male")
 LEVELS = ("high", "low")
 
 
-class PersonaConfigError(ValueError):
-    """Invalid sampling statistics (bad sds or non-PSD correlations)."""
-
-
 class BigFiveStats(typing.NamedTuple):
     """Population moments for trait sampling: means, sds, and a 5x5 correlation matrix."""
 
     means: tuple[float, ...]
     sds: tuple[float, ...]
     correlations: tuple[tuple[float, ...], ...]
-
-    def validate(self) -> None:
-        means = np.asarray(self.means, dtype=float)
-        sds = np.asarray(self.sds, dtype=float)
-        corr = np.asarray(self.correlations, dtype=float)
-        if means.shape != (5,) or sds.shape != (5,) or corr.shape != (5, 5):
-            raise PersonaConfigError("trait stats must cover exactly 5 traits")
-        if not np.all(np.isfinite(means)):
-            raise PersonaConfigError("all trait means must be finite")
-        if not np.all(sds > 0):
-            raise PersonaConfigError("all trait sds must be strictly positive")
-        if not np.allclose(corr, corr.T):
-            raise PersonaConfigError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(corr), 1.0):
-            raise PersonaConfigError("correlation matrix must have unit diagonal")
-        if np.min(np.linalg.eigvalsh((corr + corr.T) / 2.0)) < -1e-9:
-            raise PersonaConfigError("correlation matrix must be positive semi-definite")
 
     def covariance(self) -> np.ndarray:
         sds = np.asarray(self.sds, dtype=float)
@@ -125,22 +104,17 @@ class Cohort:
         return text
 
 
-def sample_personas(
-    n: int,
-    stats: BigFiveStats = DEFAULT_TRAIT_STATS,
-    rng_seed: int = 0,
-) -> Cohort:
+def sample_personas(n: int, rng_seed: int = 0) -> Cohort:
     """Sample n personas deterministically for a given seed.
 
     Gender is a fair coin. Age is Gamma-distributed with mean 28.5 / sd 9.54
     (shape mu^2/sd^2, scale sd^2/mu), rounded half away from zero and clamped
     to a minimum of 13. Trait scores are drawn from the multivariate normal
-    implied by `stats` and clamped to [1, 7] after sampling; a score at or
-    above its trait's mean is high.
+    of DEFAULT_TRAIT_STATS, the survey moments, and clamped to [1, 7] after
+    sampling; a score at or above its trait's mean is high.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    stats.validate()
     rng = np.random.default_rng(rng_seed)
 
     female = rng.random(n) < 0.5
@@ -150,6 +124,7 @@ def sample_personas(
     ages = np.floor(rng.gamma(shape, scale, size=n) + 0.5)
     ages = np.maximum(ages, AGE_MIN).astype(int)
 
+    stats = DEFAULT_TRAIT_STATS
     means = np.asarray(stats.means, dtype=float)
     scores = rng.multivariate_normal(means, stats.covariance(), size=n, method="svd")
     np.clip(scores, SCORE_MIN, SCORE_MAX, out=scores)

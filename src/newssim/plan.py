@@ -176,7 +176,7 @@ def _execute_group(cells: list[Cell], decider) -> list:
             attempts[i] += 1
             specs[i] = spec(cells[i], attempts[i])
         todo = [i for i in todo if attempts[i] < budgets[i]]
-    return engine.run_group(specs, net, personas, decider).records(specs, lists=False)
+    return engine.run_group(specs, net, personas, decider).records(specs)
 
 
 def _execute_cell(cell: Cell, decider=None):
@@ -308,7 +308,6 @@ def _apply_overrides(cfg, args) -> None:
         cfg.master_seed = args.seed
     if getattr(args, "cache_path", None):
         cfg.llm_params["cache_path"] = args.cache_path
-    cfg.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -183,9 +183,10 @@ def _field_types(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _from_section(cls, section: str, d: dict):
-    """cls(**d); a ConfigError names each key of d that cls lacks, and each
-    value of the wrong type, by its config path."""
+def _from_section(cls, section: str, d: dict, ranges: dict):
+    """cls(**d); a ConfigError names, by its config path, each key of d that
+    cls lacks, each value of the wrong type, and each value out of `ranges`,
+    which maps a key to (test of its value, the range in words)."""
     if not isinstance(d, dict):
         raise ValueError(f"{section} must be a mapping, got {d!r}")
     types = _field_types(cls)
@@ -195,6 +196,8 @@ def _from_section(cls, section: str, d: dict):
             problems.append(f"unknown key {section}.{key}")
         elif problem := type_problem(f"{section}.{key}", value, types[key]):
             problems.append(problem)
+        elif key in ranges and not ranges[key][0](value):
+            problems.append(f"{section}.{key} must be {ranges[key][1]}, got {value!r}")
     if problems:
         raise ConfigError(problems)
     return cls(**d)
@@ -212,7 +215,7 @@ class StubParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StubParams":
-        return _from_section(cls, "policy.stub", d)
+        return _from_section(cls, "policy.stub", d, {})
 
 
 def share_probability(
@@ -460,6 +463,16 @@ def _settled(decision: DecisionOutcome | Future, want_comment: bool) -> Decision
 # LLM client with replayable cache
 # ---------------------------------------------------------------------------
 
+#: key -> (test of its value, the range in words) for LlmSettings.from_dict
+_LLM_RANGES = {
+    "temperature": (lambda t: t >= 0, ">= 0"),
+    "max_retries": (lambda r: r >= 0, ">= 0"),
+    "reask_limit": (lambda r: r >= 0, ">= 0"),
+    "concurrency": (lambda c: c >= 1, ">= 1"),
+    "timeout": (lambda t: t > 0, "> 0"),
+}
+
+
 @dataclass
 class LlmSettings:
     endpoint: str = "https://api.openai.com/v1/chat/completions"
@@ -472,21 +485,9 @@ class LlmSettings:
     api_key_env: str = "NEWSSIM_API_KEY"
     timeout: float = 60.0
 
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("policy.llm.temperature must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("policy.llm.max_retries must be >= 0")
-        if self.reask_limit < 0:
-            raise ValueError("policy.llm.reask_limit must be >= 0")
-        if self.concurrency < 1:
-            raise ValueError("policy.llm.concurrency must be >= 1")
-        if not self.timeout > 0:
-            raise ValueError("policy.llm.timeout must be > 0")
-
     @classmethod
     def from_dict(cls, d: dict) -> "LlmSettings":
-        return _from_section(cls, "policy.llm", d)
+        return _from_section(cls, "policy.llm", d, _LLM_RANGES)
 
 
 def cache_key(model: str, prompt: str, attempt: int) -> str:

@@ -85,8 +85,9 @@ class RunRecord(typing.NamedTuple):
     by agent id, and the seed and intervention events. A decider decided on
     the day after its reach_day. Repeat deliveries are not stored; they follow
     from the network's adjacency, the decisions and the blocking_applied event.
-    The agent columns are lists, or in a record a plan writes, 1-D numpy
-    integer columns of the engine's state, with the same values.
+    A record the engine builds holds its agent columns as the run's 1-D
+    numpy integer rows of the engine's state; a record read by from_json
+    holds them as lists of the same values.
     """
 
     meta: dict

@@ -22,6 +22,7 @@ from newssim.engine import (
 from newssim.ingest import ExperimentConfig, NewsItem
 from newssim.netgen import Network, gen_random
 from newssim.policy import DecisionOutcome, StubParams, StubPolicy, decide_each
+from newssim.record import AGENT_COLUMNS
 
 NEWS = NewsItem(news_id="n-1", title="headline", body="body", veracity="fake")
 # what a plan passes as a record's meta; a record that is read back needs one
@@ -39,6 +40,12 @@ def net_from_edges(n, edges):
 
 def star(n):
     return net_from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def listed(rec):
+    """An engine record with its numpy agent columns as lists, as
+    RunRecord.from_json reads the record back."""
+    return rec._replace(**{name: getattr(rec, name).tolist() for name in AGENT_COLUMNS})
 
 
 def config(days=7, intervention="none", **kw):
@@ -159,8 +166,8 @@ def test_triangle_hand_trace():
     rec = run(config(days=3), tri, personas, NEWS, policy)
     assert rec.reached_prop == [pytest.approx(1 / 3), 1.0, 1.0, 1.0]
     assert rec.forwarded_prop == [0.0] + [pytest.approx(1 / 3)] * 3
-    assert rec.decision == [1, 0, 0]
-    assert rec.reach_day == [0, 1, 1]  # so 0 decided on day 1, and 1 and 2 on day 2
+    assert rec.decision.tolist() == [1, 0, 0]
+    assert rec.reach_day.tolist() == [0, 1, 1]  # so 0 decided on day 1, and 1 and 2 on day 2
     assert rec.comments == {} and rec.transcripts == {}
 
 
@@ -225,7 +232,7 @@ def test_reach_columns_match_first_delivery(net, seed, intercept, intervention):
     assert rec.events[0]["type"] == "seed"
     assert [e["type"] for e in rec.events[1:]] in ([], ["accuracy_triggered"],
                                                     ["blocking_applied"])
-    assert RunRecord.from_json(rec.to_json()) == rec
+    assert RunRecord.from_json(rec.to_json()) == listed(rec)
     assert (rec.reach_day[source], rec.reached_by[source]) == (0, -1)
     for v in range(net.n):
         day, sender = rec.reach_day[v], rec.reached_by[v]
@@ -277,9 +284,9 @@ def test_skipping_idle_days_matches_stepping_every_day(net, seed, intercept, int
 
     assert (rec.reached_prop, rec.forwarded_prop) == (reached, forwarded)
     assert (rec.events, rec.taints) == (events, taints)
-    assert (rec.reach_day, rec.reached_by) == (state.day_reached.tolist(),
-                                               state.sender.tolist())
-    assert (rec.decision, rec.comments) == (state.decision.tolist(), state.comments[0])
+    assert (rec.reach_day.tolist(), rec.reached_by.tolist()) == (state.day_reached.tolist(),
+                                                                 state.sender.tolist())
+    assert (rec.decision.tolist(), rec.comments) == (state.decision.tolist(), state.comments[0])
 
 
 def test_series_monotone_and_ordered():
@@ -327,14 +334,14 @@ def test_comments_transcripts_and_taints_come_from_the_decision_columns():
     personas = persona_mod.sample_personas(6, rng_seed=0)
     rec = run(config(days=3, intervention="commenting"), star(6), personas, NEWS, Scripted({}),
               meta=META)
-    assert rec.decision == [1, 0, 1, 0, 0, 0]
+    assert rec.decision.tolist() == [1, 0, 1, 0, 0, 0]
     assert rec.comments == {0: "c0"}  # agent 1 ignored, so its comment is dropped
     assert rec.transcripts == {0: "k0", 1: "k1", 2: "k2", 3: "k3", 5: "k5"}
     assert rec.taints == ["parse_failure day=2 agent=3"]
     doc = json.loads(rec.to_json())
     assert (doc["format"], doc["comments"], doc["agents"]["decision"]) == (
         4, {"0": "c0"}, [1, 0, 1, 0, 0, 0])
-    assert RunRecord.from_json(rec.to_json()) == rec
+    assert RunRecord.from_json(rec.to_json()) == listed(rec)
 
 
 def test_replay_byte_identical():
@@ -344,7 +351,7 @@ def test_replay_byte_identical():
     rec2 = run(config(days=7), net, personas, NEWS, StubPolicy(rng_seed=10), meta=META)
     assert rec1.to_json() == rec2.to_json()
     assert rec1.meta is META  # stored as given
-    assert RunRecord.from_json(rec1.to_json()).to_dict() == rec1.to_dict()
+    assert RunRecord.from_json(rec1.to_json()).to_dict() == listed(rec1).to_dict()
 
 
 _texts = st.text(max_size=12)
@@ -420,7 +427,7 @@ def column_records(draw):
         effective=draw(st.booleans()),
         taints=draw(st.lists(_texts, max_size=2)),
     )
-    return rec, rec._replace(**{name: column.tolist() for name, column in columns.items()})
+    return rec, listed(rec)
 
 
 @settings(max_examples=60, deadline=None)
@@ -824,7 +831,7 @@ def test_run_rejects_mismatched_cohort():
         run(config(), net, personas, NEWS, always_share())
 
 
-def test_run_many_refuses_a_group_of_mixed_days(monkeypatch):
+def test_run_group_refuses_a_group_of_mixed_days(monkeypatch):
     stepped = []
     real_step = engine_mod.step_day
 
@@ -836,5 +843,5 @@ def test_run_many_refuses_a_group_of_mixed_days(monkeypatch):
     specs = [RunSpec(config(days=3), NEWS), RunSpec(config(days=5), NEWS)]
     personas = persona_mod.sample_personas(5, rng_seed=0)
     with pytest.raises(ValueError, match=r"one number of days, got \[3, 5\]"):
-        engine_mod.run_many(specs, star(5), personas, always_share())
+        engine_mod.run_group(specs, star(5), personas, always_share())
     assert stepped == []

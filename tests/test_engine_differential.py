@@ -255,7 +255,7 @@ def lockstep_groups(draw):
 def test_run_many_equals_one_run_per_spec_under_the_stub(group, intercept):
     net, personas, specs = group
     params = StubParams(intercept=intercept, comment_shift=0.5, accuracy_penalty=-1.5)
-    records = engine.run_many(specs, net, personas, StubPolicy(params))
+    records = engine.run_group(specs, net, personas, StubPolicy(params)).records(specs)
     assert len(records) == len(specs)
     for spec, record in zip(specs, records):
         alone = engine.run(spec.config, net, personas, spec.news,
@@ -268,7 +268,7 @@ def test_run_many_equals_one_run_per_spec_under_the_stub(group, intercept):
 def test_run_many_asks_a_scripted_policy_what_single_runs_ask(group, share_below):
     net, personas, specs = group
     grouped = ScriptedHashPolicy(share_below)
-    records = engine.run_many(specs, net, personas, grouped)
+    records = engine.run_group(specs, net, personas, grouped).records(specs)
     for spec, record in zip(specs, records):
         single = ScriptedHashPolicy(share_below)
         alone = engine.run(spec.config, net, personas, spec.news, single, meta=spec.meta)

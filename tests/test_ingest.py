@@ -109,6 +109,23 @@ def test_out_of_range_values_aggregate(tmp_path):
     assert "days" in msg and "trigger_threshold" in msg
 
 
+def test_every_bad_llm_value_is_named_in_one_error(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        "days: 0\npolicy:\n  llm: {reask_limit: -1, concurrency: 0, timeout: 0, bogus: 1}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [
+        "days must be >= 1, got 0",
+        "unknown key policy.llm.bogus",
+        "policy.llm.concurrency must be >= 1, got 0",
+        "policy.llm.reask_limit must be >= 0, got -1",
+        "policy.llm.timeout must be > 0, got 0",
+    ]
+
+
 @pytest.mark.parametrize(
     "field, value, problem",
     [

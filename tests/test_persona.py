@@ -9,8 +9,6 @@ from newssim.persona import (
     DEFAULT_TRAIT_STATS,
     TRAITS,
     AgentPersona,
-    BigFiveStats,
-    PersonaConfigError,
     pin_trait,
     render_persona_text,
     sample_personas,
@@ -106,43 +104,23 @@ def test_scores_clamped_and_labels_consistent():
             assert p.big_five_labels[i] == ("high" if s >= means[i] else "low")
 
 
-def test_zero_sd_is_config_error():
-    bad = BigFiveStats(
-        means=DEFAULT_TRAIT_STATS.means,
-        sds=(1.18, 0.89, 0.0, 1.12, 1.07),
-        correlations=DEFAULT_TRAIT_STATS.correlations,
-    )
-    with pytest.raises(PersonaConfigError):
-        sample_personas(10, stats=bad, rng_seed=0)
+def test_default_trait_stats_are_valid_moments():
+    stats = DEFAULT_TRAIT_STATS
+    means, sds = np.asarray(stats.means), np.asarray(stats.sds)
+    corr = np.asarray(stats.correlations)
+    assert means.shape == sds.shape == (len(TRAITS),) and corr.shape == (len(TRAITS),) * 2
+    assert np.all(np.isfinite(means)) and np.all(sds > 0)
+    assert np.array_equal(corr, corr.T) and np.all(np.diag(corr) == 1.0)
+    assert np.min(np.linalg.eigvalsh(corr)) >= 0
+    assert np.allclose(stats.covariance(), np.outer(sds, sds) * corr)
 
 
-def test_non_psd_correlation_is_config_error():
-    corr = np.eye(5)
-    # 0.9 chain on three traits makes the matrix indefinite
-    corr[0, 1] = corr[1, 0] = 0.9
-    corr[1, 2] = corr[2, 1] = 0.9
-    corr[0, 2] = corr[2, 0] = -0.9
-    bad = BigFiveStats(
-        means=DEFAULT_TRAIT_STATS.means,
-        sds=DEFAULT_TRAIT_STATS.sds,
-        correlations=tuple(tuple(row) for row in corr),
-    )
-    with pytest.raises(PersonaConfigError):
-        sample_personas(10, stats=bad, rng_seed=0)
-
-
-def test_identity_correlation_reduces_to_independent_draws():
-    stats = BigFiveStats(
-        means=DEFAULT_TRAIT_STATS.means,
-        sds=DEFAULT_TRAIT_STATS.sds,
-        correlations=tuple(tuple(row) for row in np.eye(5)),
-    )
-    cov = stats.covariance()
-    assert np.allclose(cov, np.diag(np.asarray(stats.sds) ** 2))
-    personas = sample_personas(30_000, stats=stats, rng_seed=9)
-    scores = np.array([p.big_five_scores for p in personas])
-    off_diag = np.corrcoef(scores.T) - np.eye(5)
-    assert np.max(np.abs(off_diag)) < 0.02
+def test_default_cohort_reproduces_the_survey_correlations():
+    expected = np.eye(5)
+    expected[0, 1] = expected[1, 0] = 0.184  # extraversion-agreeableness
+    expected[0, 3] = expected[3, 0] = -0.236  # extraversion-neuroticism
+    scores = sample_personas(30_000, rng_seed=9).scores
+    assert np.max(np.abs(np.corrcoef(scores.T) - expected)) < 0.02
 
 
 def test_pin_trait_arithmetic():

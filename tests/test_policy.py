@@ -1116,7 +1116,7 @@ def test_cache_raises_on_a_bad_complete_line(tmp_path, line, after):
 
 
 def test_llm_settings_validation():
-    with pytest.raises(ValueError):
-        LlmSettings(temperature=-0.5)
+    with pytest.raises(ValueError, match="policy.llm.temperature must be >= 0, got -0.5"):
+        LlmSettings.from_dict({"temperature": -0.5})
     with pytest.raises(ValueError):
         LlmSettings.from_dict({"modle": "typo"})
