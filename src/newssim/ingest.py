@@ -7,9 +7,14 @@ Veracity is always explicit in the file, never inferred from content.
 Experiment configs are YAML; a config that is JSON is read without PyYAML
 (see _parse_config). Every unset field takes a documented default that
 mirrors the standard protocol (7 simulated days, 10% intervention trigger,
-20% block fraction, stub policy), and a key outside the schema (CONFIG_KEYS)
-is refused. See config.example.yaml at the repo root for a fully annotated
-example.
+20% block fraction, stub policy), and a key outside the schema is refused.
+See config.example.yaml at the repo root for a fully annotated example.
+
+This module holds the whole config schema. The type of every value is the
+annotation of its field on ExperimentConfig, StubParams (`policy.stub`) or
+LlmSettings (`policy.llm`), and the range or choices of every key is one
+rule: CONFIG_KEYS for the top-level keys, _LLM_RANGES for `policy.llm` and
+_NETWORK_RANGES for each network kind. _rule_problem words every refusal.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import json
 import typing
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from . import NETWORK_KINDS, POLICY_KINDS
 
@@ -119,18 +124,33 @@ def type_problem(key: str, value, kind) -> str | None:
     return None
 
 
-def _network_n_problem(n) -> str | None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        return f"network.n must be an integer >= 2, got {n!r}"
-    return None
+def _rule_problem(key: str, value, rule) -> str | None:
+    """A problem line naming `key` if `value` breaks `rule`, else None.
+
+    A rule is a tuple of the allowed choices, a (test of the value, the range
+    in words) pair, or None for any value. A test sees only values of its
+    key's type.
+    """
+    if rule is None:
+        return None
+    if not callable(rule[0]):
+        return None if value in rule else f"{key} {value!r} unknown"
+    test, words = rule
+    return None if test(value) else f"{key} must be {words}, got {value!r}"
 
 
-#: kind -> (key, test of (value, n), the range in words) for each of its keys but n
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_NETWORK_N = (lambda n: not isinstance(n, bool) and isinstance(n, int) and n >= 2,
+              "an integer >= 2")
+
+#: kind -> {key: (test of (value, n), the range in words)} for each of its keys
+#: but n; the words may name n as {n}
 _NETWORK_RANGES = {
-    "random": (("edge_prob", lambda p, n: 0 < p < 1, "in (0, 1)"),),
-    "scale_free": (("attach_m", lambda m, n: 1 <= m <= n - 2, "in [1, n - 2] for n = {n}"),),
-    "high_brokerage": (("community_size", lambda c, n: 3 <= c <= n, "in [3, n] for n = {n}"),
-                       ("rewire_p", lambda r, n: 0 <= r <= 1, "in [0, 1]")),
+    "random": {"edge_prob": (lambda p, n: 0 < p < 1, "in (0, 1)")},
+    "scale_free": {"attach_m": (lambda m, n: 1 <= m <= n - 2, "in [1, n - 2] for n = {n}")},
+    "high_brokerage": {"community_size": (lambda c, n: 3 <= c <= n, "in [3, n] for n = {n}"),
+                       "rewire_p": (lambda r, n: 0 <= r <= 1, "in [0, 1]")},
 }
 
 
@@ -141,15 +161,14 @@ def network_param_problems(kind: str, params: dict) -> list[str]:
     arguments here too, so a config and a generator accept the same values.
     """
     n = params.get("n")
-    if problem := _network_n_problem(n):
+    if problem := _rule_problem("network.n", n, _NETWORK_N):
         return [problem]
     problems = []
-    for key, in_range, span in _NETWORK_RANGES[kind]:
+    for key, (test, words) in _NETWORK_RANGES[kind].items():
         value = params.get(key)
-        problem = type_problem(f"network.{key}", value, float)
-        if problem is None and not in_range(value, n):
-            problem = f"network.{key} must be {span.format(n=n)}, got {value!r}"
-        if problem:
+        if problem := (type_problem(f"network.{key}", value, float)
+                       or _rule_problem(f"network.{key}", value,
+                                       (partial(test, n=n), words.format(n=n)))):
             problems.append(problem)
     return problems
 
@@ -159,7 +178,7 @@ def default_network_params(kind: str, n: int = 300) -> dict:
 
     The type of each default is the type a config value for it must have.
     """
-    if problem := _network_n_problem(n):
+    if problem := _rule_problem("network.n", n, _NETWORK_N):
         raise ValueError(problem)
     if kind == "random":
         return {"n": n, "edge_prob": 12.07 / (n - 1)}
@@ -168,6 +187,76 @@ def default_network_params(kind: str, n: int = 300) -> dict:
     if kind == "high_brokerage":
         return {"n": n, "community_size": 13, "rewire_p": 0.7}
     raise ValueError(f"unknown network kind {kind!r}")
+
+
+@cache
+def _field_types(cls) -> dict:
+    """Each field of dataclass `cls` and its type; the string annotations are
+    evaluated once per class, not on every cell's from_dict."""
+    return typing.get_type_hints(cls)
+
+
+def _from_section(cls, section: str, d: dict, rules: dict):
+    """cls(**d); a ConfigError names, by its config path, each key of d that
+    cls lacks, each value of the wrong type, and each value that breaks its
+    rule in `rules`."""
+    if problem := type_problem(section, d, dict):
+        raise ConfigError([problem])
+    types = _field_types(cls)
+    problems = []
+    for key, value in sorted(d.items(), key=lambda kv: str(kv[0])):
+        if key not in types:
+            problems.append(f"unknown key {section}.{key}")
+        elif problem := (type_problem(f"{section}.{key}", value, types[key])
+                         or _rule_problem(f"{section}.{key}", value, rules.get(key))):
+            problems.append(problem)
+    if problems:
+        raise ConfigError(problems)
+    return cls(**d)
+
+
+@dataclass(frozen=True)
+class StubParams:
+    """Coefficients of the offline logistic decision model (`policy.stub`)."""
+
+    intercept: float = -0.25
+    weight_e: float = 0.8
+    weight_o: float = 0.8
+    accuracy_penalty: float = -2.0
+    comment_shift: float = 0.0
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "StubParams":
+        return _from_section(cls, "policy.stub", d, {})
+
+
+#: key -> rule for LlmSettings.from_dict
+_LLM_RANGES = {
+    "temperature": _AT_LEAST_0,
+    "max_retries": _AT_LEAST_0,
+    "reask_limit": _AT_LEAST_0,
+    "concurrency": _AT_LEAST_1,
+    "timeout": (lambda t: t > 0, "> 0"),
+}
+
+
+@dataclass
+class LlmSettings:
+    """Endpoint, model and request settings of the LLM policy (`policy.llm`)."""
+
+    endpoint: str = "https://api.openai.com/v1/chat/completions"
+    model: str = "gpt-3.5-turbo-1106"
+    temperature: float = 0.0
+    max_retries: int = 3
+    reask_limit: int = 2
+    concurrency: int = 4
+    cache_path: str | None = None
+    api_key_env: str = "NEWSSIM_API_KEY"
+    timeout: float = 60.0
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "LlmSettings":
+        return _from_section(cls, "policy.llm", d, _LLM_RANGES)
 
 
 @dataclass
@@ -204,87 +293,58 @@ class ExperimentConfig:
     sweep_offset: float = 1.0
 
     def validate(self, problems=()) -> None:
-        """Raise one ConfigError listing `problems` and every bad value."""
-        from . import policy  # policy imports this module
-
+        """Raise one ConfigError listing `problems` and every value that is
+        not of its field's type or breaks its key's rule in CONFIG_KEYS."""
         problems = list(problems)
-        if self.network_kind not in NETWORK_KINDS:
-            problems.append(f"network.kind {self.network_kind!r} unknown")
-        else:
+        if self.network_kind in NETWORK_KINDS:  # else network.kind is the problem
             problems.extend(network_param_problems(self.network_kind, self.network_params))
-        if self.days < 1:
-            problems.append(f"days must be >= 1, got {self.days}")
-        if not 0.0 < self.trigger_threshold <= 1.0:
-            problems.append(
-                f"intervention.trigger_threshold must be in (0, 1], got {self.trigger_threshold}"
-            )
-        if not 0.0 < self.block_fraction < 1.0:
-            problems.append(
-                f"intervention.block_fraction must be in (0, 1), got {self.block_fraction}"
-            )
-        if self.block_denominator not in ("all_agents", "candidates"):
-            problems.append(
-                f"intervention.block_denominator {self.block_denominator!r} unknown"
-            )
-        if self.intervention_kind not in INTERVENTION_KINDS:
-            problems.append(f"intervention.kind {self.intervention_kind!r} unknown")
-        if self.policy_kind not in POLICY_KINDS:
-            problems.append(f"policy.kind {self.policy_kind!r} unknown")
-        for params, cls in ((self.stub_params, policy.StubParams),
-                            (self.llm_params, policy.LlmSettings)):
-            try:
-                cls.from_dict(params)
-            except ConfigError as exc:
-                problems.extend(exc.problems)
-            except (TypeError, ValueError) as exc:
-                problems.append(str(exc))
-        if self.replications < 1:
-            problems.append(f"replications must be >= 1, got {self.replications}")
-        if self.news_limit is not None and self.news_limit < 1:
-            problems.append(f"news.limit must be >= 1, got {self.news_limit}")
-        if self.body_char_budget < 1:
-            problems.append(f"news.body_char_budget must be >= 1, got {self.body_char_budget}")
-        if self.effective_retry_budget < 0:
-            problems.append(
-                f"effective_retry_budget must be >= 0, got {self.effective_retry_budget}")
-        if not self.sweep_offset >= 0:
-            problems.append(f"sweep.offset must be >= 0, got {self.sweep_offset}")
-        for key, kinds, known in (("compare.networks", self.compare_networks, NETWORK_KINDS),
-                                  ("compare.interventions", self.compare_interventions,
-                                   INTERVENTION_KINDS)):
-            problems.extend(f"{key} entry {kind!r} unknown" for kind in kinds if kind not in known)
-            if not kinds:
-                problems.append(f"{key} must not be empty")
-            elif any(kind in kinds[:i] for i, kind in enumerate(kinds)):
-                problems.append(f"{key} must not repeat an entry, got {kinds!r}")
+        types = _field_types(ExperimentConfig)
+        for key, (name, rule) in CONFIG_KEYS.items():
+            value = getattr(self, name)
+            if problem := type_problem(key, value, types[name]):
+                problems.append(problem)
+            elif isinstance(rule, type):  # a section, checked by its class
+                try:
+                    rule.from_dict(value)
+                except ConfigError as exc:
+                    problems.extend(exc.problems)
+            elif types[name] is list:  # a compare axis: distinct entries of the choices
+                problems.extend(f"{key} entry {v!r} unknown" for v in value if v not in rule)
+                if not value:
+                    problems.append(f"{key} must not be empty")
+                elif any(v in value[:i] for i, v in enumerate(value)):
+                    problems.append(f"{key} must not repeat an entry, got {value!r}")
+            elif problem := _rule_problem(key, value, rule):
+                problems.append(problem)
         if problems:
             raise ConfigError(problems)
 
 
-#: Every config key, dotted: the ExperimentConfig field it sets, and the type
-#: its value must have. The other `network.` keys fill network_params: a kind
-#: takes exactly the keys default_network_params returns for it, typed like
-#: their defaults. `policy.stub.*` and `policy.llm.*` are typed by the fields
-#: of policy.StubParams and policy.LlmSettings.
+#: Every config key, dotted: the ExperimentConfig field it sets, whose
+#: annotation is the type its value must have, and its rule (see
+#: _rule_problem). `policy.stub` and `policy.llm` are sections, checked key
+#: by key by the class in place of their rule. The other `network.` keys fill
+#: network_params: a kind takes exactly the keys default_network_params
+#: returns for it, typed like their defaults and ranged by _NETWORK_RANGES.
 CONFIG_KEYS = {
-    "network.kind": ("network_kind", str),
-    "days": ("days", int),
-    "master_seed": ("master_seed", int),
-    "replications": ("replications", int),
-    "intervention.kind": ("intervention_kind", str),
-    "intervention.trigger_threshold": ("trigger_threshold", float),
-    "intervention.block_fraction": ("block_fraction", float),
-    "intervention.block_denominator": ("block_denominator", str),
-    "policy.kind": ("policy_kind", str),
-    "policy.stub": ("stub_params", dict),
-    "policy.llm": ("llm_params", dict),
-    "news.path": ("news_path", str),
-    "news.limit": ("news_limit", int | None),
-    "news.body_char_budget": ("body_char_budget", int),
-    "effective_retry_budget": ("effective_retry_budget", int),
-    "compare.networks": ("compare_networks", list),
-    "compare.interventions": ("compare_interventions", list),
-    "sweep.offset": ("sweep_offset", float),
+    "network.kind": ("network_kind", NETWORK_KINDS),
+    "days": ("days", _AT_LEAST_1),
+    "master_seed": ("master_seed", None),
+    "replications": ("replications", _AT_LEAST_1),
+    "intervention.kind": ("intervention_kind", INTERVENTION_KINDS),
+    "intervention.trigger_threshold": ("trigger_threshold", (lambda t: 0 < t <= 1, "in (0, 1]")),
+    "intervention.block_fraction": ("block_fraction", (lambda f: 0 < f < 1, "in (0, 1)")),
+    "intervention.block_denominator": ("block_denominator", ("all_agents", "candidates")),
+    "policy.kind": ("policy_kind", POLICY_KINDS),
+    "policy.stub": ("stub_params", StubParams),
+    "policy.llm": ("llm_params", LlmSettings),
+    "news.path": ("news_path", None),
+    "news.limit": ("news_limit", (lambda v: v is None or v >= 1, ">= 1")),
+    "news.body_char_budget": ("body_char_budget", _AT_LEAST_1),
+    "effective_retry_budget": ("effective_retry_budget", _AT_LEAST_0),
+    "compare.networks": ("compare_networks", NETWORK_KINDS),
+    "compare.interventions": ("compare_interventions", INTERVENTION_KINDS),
+    "sweep.offset": ("sweep_offset", _AT_LEAST_0),
 }
 _SECTIONS = {key.partition(".")[0] for key in CONFIG_KEYS if "." in key}
 
@@ -293,6 +353,7 @@ def _config_from_mapping(raw: dict) -> tuple[ExperimentConfig, list[str]]:
     """The config `raw` describes, and a problem for each key outside the schema
     and each value of the wrong type; such a value is left at its default."""
     cfg = ExperimentConfig()
+    types = _field_types(ExperimentConfig)
     problems: list[str] = []
     leaves = []
     for key, value in raw.items():
@@ -303,8 +364,8 @@ def _config_from_mapping(raw: dict) -> tuple[ExperimentConfig, list[str]]:
     network = {}
     for path, value in leaves:
         if path in CONFIG_KEYS:
-            field_name, kind = CONFIG_KEYS[path]
-            if problem := type_problem(path, value, kind):
+            field_name = CONFIG_KEYS[path][0]
+            if problem := type_problem(path, value, types[field_name]):
                 problems.append(problem)
             else:
                 setattr(cfg, field_name, value)
@@ -317,7 +378,8 @@ def _config_from_mapping(raw: dict) -> tuple[ExperimentConfig, list[str]]:
     kind = dict(leaves).get("network.kind", cfg.network_kind)
     if kind in NETWORK_KINDS:
         n = network.get("n", 300)
-        defaults = default_network_params(kind, 300 if _network_n_problem(n) else n)
+        n_problem = _rule_problem("network.n", n, _NETWORK_N)
+        defaults = default_network_params(kind, 300 if n_problem else n)
         for key, value in list(network.items()):
             if key not in defaults:
                 problems.append(

@@ -19,6 +19,9 @@ every run of a lockstep group:
   `concurrent.futures`. A prompt the cache lacks is asked by one task of a
   pool of `concurrency` threads, shared by every caller that misses on that
   prompt.
+
+Their settings, StubParams and LlmSettings, are part of the config schema
+and live in `ingest`; this module binds them too.
 """
 
 from __future__ import annotations
@@ -32,14 +35,13 @@ import threading
 import time
 import typing
 from collections.abc import Callable
-from dataclasses import dataclass
 from importlib import resources
 from string import Template
 
 import numpy as np
 
 from . import persona as persona_mod
-from .ingest import ConfigError, NewsItem, truncate_body, type_problem
+from .ingest import LlmSettings, NewsItem, StubParams, truncate_body
 from .seeding import derive_rng, derive_seed  # noqa: F401 - perfbench traces policy.derive_rng
 
 if typing.TYPE_CHECKING:  # imported where the first ask starts the pool
@@ -174,48 +176,6 @@ def decide_each(policy, batch: DecisionBatch, personas) -> Decisions:
         except PolicyError as exc:
             raise _located(exc, batch.day, agent) from exc
     return Decisions.from_outcomes(outcomes)
-
-
-@functools.cache
-def _field_types(cls) -> dict:
-    """Each field of dataclass `cls` and its type; the string annotations are
-    evaluated once per class, not on every cell's from_dict."""
-    return typing.get_type_hints(cls)
-
-
-def _from_section(cls, section: str, d: dict, ranges: dict):
-    """cls(**d); a ConfigError names, by its config path, each key of d that
-    cls lacks, each value of the wrong type, and each value out of `ranges`,
-    which maps a key to (test of its value, the range in words)."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{section} must be a mapping, got {d!r}")
-    types = _field_types(cls)
-    problems = []
-    for key, value in sorted(d.items(), key=lambda kv: str(kv[0])):
-        if key not in types:
-            problems.append(f"unknown key {section}.{key}")
-        elif problem := type_problem(f"{section}.{key}", value, types[key]):
-            problems.append(problem)
-        elif key in ranges and not ranges[key][0](value):
-            problems.append(f"{section}.{key} must be {ranges[key][1]}, got {value!r}")
-    if problems:
-        raise ConfigError(problems)
-    return cls(**d)
-
-
-@dataclass(frozen=True)
-class StubParams:
-    """Coefficients of the offline logistic decision model."""
-
-    intercept: float = -0.25
-    weight_e: float = 0.8
-    weight_o: float = 0.8
-    accuracy_penalty: float = -2.0
-    comment_shift: float = 0.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StubParams":
-        return _from_section(cls, "policy.stub", d, {})
 
 
 def share_probability(
@@ -462,33 +422,6 @@ def _settled(decision: DecisionOutcome | Future, want_comment: bool) -> Decision
 # ---------------------------------------------------------------------------
 # LLM client with replayable cache
 # ---------------------------------------------------------------------------
-
-#: key -> (test of its value, the range in words) for LlmSettings.from_dict
-_LLM_RANGES = {
-    "temperature": (lambda t: t >= 0, ">= 0"),
-    "max_retries": (lambda r: r >= 0, ">= 0"),
-    "reask_limit": (lambda r: r >= 0, ">= 0"),
-    "concurrency": (lambda c: c >= 1, ">= 1"),
-    "timeout": (lambda t: t > 0, "> 0"),
-}
-
-
-@dataclass
-class LlmSettings:
-    endpoint: str = "https://api.openai.com/v1/chat/completions"
-    model: str = "gpt-3.5-turbo-1106"
-    temperature: float = 0.0
-    max_retries: int = 3
-    reask_limit: int = 2
-    concurrency: int = 4
-    cache_path: str | None = None
-    api_key_env: str = "NEWSSIM_API_KEY"
-    timeout: float = 60.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LlmSettings":
-        return _from_section(cls, "policy.llm", d, _LLM_RANGES)
-
 
 def cache_key(model: str, prompt: str, attempt: int) -> str:
     h = hashlib.sha256()

@@ -133,6 +133,14 @@ def _python(code: str) -> str:
     return done.stdout.strip()
 
 
+def test_loading_and_validating_a_config_imports_no_policy(example_config_path):
+    code = ("import sys\nfrom newssim import ingest\n"
+            f"ingest.load_config({str(example_config_path)!r})\n"
+            "ingest.ExperimentConfig().validate()\n"
+            "print('newssim.policy' in sys.modules)")
+    assert _python(code) == "False"
+
+
 def test_cli_import_skips_libraries_only_some_commands_use():
     code = f"import newssim.cli, sys; print(sorted(set({PLAN_ONLY_MODULES}) & set(sys.modules)))"
     assert _python(code) == "[]"
@@ -184,8 +192,9 @@ def test_only_the_types_tests_replace_or_list_fields_of_are_dataclasses():
             " if name.split('.')[0] == 'newssim' for attr, obj in vars(module).items()"
             " if isinstance(obj, type) and obj.__module__ == name"
             " and dataclasses.is_dataclass(obj))))")
-    assert _python(code).split() == ["newssim.ingest.ExperimentConfig", "newssim.netgen.Network",
-                                     "newssim.policy.LlmSettings", "newssim.policy.StubParams"]
+    assert _python(code).split() == ["newssim.ingest.ExperimentConfig",
+                                     "newssim.ingest.LlmSettings", "newssim.ingest.StubParams",
+                                     "newssim.netgen.Network"]
 
 
 @pytest.mark.parametrize("policy_kind", ["stub", "llm"])

@@ -9,7 +9,7 @@ oracle logs one event per decision, as the 0.2.0 records did, and its
 record assembly turns them into the format-4 columns, storing the meta it is
 given as the engine does.
 
-`run_many` steps a group of runs in lockstep; each of its records must equal
+`run_group` steps a group of runs in lockstep; each of its records must equal
 the record of the same run executed alone. A plan group picks each stub
 cell's retry attempt in one-day probes; the attempt and record it keeps must
 be those that full runs, tried one attempt at a time, would give.
@@ -252,7 +252,7 @@ def lockstep_groups(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(group=lockstep_groups(), intercept=st.floats(-2.0, 3.0))
-def test_run_many_equals_one_run_per_spec_under_the_stub(group, intercept):
+def test_run_group_equals_one_run_per_spec_under_the_stub(group, intercept):
     net, personas, specs = group
     params = StubParams(intercept=intercept, comment_shift=0.5, accuracy_penalty=-1.5)
     records = engine.run_group(specs, net, personas, StubPolicy(params)).records(specs)
@@ -265,7 +265,7 @@ def test_run_many_equals_one_run_per_spec_under_the_stub(group, intercept):
 
 @settings(max_examples=120, deadline=None)
 @given(group=lockstep_groups(), share_below=st.integers(0, 256))
-def test_run_many_asks_a_scripted_policy_what_single_runs_ask(group, share_below):
+def test_run_group_asks_a_scripted_policy_what_single_runs_ask(group, share_below):
     net, personas, specs = group
     grouped = ScriptedHashPolicy(share_below)
     records = engine.run_group(specs, net, personas, grouped).records(specs)

@@ -1,7 +1,9 @@
+import json
 from dataclasses import replace
 
 import pytest
 
+from newssim import ingest
 from newssim.ingest import (
     ConfigError,
     ExperimentConfig,
@@ -174,3 +176,63 @@ def test_example_config_loads_and_shows_the_defaults(example_config_path):
 
 def test_default_config_is_valid():
     ExperimentConfig().validate()
+
+
+#: (network kind, dotted key, a value that breaks its rule, the problem line)
+#: for every key that has a rule
+RULE_BREAKS = [
+    (None, "network.kind", "bogus", "network.kind 'bogus' unknown"),
+    (None, "days", 0, "days must be >= 1, got 0"),
+    (None, "replications", 0, "replications must be >= 1, got 0"),
+    (None, "intervention.kind", "bogus", "intervention.kind 'bogus' unknown"),
+    (None, "intervention.trigger_threshold", 1.5,
+     "intervention.trigger_threshold must be in (0, 1], got 1.5"),
+    (None, "intervention.block_fraction", 1.0,
+     "intervention.block_fraction must be in (0, 1), got 1.0"),
+    (None, "intervention.block_denominator", "bogus",
+     "intervention.block_denominator 'bogus' unknown"),
+    (None, "policy.kind", "bogus", "policy.kind 'bogus' unknown"),
+    (None, "news.limit", 0, "news.limit must be >= 1, got 0"),
+    (None, "news.body_char_budget", 0, "news.body_char_budget must be >= 1, got 0"),
+    (None, "effective_retry_budget", -1, "effective_retry_budget must be >= 0, got -1"),
+    (None, "compare.networks", ["random", "bogus"], "compare.networks entry 'bogus' unknown"),
+    (None, "compare.interventions", ["none", "bogus"],
+     "compare.interventions entry 'bogus' unknown"),
+    (None, "sweep.offset", -0.5, "sweep.offset must be >= 0, got -0.5"),
+    (None, "policy.llm.temperature", -0.5, "policy.llm.temperature must be >= 0, got -0.5"),
+    (None, "policy.llm.max_retries", -1, "policy.llm.max_retries must be >= 0, got -1"),
+    (None, "policy.llm.reask_limit", -1, "policy.llm.reask_limit must be >= 0, got -1"),
+    (None, "policy.llm.concurrency", 0, "policy.llm.concurrency must be >= 1, got 0"),
+    (None, "policy.llm.timeout", 0, "policy.llm.timeout must be > 0, got 0"),
+    *((kind, "network.n", 1, "network.n must be an integer >= 2, got 1")
+      for kind in ("random", "scale_free", "high_brokerage")),
+    ("random", "network.edge_prob", 1.0, "network.edge_prob must be in (0, 1), got 1.0"),
+    ("scale_free", "network.attach_m", 0,
+     "network.attach_m must be in [1, n - 2] for n = 288, got 0"),
+    ("high_brokerage", "network.community_size", 2,
+     "network.community_size must be in [3, n] for n = 300, got 2"),
+    ("high_brokerage", "network.rewire_p", -0.1, "network.rewire_p must be in [0, 1], got -0.1"),
+]
+
+
+def test_every_ruled_key_has_a_rule_break():
+    ruled = {(None, key) for key, (_, rule) in ingest.CONFIG_KEYS.items()
+             if rule is not None and not isinstance(rule, type)}
+    ruled |= {(None, f"policy.llm.{key}") for key in ingest._LLM_RANGES}
+    ruled |= {(kind, f"network.{key}") for kind, ranges in ingest._NETWORK_RANGES.items()
+              for key in ("n", *ranges)}
+    assert {(kind, key) for kind, key, _, _ in RULE_BREAKS} == ruled
+
+
+@pytest.mark.parametrize("kind, key, value, problem", RULE_BREAKS,
+                         ids=[f"{kind or ''}-{key}" for kind, key, _, _ in RULE_BREAKS])
+def test_a_value_that_breaks_its_rule_is_one_problem_line(tmp_path, kind, key, value, problem):
+    *sections, leaf = key.split(".")
+    doc = {leaf: value, **({"kind": kind} if kind else {})}
+    for section in reversed(sections):
+        doc = {section: doc}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [problem]
