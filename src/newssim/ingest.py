@@ -13,8 +13,12 @@ See config.example.yaml at the repo root for a fully annotated example.
 This module holds the whole config schema. The type of every value is the
 annotation of its field on ExperimentConfig, StubParams (`policy.stub`) or
 LlmSettings (`policy.llm`), and the range or choices of every key is one
-rule: CONFIG_KEYS for the top-level keys, _LLM_RANGES for `policy.llm` and
-_NETWORK_RANGES for each network kind. _rule_problem words every refusal.
+rule: CONFIG_KEYS for the top-level keys and _LLM_RANGES for `policy.llm`.
+The network keys are the exception, since each kind takes its own:
+NETWORK_PARAMS declares every key of every kind once, with its default for
+n agents (whose type is the key's type) and its range, and the config
+loader, ExperimentConfig.validate, the generators in netgen and
+`newssim gen-network` all read it. _rule_problem words every refusal.
 """
 
 from __future__ import annotations
@@ -144,49 +148,51 @@ _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _NETWORK_N = (lambda n: not isinstance(n, bool) and isinstance(n, int) and n >= 2,
               "an integer >= 2")
 
-#: kind -> {key: (test of (value, n), the range in words)} for each of its keys
-#: but n; the words may name n as {n}
-_NETWORK_RANGES = {
-    "random": {"edge_prob": (lambda p, n: 0 < p < 1, "in (0, 1)")},
-    "scale_free": {"attach_m": (lambda m, n: 1 <= m <= n - 2, "in [1, n - 2] for n = {n}")},
-    "high_brokerage": {"community_size": (lambda c, n: 3 <= c <= n, "in [3, n] for n = {n}"),
-                       "rewire_p": (lambda r, n: 0 <= r <= 1, "in [0, 1]")},
+#: kind -> {key: (its default for n agents, test of (value, n), the range in
+#: words)} for every key a network of that kind takes, n first. A key's value
+#: must have its default's type; the words may name n as {n}. n's own rule is
+#: _NETWORK_N, checked before the others, so its test and words are None.
+NETWORK_PARAMS = {
+    "random": {"n": (lambda n: n, None, None),
+               "edge_prob": (lambda n: 12.07 / (n - 1), lambda p, n: 0 < p < 1, "in (0, 1)")},
+    "scale_free": {"n": (lambda n: 288 if n == 300 else n, None, None),
+                   "attach_m": (lambda n: 6, lambda m, n: 1 <= m <= n - 2,
+                                "in [1, n - 2] for n = {n}")},
+    "high_brokerage": {"n": (lambda n: n, None, None),
+                       "community_size": (lambda n: 13, lambda c, n: 3 <= c <= n,
+                                          "in [3, n] for n = {n}"),
+                       "rewire_p": (lambda n: 0.7, lambda r, n: 0 <= r <= 1, "in [0, 1]")},
 }
 
 
 def network_param_problems(kind: str, params: dict) -> list[str]:
-    """A problem line, naming its dotted key, for each value of `params` out of range.
+    """A problem line, naming its dotted key, for each value of `params` of the
+    wrong type or out of range.
 
     `kind` is one of NETWORK_KINDS. The generators in netgen check their
     arguments here too, so a config and a generator accept the same values.
     """
     n = params.get("n")
-    if problem := _rule_problem("network.n", n, _NETWORK_N):
+    # in the config loader's words when n is not an integer
+    if problem := (type_problem("network.n", n, int)
+                   or _rule_problem("network.n", n, _NETWORK_N)):
         return [problem]
     problems = []
-    for key, (test, words) in _NETWORK_RANGES[kind].items():
+    for key, (default, test, words) in NETWORK_PARAMS[kind].items():
         value = params.get(key)
-        if problem := (type_problem(f"network.{key}", value, float)
+        if problem := (type_problem(f"network.{key}", value, type(default(n)))
                        or _rule_problem(f"network.{key}", value,
-                                       (partial(test, n=n), words.format(n=n)))):
+                                        test and (partial(test, n=n), words.format(n=n)))):
             problems.append(problem)
     return problems
 
 
 def default_network_params(kind: str, n: int = 300) -> dict:
-    """The network keys `kind` accepts, with their defaults for `n` agents.
-
-    The type of each default is the type a config value for it must have.
-    """
+    """The network keys `kind`, one of NETWORK_KINDS, takes, n first, with their
+    defaults for `n` agents."""
     if problem := _rule_problem("network.n", n, _NETWORK_N):
         raise ValueError(problem)
-    if kind == "random":
-        return {"n": n, "edge_prob": 12.07 / (n - 1)}
-    if kind == "scale_free":
-        return {"n": 288 if n == 300 else n, "attach_m": 6}
-    if kind == "high_brokerage":
-        return {"n": n, "community_size": 13, "rewire_p": 0.7}
-    raise ValueError(f"unknown network kind {kind!r}")
+    return {key: default(n) for key, (default, _, _) in NETWORK_PARAMS[kind].items()}
 
 
 @cache
@@ -324,8 +330,8 @@ class ExperimentConfig:
 #: annotation is the type its value must have, and its rule (see
 #: _rule_problem). `policy.stub` and `policy.llm` are sections, checked key
 #: by key by the class in place of their rule. The other `network.` keys fill
-#: network_params: a kind takes exactly the keys default_network_params
-#: returns for it, typed like their defaults and ranged by _NETWORK_RANGES.
+#: network_params: a kind takes exactly its keys in NETWORK_PARAMS, typed like
+#: their defaults and ranged by their tests there.
 CONFIG_KEYS = {
     "network.kind": ("network_kind", NETWORK_KINDS),
     "days": ("days", _AT_LEAST_1),

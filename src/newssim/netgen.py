@@ -4,12 +4,15 @@ Three structures are supported: Erdos-Renyi-style random graphs, scale-free
 graphs grown by preferential attachment, and high-brokerage graphs built from
 clique communities whose designated broker nodes carry rewired inter-community
 bridges. All graphs are simple, undirected and unweighted; generation is
-deterministic per (kind, params, seed).
+deterministic per (kind, params, seed). Each kind's keys, defaults and ranges
+are declared once, in ingest.NETWORK_PARAMS: `generate` passes a config's
+keys to the kind's generator by name, and each generator checks them there.
 
 Metrics follow the usual definitions: density 2E/(N(N-1)), mean/sd of the
-degree sequence, exact BFS all-pairs average path length over ordered pairs,
+degree sequence, exact all-pairs average path length over ordered pairs,
 mean per-node clustering 2*e_i/(k_i*(k_i-1)), and Newman modularity
-(1/2E) * sum_ij [A_ij - k_i*k_j/2E] * delta(c_i, c_j).
+(1/2E) * sum_ij [A_ij - k_i*k_j/2E] * delta(c_i, c_j). is_connected and
+avg_path_length share one breadth-first search over the CSR (_bfs_layers).
 """
 
 from __future__ import annotations
@@ -91,7 +94,10 @@ class Network:
         object.__setattr__(self, "_degrees", degrees)
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Ascending neighbour ids per node, cut from the CSR on first use, then shared."""
+        """Ascending neighbour ids per node, cut from the CSR on first use, then shared.
+
+        No code of the package reads it; tests use it as an oracle beside csr().
+        """
         adj = self.__dict__.get("_adjacency")
         if adj is None:
             indptr, indices = self._csr
@@ -362,32 +368,37 @@ def gen_high_brokerage(n: int, community_size: int, rewire_p: float, seed: int) 
     return _build_high_brokerage(n, community_size, rewire_p, seed)
 
 
+#: kind -> its generator, whose parameters are named like the kind's keys
+_GENERATORS = {"random": gen_random, "scale_free": gen_scale_free,
+               "high_brokerage": gen_high_brokerage}
+
+
 def generate(kind: str, params: dict, seed: int) -> Network:
-    """Dispatch on kind using keyword params from a config."""
-    if kind == "random":
-        return gen_random(params["n"], params["edge_prob"], seed)
-    if kind == "scale_free":
-        return gen_scale_free(params["n"], params["attach_m"], seed)
-    if kind == "high_brokerage":
-        return gen_high_brokerage(params["n"], params["community_size"], params["rewire_p"], seed)
-    raise ValueError(f"unknown network kind {kind!r}")
+    """The `kind` network that a config's network keys `params` describe."""
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown network kind {kind!r}")
+    return _GENERATORS[kind](**params, seed=seed)
 
 
-def is_connected(net: Network) -> bool:
-    """Breadth-first search from node 0, one frontier at a time."""
-    if net.n == 0:
-        return True
+def _bfs_layers(net: Network, source: int):
+    """Yield the nodes at distance 0, 1, 2, ... from `source`, one ascending
+    array per distance, until no new node is reached."""
     seen = np.zeros(net.n, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        _, nbrs = net.neighbours(frontier)
+    seen[source] = True
+    layer = np.array([source])
+    while layer.size:
+        yield layer
+        _, nbrs = net.neighbours(layer)
         # a mask, not np.unique: numpy 2.4's unique imports numpy.ma, which no plan needs
         fresh = np.zeros(net.n, dtype=bool)
         fresh[nbrs] = True
-        frontier = np.flatnonzero(fresh & ~seen)
-        seen[frontier] = True
-    return bool(seen.all())
+        layer = np.flatnonzero(fresh & ~seen)
+        seen[layer] = True
+
+
+def is_connected(net: Network) -> bool:
+    """Whether a breadth-first search from node 0 reaches every node."""
+    return net.n == 0 or sum(layer.size for layer in _bfs_layers(net, 0)) == net.n
 
 
 def density(net: Network) -> float:
@@ -409,24 +420,14 @@ def avg_path_length(net: Network) -> float:
     n = net.n
     if n < 2:
         raise ValueError("avg_path_length undefined for n < 2")
-    adj = net.adjacency()
-    total = 0
+    total = 0  # an integer, so the mean is exact
     for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    queue.append(v)
-        if len(queue) != n:
+        reached = 0
+        for distance, layer in enumerate(_bfs_layers(net, s)):
+            total += distance * layer.size
+            reached += layer.size
+        if reached != n:
             raise NetworkGenerationError("avg_path_length requires a connected graph")
-        total += sum(dist)
     return total / (n * (n - 1))
 
 
@@ -434,18 +435,16 @@ def avg_clustering(net: Network) -> float:
     """Mean of per-node coefficients 2*e_i/(k_i*(k_i-1)); degree<2 nodes count 0."""
     if net.n == 0:
         return 0.0
-    nbr_sets = [frozenset(a) for a in net.adjacency()]
-    acc = 0.0
-    for nbrs in net.adjacency():
+    indptr, indices = net.csr()
+    flat, bounds = indices.tolist(), indptr.tolist()
+    nbr_sets = [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    acc = 0.0  # summed in node order
+    for nbrs in nbr_sets:
         k = len(nbrs)
         if k < 2:
             continue
-        e = 0
-        for i in range(k):
-            ni = nbr_sets[nbrs[i]]
-            for j in range(i + 1, k):
-                if nbrs[j] in ni:
-                    e += 1
+        # each edge between two neighbours is seen from both of its ends
+        e = sum(len(nbrs & nbr_sets[v]) for v in nbrs) // 2
         acc += 2.0 * e / (k * (k - 1))
     return acc / net.n
 

@@ -77,15 +77,10 @@ def _cached_network(kind: str, params_items: tuple, seed: int) -> netgen.Network
 
 
 @lru_cache(maxsize=64)
-def _cached_cohort(n: int, seed: int, trait: str | None = None, level: str | None = None,
-                   offset: float = 1.0) -> persona.Cohort:
-    """The replicate's cohort, pinned to trait=level when a trait is given.
-
-    A Cohort is read-only, so every cell of the replicate can share it, and a
-    pinned cohort shares the base cohort's unpinned columns.
-    """
-    if trait:
-        return persona.pin_trait(_cached_cohort(n, seed), trait, level, offset=offset)
+def _cached_cohort(n: int, seed: int) -> persona.Cohort:
+    """The replicate's cohort. A Cohort is read-only, so every cell of the
+    replicate can share it; a group that pins a trait pins its own copy, which
+    shares the unpinned columns."""
     return persona.sample_personas(n, rng_seed=seed)
 
 
@@ -150,7 +145,10 @@ def _execute_group(cells: list[Cell], decider) -> list:
     kind, params, net_seed, persona_seed, pin = _inputs(cells[0])
     with _replicate_lock:
         net = _cached_network(kind, params, net_seed)
-        personas = _cached_cohort(net.n, persona_seed, *pin)
+        personas = _cached_cohort(net.n, persona_seed)
+    if pin:
+        trait, level, offset = pin
+        personas = persona.pin_trait(personas, trait, level, offset=offset)
 
     def spec(cell, attempt):
         seed = derive_seed(cell.cfg.master_seed, "decide", cell.replicate, cell.news.news_id,
@@ -261,7 +259,9 @@ def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, para
 
     An INCOMPLETE sentinel exists in out_dir while cells are executing; an
     interrupted plan leaves it behind along with the partial runs directory.
-    Up to `parallel` groups execute at a time (see _executed_groups): a stub
+    Groups run replicate by replicate, so a replicate's network and cohort
+    stay cached while its groups run, however many replicates there are. Up
+    to `parallel` groups execute at a time (see _executed_groups): a stub
     plan's in forked worker processes, no more than this process has usable
     CPUs, and an LLM plan's on threads. An LLM plan's groups share one
     LlmPolicy over `cache`, so requests in flight stay within
@@ -273,13 +273,14 @@ def _run_plan(cells: list[Cell], out_dir: Path, cache=None, transport=None, para
     sentinel = out_dir / "INCOMPLETE"
     _write_text(sentinel, "plan execution in progress or interrupted\n")
     decider = _open_policy(cells[0].cfg, cache, transport) if cells else None
-    groups: dict[tuple, list[int]] = {}
+    by_inputs: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
-        groups.setdefault(_inputs(cell), []).append(i)
+        by_inputs.setdefault(_inputs(cell), []).append(i)
+    groups = sorted(by_inputs.values(), key=lambda members: cells[members[0]].replicate)
     rows = [None] * len(cells)
     try:
-        done = _executed_groups(list(groups.values()), cells, decider, runs_dir, parallel)
-        for members, group_rows in zip(groups.values(), done):
+        done = _executed_groups(groups, cells, decider, runs_dir, parallel)
+        for members, group_rows in zip(groups, done):
             for i, row in zip(members, group_rows):
                 rows[i] = row
     finally:
@@ -315,10 +316,14 @@ def _apply_overrides(cfg, args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_network(args) -> int:
-    params = {**ingest.default_network_params(args.kind, args.n), "n": args.n}
-    flags = {"edge_prob": args.edge_prob, "attach_m": args.attach_m,
-             "community_size": args.community_size, "rewire_p": args.rewire_p}
-    params.update((k, v) for k, v in flags.items() if k in params and v is not None)
+    # the network flags' dests are the keys of ingest.NETWORK_PARAMS
+    params = ingest.default_network_params(args.kind, args.n)
+    flags = {key: getattr(args, key) for keys in ingest.NETWORK_PARAMS.values() for key in keys}
+    if foreign := [f"--{key.replace('_', '-')}" for key, value in flags.items()
+                   if value is not None and key not in params]:
+        raise ValueError(f"kind {args.kind} does not take {', '.join(foreign)} "
+                         f"(kind {args.kind} takes {', '.join(params)})")
+    params.update((key, value) for key, value in flags.items() if value is not None)
     net = connected_network(args.kind, params, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

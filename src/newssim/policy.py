@@ -163,21 +163,6 @@ def _located(exc: PolicyError, day: int, agent: int) -> PolicyError:
     return PolicyError(f"day {day}, agent {agent}: {exc}")
 
 
-def decide_each(policy, batch: DecisionBatch, personas) -> Decisions:
-    """Decide a batch one agent at a time through `policy.decide`, in order.
-
-    A policy that decides one agent at a time sets `decide_many = decide_each`.
-    A PolicyError is re-raised naming the day and agent.
-    """
-    outcomes = []
-    for run, agent in batch.deciders():
-        try:
-            outcomes.append(policy.decide(batch.request(agent, run), personas[agent]))
-        except PolicyError as exc:
-            raise _located(exc, batch.day, agent) from exc
-    return Decisions.from_outcomes(outcomes)
-
-
 def share_probability(
     z_extraversion,
     z_openness,

@@ -91,6 +91,16 @@ def test_gen_network_refuses_fewer_than_two_nodes(tmp_path, capsys, kind, n):
     assert not out.exists()
 
 
+def test_gen_network_refuses_flags_its_kind_does_not_take(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert cli.main(["gen-network", "--kind", "random", "--n", "50", "--attach-m", "3",
+                     "--rewire-p", "0.9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: kind random does not take --attach-m, --rewire-p "
+        "(kind random takes n, edge_prob)\n")
+    assert not out.exists()
+
+
 def test_gen_network_same_seed_identical_files(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -1007,10 +1017,41 @@ def test_a_replicate_samples_its_cohort_once(tmp_path, small_config, monkeypatch
     assert len({tuple(line.split()[1:]) for line in lines}) == 2  # one cohort per replicate
 
 
+def test_a_sweep_past_the_cache_size_builds_each_replicate_once(tmp_path, news_path,
+                                                                monkeypatch):
+    """A sweep's groups run replicate by replicate, so its network and cohort
+    stay cached across the replicate's 10 groups, however many replicates
+    there are beyond the caches' 64 entries."""
+    calls = {"networks": 0, "cohorts": 0}
+    real_generate, real_sample = netgen.generate, persona.sample_personas
+
+    def generate(*args):
+        calls["networks"] += 1
+        return real_generate(*args)
+
+    def sample(*args, **kwargs):
+        calls["cohorts"] += 1
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(netgen, "generate", generate)
+    monkeypatch.setattr(persona, "sample_personas", sample)
+    plan._cached_network.cache_clear()
+    plan._cached_cohort.cache_clear()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({  # scale-free graphs are always connected: one build each
+        "network": {"kind": "scale_free", "n": 12, "attach_m": 2}, "days": 2,
+        "replications": 70, "effective_retry_budget": 0,
+        "news": {"path": str(news_path), "limit": 1}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["sweep-personality", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(list((out / "runs").iterdir())) == 700
+    assert calls == {"networks": 70, "cohorts": 70}
+
+
 def test_cached_cohorts_are_shared_and_pinned_per_trait_level():
     base = plan._cached_cohort(30, 5)
     assert plan._cached_cohort(30, 5) is base
-    pinned = {(t, lv): plan._cached_cohort(30, 5, t, lv, 1.0)
+    pinned = {(t, lv): persona.pin_trait(base, t, lv, offset=1.0)
               for t in persona.TRAITS for lv in persona.LEVELS}
     for cohort in (base, pinned["openness", "high"]):  # cells share them: no column is writable
         for column in (cohort.female, cohort.age, cohort.scores, cohort.high):
@@ -1018,7 +1059,6 @@ def test_cached_cohorts_are_shared_and_pinned_per_trait_level():
                 column[0] = column[1]
     assert len({c[0].big_five_scores for c in pinned.values()}) == len(pinned)
     for (trait, level), cohort in pinned.items():
-        assert cohort is plan._cached_cohort(30, 5, trait, level, 1.0)
         idx = persona.TRAITS.index(trait)
         assert all(p.big_five_labels[idx] == level for p in cohort)
         assert [p.age for p in cohort] == [p.age for p in base]

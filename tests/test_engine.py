@@ -21,8 +21,9 @@ from newssim.engine import (
 )
 from newssim.ingest import ExperimentConfig, NewsItem
 from newssim.netgen import Network, gen_random
-from newssim.policy import DecisionOutcome, StubParams, StubPolicy, decide_each
+from newssim.policy import DecisionOutcome, StubParams, StubPolicy
 from newssim.record import AGENT_COLUMNS
+from policy_helpers import decide_each
 
 NEWS = NewsItem(news_id="n-1", title="headline", body="body", veracity="fake")
 # what a plan passes as a record's meta; a record that is read back needs one

@@ -35,9 +35,9 @@ from newssim.policy import (
     DecisionRequest,
     StubParams,
     StubPolicy,
-    decide_each,
 )
 from newssim.seeding import derive_seed
+from policy_helpers import decide_each
 
 NEWS = NewsItem(news_id="n-1", title="headline", body="body", veracity="fake")
 META = {"config_sha": "0123456789abcdef", "labels": {"replicate": 0}}
@@ -319,7 +319,9 @@ def test_a_group_keeps_the_first_effective_attempt_of_full_runs(cells):
         assume(False)
     _, net_params, net_seed, persona_seed, pin = plan._inputs(cells[0])
     net = plan._cached_network("random", net_params, net_seed)
-    personas = plan._cached_cohort(net.n, persona_seed, *pin)
+    personas = plan._cached_cohort(net.n, persona_seed)
+    if pin:
+        personas = persona.pin_trait(personas, pin[0], pin[1], offset=pin[2])
     for cell, record in zip(cells, records, strict=True):
         budget = cell.cfg.effective_retry_budget
         for attempt in range(budget + 1):

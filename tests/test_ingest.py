@@ -1,9 +1,11 @@
 import json
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
-from newssim import ingest
+import newssim
+from newssim import ingest, netgen
 from newssim.ingest import (
     ConfigError,
     ExperimentConfig,
@@ -219,8 +221,8 @@ def test_every_ruled_key_has_a_rule_break():
     ruled = {(None, key) for key, (_, rule) in ingest.CONFIG_KEYS.items()
              if rule is not None and not isinstance(rule, type)}
     ruled |= {(None, f"policy.llm.{key}") for key in ingest._LLM_RANGES}
-    ruled |= {(kind, f"network.{key}") for kind, ranges in ingest._NETWORK_RANGES.items()
-              for key in ("n", *ranges)}
+    ruled |= {(kind, f"network.{key}") for kind, keys in ingest.NETWORK_PARAMS.items()
+              for key in keys}
     assert {(kind, key) for kind, key, _, _ in RULE_BREAKS} == ruled
 
 
@@ -236,3 +238,50 @@ def test_a_value_that_breaks_its_rule_is_one_problem_line(tmp_path, kind, key, v
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert err.value.problems == [problem]
+
+
+#: kind -> key -> (a value in range, one out of range, one of the wrong type)
+#: at n = 40, with every other key at its default
+NETWORK_VALUES = {
+    "random": {"n": (40, 1, 40.5), "edge_prob": (0.2, 1.5, "0.2")},
+    "scale_free": {"n": (40, 1, 40.5), "attach_m": (3, 39, 2.5)},
+    "high_brokerage": {"n": (40, 1, 40.5), "community_size": (8, 2, 13.5),
+                       "rewire_p": (0.5, 1.5, "x")},
+}
+
+
+def test_every_network_kind_and_key_has_agreement_values():
+    assert newssim.NETWORK_KINDS == tuple(ingest.NETWORK_PARAMS) == tuple(netgen._GENERATORS)
+    assert {kind: tuple(keys) for kind, keys in NETWORK_VALUES.items()} == {
+        kind: tuple(keys) for kind, keys in ingest.NETWORK_PARAMS.items()}
+
+
+@pytest.mark.parametrize("kind, key, value, accepted", [
+    (kind, key, value, case == "in range")
+    for kind, keys in NETWORK_VALUES.items() for key, values in keys.items()
+    for case, value in zip(("in range", "out of range", "wrong type"), values)])
+def test_loader_validate_and_generator_agree_on_each_network_value(tmp_path, kind, key, value,
+                                                                    accepted):
+    params = {**ingest.default_network_params(kind, 40), key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"network": {"kind": kind, "n": 40, key: value}}),
+                    encoding="utf-8")
+    answers = []
+    for accept in (partial(load_config, path),
+                   ExperimentConfig(network_kind=kind, network_params=params).validate):
+        try:
+            accept()
+            answers.append(None)
+        except ConfigError as exc:
+            answers.append(exc.problems)
+    try:
+        netgen.generate(kind, params, 0)
+        answers.append(None)
+    except ValueError as exc:
+        answers.append([str(exc)])
+    if accepted:
+        assert answers == [None] * 3
+    else:
+        assert answers[0] is not None and len(answers[0]) == 1
+        assert answers[0][0].startswith(f"network.{key} must be ")
+        assert answers == [answers[0]] * 3

@@ -137,14 +137,34 @@ def test_neighbours_and_is_connected_match_adjacency_loops(graph):
     owners, nbrs = net.neighbours(nodes)
     assert list(zip(owners.tolist(), nbrs.tolist())) == [
         (u, v) for u in nodes.tolist() for v in adj[u]]
-    # reference: depth-first search over the adjacency tuples
-    seen, stack = {0}, [0]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    assert is_connected(net) == (len(seen) == net.n)
+    # reference: a breadth-first search over the adjacency tuples from every node
+    dists = []
+    for s in range(net.n):
+        dist, queue = {s: 0}, [s]
+        for u in queue:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        dists.append(dist)
+    connected = len(dists[0]) == net.n
+    assert is_connected(net) == connected
+    if net.n < 2:
+        with pytest.raises(ValueError):
+            avg_path_length(net)
+    elif connected:
+        assert avg_path_length(net) == sum(sum(d.values()) for d in dists) / (net.n * (net.n - 1))
+    else:
+        with pytest.raises(NetworkGenerationError):
+            avg_path_length(net)
+    # reference: the pair loop over each node's neighbours, summed in node order
+    acc = 0.0
+    for row in adj:
+        k = len(row)
+        if k >= 2:
+            e = sum(row[j] in adj[row[i]] for i in range(k) for j in range(i + 1, k))
+            acc += 2.0 * e / (k * (k - 1))
+    assert avg_clustering(net) == acc / net.n
 
 
 def test_adjacency_memo_under_concurrent_first_calls():
